@@ -86,7 +86,6 @@ from .simulation import (
 from .solver import (
     BackwardSolution,
     SolverConfig,
-    bootstrap,
     deterministic_solve,
     milne_local_ratios,
     solve,

@@ -2,7 +2,8 @@
 
 Two branches matter for the CLI exit codes: ValidationError (bad inputs,
 precondition violations, exit code 2) and NumericalError (a computation
-produced garbage at runtime, exit code 3).
+produced garbage at runtime, exit code 3).  ValidationError is also a
+ValueError, so callers that catch the builtin still see bad inputs.
 """
 
 
@@ -10,7 +11,7 @@ class FbsdeError(Exception):
     pass
 
 
-class ValidationError(FbsdeError):
+class ValidationError(FbsdeError, ValueError):
     pass
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit
 
-from .exceptions import NoClosedForm
+from .exceptions import NoClosedForm, ValidationError
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,6 @@ class FbsdeProblem:
     z_bound: float = math.inf
     closed_form_y: Optional[Callable] = None
     closed_form_z: Optional[Callable] = None
-    # hints used by the deterministic (ODE-reduction) mode
-    zero_diffusion: bool = False
-    driver_z_independent: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(self.d))
@@ -118,11 +115,11 @@ def example1(eta: float = 0.6, tau: Optional[float] = None, d: int = 2,
     for comparison runs; the closed form then no longer solves the equation.
     """
     if eta <= 0 or d < 1:
-        raise ValueError("need eta > 0 and d >= 1")
+        raise ValidationError("need eta > 0 and d >= 1")
     if tau is None:
         tau = 1.0 / math.sqrt(d)
     if tau <= 0:
-        raise ValueError("need tau > 0")
+        raise ValidationError("need tau > 0")
     tau = float(tau)
     rate = tau * tau * d / 2.0
 
@@ -160,7 +157,6 @@ def example1(eta: float = 0.6, tau: Optional[float] = None, d: int = 2,
         b=b, sigma=sigma, f=f, phi=phi, grad_phi=grad_phi,
         y_bound=2.0 + eta, z_bound=tau * math.sqrt(d),
         closed_form_y=u, closed_form_z=zeta,
-        driver_z_independent=True,
     )
 
 
@@ -248,7 +244,6 @@ def exponential_ode(T: float = 1.0, coefficient: float = -1.0) -> FbsdeProblem:
         b=b, sigma=sigma, f=f, phi=phi,
         grad_phi=lambda x: np.zeros_like(x),
         closed_form_y=u, closed_form_z=zeta,
-        zero_diffusion=True, driver_z_independent=True,
     )
 
 
@@ -279,7 +274,6 @@ def constant_problem(value: float = 1.0, d: int = 1, T: float = 1.0,
         b=b, sigma=sigma, f=f, phi=phi,
         grad_phi=lambda x: np.zeros_like(x),
         closed_form_y=u, closed_form_z=zeta,
-        zero_diffusion=(diffusion == 0.0), driver_z_independent=True,
     )
 
 

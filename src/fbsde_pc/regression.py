@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .exceptions import BasisTooLarge, DimensionMismatch, EmptySample
+from .exceptions import BasisTooLarge, DimensionMismatch, EmptySample, ValidationError
 
 DEFAULT_BASIS_CAP = 512
 RANK_TOL = 1e-10
@@ -64,7 +64,7 @@ def build_basis(d: int, degree: int, max_size: int = DEFAULT_BASIS_CAP) -> Polyn
     if d < 1:
         raise DimensionMismatch("need d >= 1")
     if degree < 0:
-        raise ValueError("degree must be >= 0")
+        raise ValidationError("degree must be >= 0")
     size = math.comb(d + degree, degree)
     if size > max_size:
         raise BasisTooLarge(f"basis would have {size} functions (cap {max_size})")
@@ -81,7 +81,7 @@ def build_basis(d: int, degree: int, max_size: int = DEFAULT_BASIS_CAP) -> Polyn
 def truncate(x, bound: float):
     """Coordinatewise clamp to [-bound, bound]; the identity when bound = inf."""
     if not bound > 0:
-        raise ValueError("truncation bound must be positive (or inf)")
+        raise ValidationError("truncation bound must be positive (or inf)")
     if math.isinf(bound):
         return np.asarray(x, dtype=float)
     return np.clip(np.asarray(x, dtype=float), -bound, bound)

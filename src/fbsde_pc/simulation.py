@@ -10,15 +10,14 @@ uniforms, keeping the stream layout transparent.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .exceptions import AllocationTooLarge, NonFiniteState
+from .exceptions import AllocationTooLarge, NonFiniteState, ValidationError
 
 # trajectory substream tags; packed into the high bits of the Philox key word
 MAIN_STREAM = 0
@@ -40,9 +39,9 @@ class GridSpec:
 
     def __post_init__(self):
         if not self.T > 0:
-            raise ValueError("horizon T must be positive")
+            raise ValidationError("horizon T must be positive")
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
-            raise ValueError("step count N must be a positive integer")
+            raise ValidationError("step count N must be a positive integer")
 
     @property
     def h(self) -> float:
@@ -53,24 +52,15 @@ class GridSpec:
         return np.linspace(0.0, self.T, self.N + 1)
 
 
-def _substream(seed: int, trajectory: int, stream: int) -> Generator:
-    key = [np.uint64(seed), np.uint64(trajectory) | (np.uint64(stream) << np.uint64(56))]
-    return Generator(Philox(key=key))
-
-
-def _normals(gen: Generator, n: int) -> np.ndarray:
-    # strictly interior uniforms -> ndtri never sees 0 or 1
-    u = (gen.integers(0, 1 << 53, size=n) + 0.5) * 2.0**-53
-    return ndtri(u)
-
-
 def substream_normals(seed: int, n_trajectories: int, per_trajectory: int,
                       stream: int = MAIN_STREAM) -> np.ndarray:
     """(n_trajectories, per_trajectory) standard normals, one substream per row.
 
-    Bit-identical to drawing each row from _substream(seed, row, stream); one
-    bit-generator object is recycled by resetting its (counter, key) state,
-    which skips numpy's per-construction entropy setup.
+    Row m is the stream of Philox(key=[seed, m | stream << 56]): 53-bit
+    integers mapped to strictly interior uniforms (so ndtri never sees 0 or 1)
+    and then through the inverse normal CDF.  One bit-generator object is
+    recycled by resetting its (counter, key) state, which skips numpy's
+    per-construction entropy setup.
     """
     out = np.empty((n_trajectories, per_trajectory))
     bitgen = Philox(key=[np.uint64(0), np.uint64(0)])
@@ -102,13 +92,11 @@ def brownian_increments(
     fresh call at M = k.
     """
     if M < 1 or d < 1:
-        raise ValueError("need M >= 1 and d >= 1")
+        raise ValidationError("need M >= 1 and d >= 1")
     n_elements = M * grid.N * d
     if n_elements > max_elements:
         raise AllocationTooLarge(
-            f"{n_elements} elements exceed the budget of {max_elements}; "
-            "use iter_trajectory_blocks for a streaming pass"
-        )
+            f"{n_elements} elements exceed the budget of {max_elements}")
     z = substream_normals(seed, M, grid.N * d, MAIN_STREAM)
     return z.reshape(M, grid.N, d) * np.sqrt(grid.h)
 
@@ -128,13 +116,6 @@ class PathEnsemble:
     def x0(self) -> np.ndarray:
         return self.X[0, 0].copy()
 
-    @cached_property
-    def W(self) -> np.ndarray:
-        """Brownian node values (M, N+1, d) with W_0 = 0."""
-        w = np.zeros((self.M, self.grid.N + 1, self.d))
-        np.cumsum(self.dW, axis=1, out=w[:, 1:, :])
-        return w
-
 
 def _apply_sigma(sigma_val: np.ndarray, dw: np.ndarray) -> np.ndarray:
     if sigma_val.ndim == 2:
@@ -142,21 +123,14 @@ def _apply_sigma(sigma_val: np.ndarray, dw: np.ndarray) -> np.ndarray:
     return np.einsum("mij,mj->mi", sigma_val, dw)
 
 
-def euler_paths(problem, grid: GridSpec, increments: np.ndarray,
-                x0: Optional[np.ndarray] = None, seed: int = 0) -> PathEnsemble:
-    """Forward Euler: X_{i+1} = X_i + h b(t_i, X_i) + sigma(t_i, X_i) dW_i."""
-    dW = np.asarray(increments, dtype=float)
-    if dW.ndim != 3:
-        raise ValueError("increments must have shape (M, N, d)")
-    M, N, d = dW.shape
-    if N != grid.N or d != problem.d:
-        raise ValueError("increments disagree with the grid or problem dimension")
-    start = np.asarray(problem.x0 if x0 is None else x0, dtype=float).reshape(d)
-    X = np.empty((M, N + 1, d))
+def euler_states(problem, times: np.ndarray, h: float, dW: np.ndarray,
+                 start) -> np.ndarray:
+    """Forward Euler X_{i+1} = X_i + h b(t_i, X_i) + sigma(t_i, X_i) dW_i from
+    the start state(s) at times[0]: (M, n, d) increments -> (M, n+1, d) states."""
+    M, n, d = dW.shape
+    X = np.empty((M, n + 1, d))
     X[:, 0, :] = start
-    times = grid.times
-    h = grid.h
-    for i in range(N):
+    for i in range(n):
         xi = X[:, i, :]
         drift = np.asarray(problem.b(times[i], xi), dtype=float)
         diffusion = np.asarray(problem.sigma(times[i], xi), dtype=float)
@@ -166,6 +140,20 @@ def euler_paths(problem, grid: GridSpec, increments: np.ndarray,
             raise NonFiniteState(
                 f"non-finite state at trajectory {bad[0]}, step {i + 1}")
         X[:, i + 1, :] = nxt
+    return X
+
+
+def euler_paths(problem, grid: GridSpec, increments: np.ndarray,
+                x0: Optional[np.ndarray] = None, seed: int = 0) -> PathEnsemble:
+    """Forward Euler over the grid from x0 (default: the problem's)."""
+    dW = np.asarray(increments, dtype=float)
+    if dW.ndim != 3:
+        raise ValidationError("increments must have shape (M, N, d)")
+    M, N, d = dW.shape
+    if N != grid.N or d != problem.d:
+        raise ValidationError("increments disagree with the grid or problem dimension")
+    start = np.asarray(problem.x0 if x0 is None else x0, dtype=float).reshape(d)
+    X = euler_states(problem, grid.times, grid.h, dW, start)
     return PathEnsemble(grid=grid, d=d, M=M, seed=seed, dW=dW, X=X)
 
 
@@ -183,10 +171,10 @@ def refine_increments(ensemble: PathEnsemble, first_step: int, substeps: int) ->
     """
     r = int(substeps)
     if r < 1:
-        raise ValueError("substeps must be >= 1")
+        raise ValidationError("substeps must be >= 1")
     N = ensemble.grid.N
     if not 0 <= first_step < N:
-        raise ValueError("first_step outside the grid")
+        raise ValidationError("first_step outside the grid")
     coarse = ensemble.dW[:, first_step:, :]  # (M, k, d)
     M, k, d = coarse.shape
     if r == 1:
@@ -215,29 +203,23 @@ def save_ensemble(path, ensemble: PathEnsemble) -> None:
 def load_ensemble(path) -> PathEnsemble:
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
-        magic, version, d, N, M, T, seed = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise ValueError("not an ensemble file (bad magic)")
-        if version != _VERSION:
-            raise ValueError(f"unsupported ensemble file version {version}")
-        dW = np.fromfile(fh, dtype="<f8", count=M * N * d).reshape(M, N, d)
-        X = np.fromfile(fh, dtype="<f8", count=M * (N + 1) * d).reshape(M, N + 1, d)
+        payload = fh.read()
+    if len(raw) < _HEADER.size:
+        raise ValidationError(
+            f"ensemble file holds {len(raw)} bytes, less than its {_HEADER.size}-byte header")
+    magic, version, d, N, M, T, seed = _HEADER.unpack(raw)
+    if magic != _MAGIC:
+        raise ValidationError("not an ensemble file (bad magic)")
+    if version != _VERSION:
+        raise ValidationError(f"unsupported ensemble file version {version}")
+    n_dw, n_x = M * N * d, M * (N + 1) * d
+    expected = 8 * (n_dw + n_x)
+    if len(payload) != expected:
+        raise ValidationError(
+            f"ensemble payload holds {len(payload)} bytes; the header "
+            f"(M={M}, N={N}, d={d}) needs {expected}")
     grid = GridSpec(T=T, N=N)
+    values = np.frombuffer(payload, dtype="<f8").astype(float)
     return PathEnsemble(grid=grid, d=d, M=M, seed=seed,
-                        dW=dW.astype(float), X=X.astype(float))
-
-
-def iter_trajectory_blocks(problem, grid: GridSpec, M: int, seed: int,
-                           block_size: int = 4096) -> Iterator[PathEnsemble]:
-    """Stream the ensemble in trajectory blocks, regenerating each block from
-    (seed, trajectory) substreams; memory stays bounded by the block size."""
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
-    d = problem.d
-    for start in range(0, M, block_size):
-        stop = min(start + block_size, M)
-        out = np.empty((stop - start, grid.N * d))
-        for m in range(start, stop):
-            out[m - start] = _normals(_substream(seed, m, MAIN_STREAM), grid.N * d)
-        dW = out.reshape(stop - start, grid.N, d) * np.sqrt(grid.h)
-        yield euler_paths(problem, grid, dW, seed=seed)
+                        dW=values[:n_dw].reshape(M, N, d),
+                        X=values[n_dw:].reshape(M, N + 1, d))

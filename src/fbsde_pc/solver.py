@@ -1,11 +1,17 @@
 """Backward predictor-corrector pass over a simulated ensemble.
 
-Given regression models at levels i+1..i+m, one step produces, in order:
-the z model (derivative weights applied to future levels against Brownian
-increments), the explicit predictor model, and the corrector model whose
-driver term uses the predicted value.  Levels N-1..N-m+1 are bootstrapped by
-the one-step trapezoidal pair on a bridge-refined fine grid; level 0 is a
-point mass, so its regressions collapse to sample means.
+One kernel, _backward, runs a scheme over a time array, paths and Brownian
+increments, from the models at its top m levels down to its first node.  Each
+step produces, in order: the z model (derivative weights applied to future
+levels against Brownian increments), the explicit predictor model, and the
+corrector model whose driver term uses the predicted value.  solve runs the
+kernel on the coarse grid; its top levels N-1..N-m+1 come from the same kernel
+run with the one-step trapezoidal pair on a bridge-refined fine grid.  A first
+node at t = 0 is a point mass, so its regressions collapse to sample means.
+
+For sigma = 0 problems one scalar predictor-corrector step serves the
+deterministic recursion, its refined-grid start-up and the Milne local-error
+check.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from .regression import (
     constant_model,
     truncate,
 )
-from .schemes import MultistepScheme, milne_factor, scheme_to_dict
-from .simulation import GridSpec, PathEnsemble, refine_increments
+from .schemes import MultistepScheme, milne_factor, scheme_to_dict, stable_preset
+from .simulation import GridSpec, PathEnsemble, euler_states, refine_increments
 from .stability import scheme_verdict
 
 BOOTSTRAP_SUBSTEP_CAP = 64
@@ -58,7 +64,6 @@ class SolverConfig:
     allow_unstable: bool = False
     deterministic: bool = False
     perturb_y: float = 0.0
-    perturb_z: float = 0.0
     center_z_responses: bool = True
     # subtract the martingale increments sum_k z_k(X_k) dW_k from corrector
     # responses: zero conditional mean, so every fitted conditional
@@ -78,7 +83,6 @@ class SolverConfig:
             "allow_unstable": self.allow_unstable,
             "deterministic": self.deterministic,
             "perturb_y": self.perturb_y,
-            "perturb_z": self.perturb_z,
             "center_z_responses": self.center_z_responses,
             "control_variate_y": self.control_variate_y,
         }
@@ -156,197 +160,98 @@ def _milne_scale(scheme: MultistepScheme) -> float:
         return float("nan")
 
 
-def bootstrap(problem, config: SolverConfig, ensemble: PathEnsemble):
-    """Produce regression models at the top coarse levels N-1..N-m+1.
+def _fine_times(grid: GridSpec, start: int, r: int):
+    """Nodes t_start, t_start + h/r, ..., T of the start-up grid, and h/r.
 
-    Runs the one-step trapezoidal predictor-corrector on a Brownian-bridge
-    refined grid (auto_substeps pieces per coarse step) from T down to
-    t_{N-m+1} and keeps the models at the coarse nodes.  Returns the pair
-    (y models, z models) keyed by coarse node index; empty for m = 1.
+    The last node is T exactly, because the terminal driver is evaluated there.
     """
-    basis = build_basis(problem.d, config.basis_degree)
-    y_bound = problem.y_bound if config.y_bound is None else config.y_bound
-    z_bound = problem.z_bound if config.z_bound is None else config.z_bound
-    if config.scheme.m < 2:
-        return {}, {}
-    return _bootstrap(problem, config, ensemble, basis, y_bound, z_bound)
+    h_f = grid.h / r
+    times = grid.times[start] + h_f * np.arange((grid.N - start) * r + 1)
+    times[-1] = grid.T
+    return times, h_f
 
 
-def _bootstrap(problem, config, ensemble, basis, y_bound, z_bound):
+def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h: float,
+              X: np.ndarray, dW: np.ndarray, y_models: list, z_models: list) -> np.ndarray:
+    """Run config.scheme backward over the nodes of times, step h.
+
+    X (M, n+1, d) holds the states and dW (M, n, d) the increments between
+    them.  y_models and z_models have one slot per node; the top m slots hold
+    the starting models, and every lower slot is filled in place.  Returns the
+    Milne indicator of each step i = 0..n-m.
+    """
     scheme = config.scheme
-    m, grid = scheme.m, config.grid
-    N, h = grid.N, grid.h
-    r = config.bootstrap_substeps or auto_substeps(m, h)
-    start = N - m + 1
-    h_f = h / r
-    t_start = grid.times[start]
-    d = problem.d
-
-    fine_dw = refine_increments(ensemble, start, r)
-    n_fine = (m - 1) * r
-    fine_x = np.empty((ensemble.M, n_fine + 1, d))
-    fine_x[:, 0, :] = ensemble.X[:, start, :]
-    for k in range(n_fine):
-        t = t_start + k * h_f
-        xk = fine_x[:, k, :]
-        drift = np.asarray(problem.b(t, xk), dtype=float)
-        sig = np.asarray(problem.sigma(t, xk), dtype=float)
-        if sig.ndim == 2:
-            noise = fine_dw[:, k, :] @ sig.T
-        else:
-            noise = np.einsum("mij,mj->mi", sig, fine_dw[:, k, :])
-        fine_x[:, k + 1, :] = xk + h_f * drift + noise
-
-    term = terminal_values(problem, fine_x[:, -1, :])
-    y_next = term.y
-    z_next = term.z
-    f_next = np.asarray(problem.f(grid.T, fine_x[:, -1, :], y_next, z_next))
-    next_model = _TerminalY(problem)
-
-    y_out, z_out = {}, {}
-    for k in range(n_fine - 1, -1, -1):
-        t = t_start + k * h_f
-        xk = fine_x[:, k, :]
-        design = basis.design_matrix(xk)
-        if config.center_z_responses:
-            centered = y_next - np.asarray(next_model.predict(xk))
-        else:
-            centered = y_next
-        s_z = centered[:, None] * fine_dw[:, k, :] / h_f
-        s_pred = y_next + h_f * f_next
-        _check_finite(s_pred, "bootstrap predictor response", k)
-        solver = DesignSolver(design)
-        coef = solver.solve(np.column_stack([s_z, s_pred]))
-        z_coef, pred_coef = coef[:, :d], coef[:, d]
-        z_here = truncate(design @ z_coef, z_bound)
-        y_pred_here = truncate(design @ pred_coef, y_bound)
-        f_pred = np.asarray(problem.f(t, xk, y_pred_here, z_here))
-        future = y_next
-        if config.control_variate_y:
-            future = y_next - np.einsum("md,md->m", z_here, fine_dw[:, k, :])
-        s_corr = future + 0.5 * h_f * (f_pred + f_next)
-        _check_finite(s_corr, "bootstrap corrector response", k)
-        y_coef = solver.solve(s_corr)
-        y_here = truncate(design @ y_coef, y_bound)
-        if k % r == 0:
-            node = start + k // r
-            y_out[node] = RegressionModel(y_coef, basis, y_bound)
-            z_out[node] = RegressionModel(z_coef, basis, z_bound)
-        y_next, z_next = y_here, z_here
-        next_model = RegressionModel(y_coef, basis, y_bound)
-        f_next = np.asarray(problem.f(t, xk, y_here, z_here))
-    return y_out, z_out
-
-
-def solve(problem: FbsdeProblem, config: SolverConfig,
-          ensemble: Optional[PathEnsemble] = None) -> "BackwardSolution | DeterministicSolution":
-    """Full backward pass; returns estimates of (Y_0, Z_0) plus all fitted
-    per-step models and the Milne local-error indicators."""
-    if config.deterministic:
-        return deterministic_solve(problem, config)
-    if ensemble is None:
-        raise ValidationError("stochastic solve needs a path ensemble")
-    scheme = config.scheme
-    m, grid = scheme.m, config.grid
-    N, h = grid.N, grid.h
-    if (ensemble.grid.N, ensemble.grid.T) != (grid.N, grid.T):
-        raise ValidationError("ensemble grid does not match solver grid")
-    if ensemble.d != problem.d:
-        raise ValidationError("ensemble dimension does not match problem")
-    if N < m:
-        raise ValidationError(f"need N >= {m} for an {m}-step scheme")
-    _require_stable(scheme, config.allow_unstable, config.stability_tol)
-
+    m, n = scheme.m, len(times) - 1
+    M, _, d = X.shape
     alpha, gamma0, gamma, alpha_t, gamma_t, lam = _float_arrays(scheme)
     basis = build_basis(problem.d, config.basis_degree)
     y_bound = problem.y_bound if config.y_bound is None else config.y_bound
     z_bound = problem.z_bound if config.z_bound is None else config.z_bound
-    times = grid.times
-    X, W = ensemble.X, ensemble.W
-    d = problem.d
 
-    y_models: list = [None] * (N + 1)
-    z_models: list = [None] * (N + 1)
-    y_models[N] = _TerminalY(problem)
-    z_models[N] = _TerminalZ(problem)
-    if m >= 2:
-        boot_y, boot_z = _bootstrap(problem, config, ensemble, basis, y_bound, z_bound)
-        for node, model in boot_y.items():
-            y_models[node] = model
-        for node, model in boot_z.items():
-            z_models[node] = model
+    # the m live levels j: y_j(X_j), f_j and the control-variate increment
+    # z_j(X_j) . dW_j (None when unused), stored as each level is fitted
+    live: dict[int, tuple] = {}
 
-    values: dict[int, tuple] = {}
+    def zdw_at(j: int, z: np.ndarray):
+        if not config.control_variate_y or j == n:
+            return None
+        return np.einsum("md,md->m", z, dW[:, j, :])
 
-    def level(j: int):
-        if j not in values:
-            xj = X[:, j, :]
-            y = np.asarray(y_models[j].predict(xj))
-            z = np.asarray(z_models[j].predict(xj))
-            fv = np.asarray(problem.f(times[j], xj, y, z))
-            values[j] = (y, z, fv)
-        return values[j]
-
-    mart = {}  # level k -> z_k(X_k) . dW_k, the control-variate increments
-
-    def mart_increment(k: int) -> np.ndarray:
-        if k not in mart:
-            zk = level(k)[1]
-            mart[k] = np.einsum("md,md->m", zk, ensemble.dW[:, k, :])
-        return mart[k]
+    for j in range(n - m + 1, n + 1):
+        xj = X[:, j, :]
+        y = np.asarray(y_models[j].predict(xj))
+        z = np.asarray(z_models[j].predict(xj))
+        live[j] = (y, np.asarray(problem.f(times[j], xj, y, z)), zdw_at(j, z))
 
     factor = _milne_scale(scheme)
-    milne = np.zeros(N - m + 1)
-    for i in range(N - m, -1, -1):
+    milne = np.zeros(n - m + 1)
+    for i in range(n - m, -1, -1):
         xi = X[:, i, :]
-        s_z = np.zeros((ensemble.M, d))
-        s_pred = np.zeros(ensemble.M)
+        s_z = np.zeros((M, d))
+        s_pred = np.zeros(M)
         # centering the z responses by any fixed function of the current state
         # leaves E_i[. dW^T] unchanged; the one-level-ahead model removes the
         # bulk of the y spread
         proxy = np.asarray(y_models[i + 1].predict(xi)) if config.center_z_responses else None
+        dw = dW[:, i, :]  # W_{i+j} - W_i, as a running sum over j
         for j in range(1, m + 1):
-            yj, _, fj = level(i + j)
-            dw = W[:, i + j, :] - W[:, i, :]
+            yj, fj, _ = live[i + j]
             yy = yj if proxy is None else yj - proxy
             s_z += lam[j - 1] * yy[:, None] * dw
             s_pred += alpha_t[j - 1] * yj + h * gamma_t[j - 1] * fj
+            if j < m:
+                dw = dw + dW[:, i + j, :]
         s_z /= h
-        if config.perturb_z:
-            s_z += config.perturb_z
         _check_finite(s_pred, "predictor response", i)
 
-        if i == 0:
+        point_mass = i == 0 and times[0] == 0.0
+        if point_mass:
             z_model = constant_model(s_z.mean(axis=0), basis, z_bound)
-            pred_model = constant_model(s_pred.mean(), basis, y_bound)
             z_here = z_model.predict(xi)
-            y_pred_here = pred_model.predict(xi)
-            design = solver = None
+            y_pred_here = constant_model(s_pred.mean(), basis, y_bound).predict(xi)
         else:
             design = basis.design_matrix(xi)
             solver = DesignSolver(design)
             coef = solver.solve(np.column_stack([s_z, s_pred]))
             z_model = RegressionModel(coef[:, :d], basis, z_bound)
-            pred_model = RegressionModel(coef[:, d], basis, y_bound)
             z_here = truncate(design @ coef[:, :d], z_bound)
             y_pred_here = truncate(design @ coef[:, d], y_bound)
 
         f_pred = np.asarray(problem.f(times[i], xi, y_pred_here, z_here))
         s_corr = h * gamma0 * f_pred
-        control = None
-        if config.control_variate_y:
-            control = np.einsum("md,md->m", z_here, ensemble.dW[:, i, :])
+        zdw = zdw_at(i, z_here)
+        control = zdw
         for j in range(1, m + 1):
-            yj, _, fj = level(i + j)
+            yj, fj, zdw_j = live[i + j]
             term = yj if control is None else yj - control
             s_corr = s_corr + alpha[j - 1] * term + h * gamma[j - 1] * fj
             if control is not None and j < m:
-                control = control + mart_increment(i + j)
+                control = control + zdw_j
         if config.perturb_y:
             s_corr = s_corr + config.perturb_y
         _check_finite(s_corr, "corrector response", i)
 
-        if i == 0:
+        if point_mass:
             y_model = constant_model(s_corr.mean(), basis, y_bound)
             y_here = y_model.predict(xi)
         else:
@@ -357,10 +262,66 @@ def solve(problem: FbsdeProblem, config: SolverConfig,
         milne[i] = factor * float(np.mean(np.abs(y_pred_here - y_here)))
         y_models[i] = y_model
         z_models[i] = z_model
+        del live[i + m]
+        if i > 0:
+            live[i] = (y_here, np.asarray(problem.f(times[i], xi, y_here, z_here)), zdw)
+    return milne
 
-    x0 = X[0:1, 0, :]
+
+def _bootstrap(problem: FbsdeProblem, config: SolverConfig, ensemble: PathEnsemble,
+               y_models: list, z_models: list) -> None:
+    """Fill the top coarse levels N-1..N-m+1 of y_models and z_models.
+
+    Runs the one-step trapezoidal pair on a Brownian-bridge refined grid
+    (auto_substeps pieces per coarse step) from T down to t_{N-m+1} and keeps
+    the models at the coarse nodes.
+    """
+    grid = config.grid
+    N = grid.N
+    r = config.bootstrap_substeps or auto_substeps(config.scheme.m, grid.h)
+    start = N - config.scheme.m + 1
+    times, h_f = _fine_times(grid, start, r)
+    fine_dw = refine_increments(ensemble, start, r)
+    fine_x = euler_states(problem, times, h_f, fine_dw, ensemble.X[:, start, :])
+    n_fine = len(times) - 1
+    fine_y = [None] * n_fine + [y_models[N]]
+    fine_z = [None] * n_fine + [z_models[N]]
+    trapezoid = replace(config, scheme=stable_preset(1), perturb_y=0.0)
+    _backward(problem, trapezoid, times, h_f, fine_x, fine_dw, fine_y, fine_z)
+    y_models[start:N] = fine_y[:-1:r]
+    z_models[start:N] = fine_z[:-1:r]
+
+
+def solve(problem: FbsdeProblem, config: SolverConfig,
+          ensemble: Optional[PathEnsemble] = None) -> "BackwardSolution | DeterministicSolution":
+    """Full backward pass; returns estimates of (Y_0, Z_0) plus all fitted
+    per-step models and the Milne local-error indicators."""
+    if config.deterministic:
+        return deterministic_solve(problem, config)
+    if ensemble is None:
+        raise ValidationError("stochastic solve needs a path ensemble")
+    m, grid = config.scheme.m, config.grid
+    N = grid.N
+    if (ensemble.grid.N, ensemble.grid.T) != (grid.N, grid.T):
+        raise ValidationError("ensemble grid does not match solver grid")
+    if ensemble.d != problem.d:
+        raise ValidationError("ensemble dimension does not match problem")
+    if N < m:
+        raise ValidationError(f"need N >= {m} for an {m}-step scheme")
+    _require_stable(config.scheme, config.allow_unstable, config.stability_tol)
+
+    y_models: list = [None] * (N + 1)
+    z_models: list = [None] * (N + 1)
+    y_models[N] = _TerminalY(problem)
+    z_models[N] = _TerminalZ(problem)
+    if m >= 2:
+        _bootstrap(problem, config, ensemble, y_models, z_models)
+    milne = _backward(problem, config, grid.times, grid.h, ensemble.X, ensemble.dW,
+                      y_models, z_models)
+
+    x0 = ensemble.X[0:1, 0, :]
     y0 = float(np.asarray(y_models[0].predict(x0)).reshape(-1)[0])
-    z0 = np.asarray(z_models[0].predict(x0), dtype=float).reshape(d)
+    z0 = np.asarray(z_models[0].predict(x0), dtype=float).reshape(problem.d)
     return BackwardSolution(y0=y0, z0=z0, y_models=y_models, z_models=z_models,
                             milne=milne, config=config)
 
@@ -383,13 +344,58 @@ def _probe_deterministic(problem: FbsdeProblem) -> None:
             raise NotDeterministic("driver depends on z")
 
 
-def _deterministic_x_path(problem: FbsdeProblem, grid: GridSpec) -> np.ndarray:
-    x = np.empty((grid.N + 1, problem.d))
-    x[0] = problem.x0
-    for i in range(grid.N):
-        drift = np.asarray(problem.b(grid.times[i], x[i][None, :]), dtype=float)
-        x[i + 1] = x[i] + grid.h * drift.reshape(problem.d)
-    return x
+def _ode_path(problem: FbsdeProblem, times: np.ndarray, h: float, x_start) -> np.ndarray:
+    """The sigma = 0 forward path (n+1, d): Euler steps with zero increments."""
+    zero_dw = np.zeros((1, len(times) - 1, problem.d))
+    return euler_states(problem, times, h, zero_dw, x_start)[0]
+
+
+def _ode_driver(problem: FbsdeProblem, times: np.ndarray, path: np.ndarray):
+    """f(t_i, x_i, y, 0) along a sigma = 0 path, as a function of (i, y)."""
+    zeros_z = np.zeros((1, problem.d))
+
+    def fval(i: int, y: float) -> float:
+        out = problem.f(times[i], path[i][None, :], np.array([y]), zeros_z)
+        return float(np.asarray(out).reshape(-1)[0])
+
+    return fval
+
+
+def _ode_terminal(problem: FbsdeProblem, x: np.ndarray) -> float:
+    return float(np.asarray(problem.phi(x[None, :])).reshape(-1)[0])
+
+
+def _ode_step(coeffs: tuple, h: float, fval, i: int, y_fut: np.ndarray,
+              f_fut: np.ndarray) -> tuple[float, float]:
+    """One scalar predictor-corrector step to node i from Y_{i+1..i+m} and
+    their drivers; returns (predictor, corrector)."""
+    alpha, gamma0, gamma, alpha_t, gamma_t, _ = coeffs
+    pred = float(alpha_t @ y_fut + h * (gamma_t @ f_fut))
+    corr = float(alpha @ y_fut + h * gamma0 * fval(i, pred) + h * (gamma @ f_fut))
+    return pred, corr
+
+
+def _ode_recursion(scheme: MultistepScheme, h: float, fval, y: np.ndarray,
+                   perturb_y: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Fill y[0..n-m] from its top m entries by the scheme's recursion, adding
+    perturb_y to every corrector; returns (predictor values, Milne indicators)."""
+    m, n = scheme.m, len(y) - 1
+    coeffs = _float_arrays(scheme)
+    f_at = np.empty(n + 1)
+    for lvl in range(n - m + 1, n + 1):
+        f_at[lvl] = fval(lvl, y[lvl])
+    y_tilde = np.full(n + 1, np.nan)
+    factor = _milne_scale(scheme)
+    milne = np.zeros(n - m + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - m, -1, -1):
+            pred, corr = _ode_step(coeffs, h, fval, i, y[i + 1:i + m + 1], f_at[i + 1:i + m + 1])
+            corr += perturb_y
+            y[i] = corr
+            y_tilde[i] = pred
+            f_at[i] = fval(i, corr)
+            milne[i] = factor * abs(pred - corr)
+    return y_tilde, milne
 
 
 def deterministic_solve(problem: FbsdeProblem, config: SolverConfig,
@@ -397,8 +403,9 @@ def deterministic_solve(problem: FbsdeProblem, config: SolverConfig,
     """Scalar scheme recursion for sigma = 0 problems (no regression).
 
     seed_levels picks how Y_{N-1}..Y_{N-m+1} are produced: "closed-form"
-    (requires the problem's exact solution), "bootstrap" (one-step trapezoidal
-    recursion on a refined grid), or "auto" (closed form when available).
+    (requires the problem's exact solution), "bootstrap" (the one-step
+    trapezoidal recursion on a refined grid), or "auto" (closed form when
+    available).
     """
     _probe_deterministic(problem)
     scheme = config.scheme
@@ -407,18 +414,11 @@ def deterministic_solve(problem: FbsdeProblem, config: SolverConfig,
     if N < m:
         raise ValidationError(f"need N >= {m} for an {m}-step scheme")
     _require_stable(scheme, config.allow_unstable, config.stability_tol)
-    alpha, gamma0, gamma, alpha_t, gamma_t, _ = _float_arrays(scheme)
     times = grid.times
-    xpath = _deterministic_x_path(problem, grid)
-    zeros_z = np.zeros((1, problem.d))
-
-    def fval(i: int, y: float) -> float:
-        out = problem.f(times[i], xpath[i][None, :], np.array([y]), zeros_z)
-        return float(np.asarray(out).reshape(-1)[0])
+    xpath = _ode_path(problem, times, h, problem.x0)
 
     y = np.empty(N + 1)
-    y_tilde = np.full(N + 1, np.nan)
-    y[N] = float(np.asarray(problem.phi(xpath[N][None, :])).reshape(-1)[0])
+    y[N] = _ode_terminal(problem, xpath[N])
 
     if seed_levels not in ("auto", "closed-form", "bootstrap"):
         raise ValidationError(f"unknown seed_levels mode {seed_levels!r}")
@@ -427,54 +427,21 @@ def deterministic_solve(problem: FbsdeProblem, config: SolverConfig,
     if use_cf and not problem.has_closed_form:
         raise ValidationError("closed-form seeding requested but unavailable")
     if m >= 2:
+        start = N - m + 1
         if use_cf:
-            for lvl in range(N - m + 1, N):
+            for lvl in range(start, N):
                 y[lvl], _ = closed_form_reference(problem, times[lvl], xpath[lvl])
         else:
             r = config.bootstrap_substeps or auto_substeps(m, h)
-            h_f = h / r
-            start = N - m + 1
-            n_fine = (m - 1) * r
-            fx = np.empty((n_fine + 1, problem.d))
-            fx[0] = xpath[start]
-            for k in range(n_fine):
-                t = times[start] + k * h_f
-                drift = np.asarray(problem.b(t, fx[k][None, :]), dtype=float)
-                fx[k + 1] = fx[k] + h_f * drift.reshape(problem.d)
+            fine_times, h_f = _fine_times(grid, start, r)
+            fine_x = _ode_path(problem, fine_times, h_f, xpath[start])
+            v = np.empty(len(fine_times))
+            v[-1] = _ode_terminal(problem, fine_x[-1])
+            _ode_recursion(stable_preset(1), h_f, _ode_driver(problem, fine_times, fine_x), v)
+            y[start:N] = v[:-1:r]
 
-            def ffine(k: int, val: float) -> float:
-                t = times[start] + k * h_f
-                out = problem.f(t, fx[k][None, :], np.array([val]), zeros_z)
-                return float(np.asarray(out).reshape(-1)[0])
-
-            v = float(np.asarray(problem.phi(fx[-1][None, :])).reshape(-1)[0])
-            f_nxt = ffine(n_fine, v)
-            for k in range(n_fine - 1, -1, -1):
-                pred = v + h_f * f_nxt
-                f_pred = ffine(k, pred)
-                v = v + 0.5 * h_f * (f_pred + f_nxt)
-                f_nxt = ffine(k, v)
-                if k % r == 0:
-                    y[start + k // r] = v
-
-    f_at = np.empty(N + 1)
-    for lvl in range(N - m + 1, N + 1):
-        f_at[lvl] = fval(lvl, y[lvl])
-
-    factor = _milne_scale(scheme)
-    milne = np.zeros(N - m + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(N - m, -1, -1):
-            pred = float(alpha_t @ y[i + 1:i + m + 1] + h * (gamma_t @ f_at[i + 1:i + m + 1]))
-            f_pred = fval(i, pred)
-            corr = float(alpha @ y[i + 1:i + m + 1] + h * gamma0 * f_pred
-                         + h * (gamma @ f_at[i + 1:i + m + 1]))
-            corr += config.perturb_y
-            y[i] = corr
-            y_tilde[i] = pred
-            f_at[i] = fval(i, corr)
-            milne[i] = factor * abs(pred - corr)
-
+    y_tilde, milne = _ode_recursion(scheme, h, _ode_driver(problem, times, xpath), y,
+                                    config.perturb_y)
     return DeterministicSolution(times=times, y=y, y_tilde=y_tilde, milne=milne,
                                  y0=float(y[0]), z0=np.zeros(problem.d), config=config)
 
@@ -494,25 +461,17 @@ def milne_local_ratios(problem: FbsdeProblem, scheme: MultistepScheme,
     N, h = grid.N, grid.h
     if N < m:
         raise ValidationError(f"need N >= {m}")
-    alpha, gamma0, gamma, alpha_t, gamma_t, _ = _float_arrays(scheme)
+    coeffs = _float_arrays(scheme)
     times = grid.times
-    xpath = _deterministic_x_path(problem, grid)
-    zeros_z = np.zeros((1, problem.d))
+    xpath = _ode_path(problem, times, h, problem.x0)
+    fval = _ode_driver(problem, times, xpath)
     u = np.array([closed_form_reference(problem, times[i], xpath[i])[0]
                   for i in range(N + 1)])
-    f_exact = np.array([
-        float(np.asarray(problem.f(times[i], xpath[i][None, :],
-                                   np.array([u[i]]), zeros_z)).reshape(-1)[0])
-        for i in range(N + 1)
-    ])
+    f_exact = np.array([fval(i, u[i]) for i in range(N + 1)])
     factor = float(milne_factor(scheme))
     ratios = np.empty(N - m + 1)
     for i in range(N - m, -1, -1):
-        pred = float(alpha_t @ u[i + 1:i + m + 1] + h * (gamma_t @ f_exact[i + 1:i + m + 1]))
-        f_pred = float(np.asarray(problem.f(times[i], xpath[i][None, :],
-                                            np.array([pred]), zeros_z)).reshape(-1)[0])
-        corr = float(alpha @ u[i + 1:i + m + 1] + h * gamma0 * f_pred
-                     + h * (gamma @ f_exact[i + 1:i + m + 1]))
+        pred, corr = _ode_step(coeffs, h, fval, i, u[i + 1:i + m + 1], f_exact[i + 1:i + m + 1])
         gap = factor * abs(pred - corr)
         ratios[i] = abs(u[i] - corr) / gap if gap > 0 else np.inf
     return ratios

@@ -165,3 +165,16 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "solve", "--problem", "exponential-ode",
                              "--deterministic", "--steps", "3", "--N", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--N", "0"), ("--M", "0"), ("--basis-degree", "-1"), ("--eta", "-1"),
+    ])
+    def test_bad_solve_input_is_one_line_error(self, capsys, flag, value):
+        args = {"--N": "4", "--M": "50", "--basis-degree": "2", "--eta": "0.6", flag: value}
+        argv = [token for pair in args.items() for token in pair]
+        code, out, err = run_cli(capsys, "solve", "--problem", "example1", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

@@ -3,12 +3,15 @@ Euler paths, bridge refinement and the binary dump format."""
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import stats
+from scipy.special import ndtri
 
 from fbsde_pc import (
     AllocationTooLarge,
     GridSpec,
     NonFiniteState,
+    ValidationError,
     brownian_increments,
     euler_paths,
     load_ensemble,
@@ -16,7 +19,12 @@ from fbsde_pc import (
     save_ensemble,
 )
 from fbsde_pc.problems import FbsdeProblem, constant_problem, example2
-from fbsde_pc.simulation import iter_trajectory_blocks, refine_increments
+from fbsde_pc.simulation import (
+    BRIDGE_STREAM,
+    MAIN_STREAM,
+    refine_increments,
+    substream_normals,
+)
 
 
 def brownian_problem(d=2):
@@ -108,7 +116,6 @@ class TestEulerPaths:
         dw = brownian_increments(grid, 2, 32, seed=1)
         ens = euler_paths(problem, grid, dw, x0=np.zeros(2))
         assert ens.X[:, 1:, :] == pytest.approx(np.cumsum(dw, axis=1))
-        assert ens.W[:, 1:, :] == pytest.approx(np.cumsum(dw, axis=1))
 
     def test_state_dependent_sigma_shape(self):
         problem = example2()
@@ -194,12 +201,32 @@ class TestDumpLoad:
         with pytest.raises(ValueError, match="magic"):
             load_ensemble(path)
 
-
-class TestStreaming:
-    def test_blocks_match_dense_ensemble(self):
+    def test_truncated_payload_rejected(self, tmp_path):
         problem = brownian_problem()
-        grid = GridSpec(T=1.0, N=5)
-        dense = sample_ensemble(problem, grid, 103, seed=6)
-        got = [blk.X for blk in iter_trajectory_blocks(problem, grid, 103, seed=6,
-                                                       block_size=40)]
-        assert np.array_equal(np.concatenate(got, axis=0), dense.X)
+        ens = sample_ensemble(problem, GridSpec(T=0.5, N=6), 5, seed=8)
+        path = tmp_path / "ens.bin"
+        save_ensemble(path, ens)
+        full = path.read_bytes()
+        path.write_bytes(full[:-12])
+        expected = 8 * (ens.dW.size + ens.X.size)
+        with pytest.raises(ValidationError, match=f"{expected - 12} bytes.*needs {expected}"):
+            load_ensemble(path)
+
+
+def _substream(seed, trajectory, stream):
+    key = [np.uint64(seed), np.uint64(trajectory) | (np.uint64(stream) << np.uint64(56))]
+    return Generator(Philox(key=key))
+
+
+def _normals(gen, n):
+    # strictly interior uniforms -> ndtri never sees 0 or 1
+    u = (gen.integers(0, 1 << 53, size=n) + 0.5) * 2.0**-53
+    return ndtri(u)
+
+
+class TestSubstreams:
+    @pytest.mark.parametrize("stream", [MAIN_STREAM, BRIDGE_STREAM], ids=["main", "bridge"])
+    def test_rows_match_per_trajectory_reference(self, stream):
+        got = substream_normals(6, 103, 11, stream)
+        reference = np.stack([_normals(_substream(6, m, stream), 11) for m in range(103)])
+        assert np.array_equal(got, reference)
