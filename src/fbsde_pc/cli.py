@@ -2,14 +2,17 @@
 
 Subcommands: coeffs (derive/print schemes), stability (root-condition
 verdicts), solve (one backward solve), convergence (an (N, M) ladder with
-batch CIs), stability-demo (error-vs-N classification).  A key=value config
-file can preload any flag; explicit flags win.  Exit codes: 0 success,
-2 validation error, 3 numerical failure.
+batch CIs), stability-demo (error-vs-N classification).  Each subcommand takes
+only the flags it reads.  A key=value config file can preload any of them:
+its keys are that subcommand's flag names and its values are parsed by the
+flags themselves, ahead of the command line, so explicit flags win.  Exit
+codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -20,10 +23,12 @@ from .experiments import (
     PAPER_LADDER,
     TrialLadder,
     emit_report,
+    report_csv,
     run_ladder,
     stability_demo,
 )
-from .problems import example1, example2, exponential_ode
+from .problems import PROBLEM_REGISTRY
+from .regression import build_basis
 from .schemes import load_scheme, preset_scheme, scheme_to_json
 from .simulation import GridSpec, sample_ensemble
 from .solver import SolverConfig, result_to_dict, solve
@@ -33,24 +38,31 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
+# problem flags and the factory parameter each one sets
+_PROBLEM_PARAMS = {"eta": "eta", "tau": "tau", "dim": "d", "T": "T"}
+
 
 def _int_list(text):
-    return [int(v) for v in str(text).replace(",", " ").split()]
+    """'5,10 20' -> [5, 10, 20]."""
+    try:
+        values = [int(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
+    return values
+
+
+def _tau(text):
+    """'auto' (tau = 1/sqrt(dim), the factory default) -> None."""
+    return None if text == "auto" else float(text)
 
 
 def _bool(text):
-    if isinstance(text, bool):
-        return text
-    return str(text).strip().lower() in ("1", "true", "yes", "on")
-
-
-# converters applied to config-file values, keyed by destination name
-_CONVERTERS = {
-    "steps": int, "N": _int_list, "M": _int_list, "batches": int,
-    "seed": int, "basis_degree": int, "dim": int, "eta": float, "T": float,
-    "tol": float, "deterministic": _bool, "allow_unstable": _bool,
-    "paper_ladder": _bool,
-}
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return word in ("1", "true", "yes", "on")
 
 
 def read_config(path) -> dict:
@@ -67,54 +79,21 @@ def read_config(path) -> dict:
     return values
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--steps", type=int, default=None, help="scheme step count m")
-    parser.add_argument("--family", choices=("stable", "adams", "unstable"), default=None,
-                        help="built-in scheme family (default stable)")
-    parser.add_argument("--scheme-file", default=None,
-                        help="JSON scheme file; overrides --steps/--family")
-    parser.add_argument("--problem", default=None,
-                        choices=("example1", "example2", "exponential-ode"))
-    parser.add_argument("--eta", type=float, default=None, help="example1 parameter")
-    parser.add_argument("--tau", default=None,
-                        help="example1 parameter; 'auto' means 1/sqrt(dim)")
-    parser.add_argument("--dim", type=int, default=None, help="example1 dimension")
-    parser.add_argument("--T", type=float, default=None, help="horizon override")
-    parser.add_argument("--N", default=None, help="time steps (comma list allowed)")
-    parser.add_argument("--M", default=None, help="trajectories (comma list allowed)")
-    parser.add_argument("--batches", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--basis-degree", type=int, default=None, dest="basis_degree")
-    parser.add_argument("--deterministic", action="store_const", const=True, default=None)
-    parser.add_argument("--allow-unstable", action="store_const", const=True,
-                        default=None, dest="allow_unstable")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", default=None, choices=("csv", "json"))
-    parser.add_argument("--tol", type=float, default=None, help="stability tolerance")
-
-
-_DEFAULTS = {
-    "family": "stable", "steps": 2, "problem": "example1",
-    "eta": 0.6, "tau": "auto", "dim": 2, "batches": 21, "seed": 0,
-    "basis_degree": 2, "deterministic": False, "allow_unstable": False,
-    "tol": 1e-8, "N": [20], "M": [10000],
-}
-
-
-def _merge_config(args) -> argparse.Namespace:
-    layered = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        for key, value in read_config(args.config).items():
-            conv = _CONVERTERS.get(key, str)
-            layered[key] = conv(value)
-    for key, value in vars(args).items():
-        if value is None and key in layered:
-            setattr(args, key, layered[key])
-    for key in ("N", "M"):
-        if hasattr(args, key) and isinstance(getattr(args, key), str):
-            setattr(args, key, _int_list(getattr(args, key)))
-    return args
+def _parse_args(parser, argv) -> argparse.Namespace:
+    """Parse argv; with --config, parse again with the file's entries turned
+    into --key=value flags ahead of the command line's own."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    values = read_config(args.config)
+    flags = set(vars(args)) - {"command", "handler", "config"}
+    unknown = sorted(set(values) - flags)
+    if unknown:
+        raise ValidationError(
+            f"{args.config}: {args.command} has no flag for key {unknown[0]!r}")
+    tokens = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _build_scheme(args):
@@ -124,18 +103,24 @@ def _build_scheme(args):
 
 
 def _build_problem(args):
-    name = args.problem
-    if name == "example1":
-        tau = None if str(args.tau) == "auto" else float(args.tau)
-        kwargs = {"eta": args.eta, "tau": tau, "d": args.dim}
-        if args.T is not None:
-            kwargs["T"] = args.T
-        return example1(**kwargs)
-    if name == "example2":
-        return example2() if args.T is None else example2(T=args.T)
-    if name == "exponential-ode":
-        return exponential_ode() if args.T is None else exponential_ode(T=args.T)
-    raise ValidationError(f"unknown problem {name!r}")
+    """The registry's problem with the problem flags that were set (the others
+    keep the factory defaults); its basis is checked before any simulation."""
+    factory = PROBLEM_REGISTRY[args.problem]
+    accepted = inspect.signature(factory).parameters
+    kwargs = {}
+    for flag, param in _PROBLEM_PARAMS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if param not in accepted:
+            raise ValidationError(f"problem {args.problem!r} takes no --{flag}")
+        kwargs[param] = value
+    problem = factory(**kwargs)
+    try:
+        build_basis(problem.d, args.basis_degree)
+    except ValidationError as exc:
+        raise ValidationError(f"--basis-degree {args.basis_degree}: {exc}") from None
+    return problem
 
 
 def _emit_text(text: str, out) -> None:
@@ -146,17 +131,12 @@ def _emit_text(text: str, out) -> None:
 
 
 def cmd_coeffs(args) -> int:
-    scheme = _build_scheme(args)
-    _emit_text(scheme_to_json(scheme) + "\n", args.out)
+    _emit_text(scheme_to_json(_build_scheme(args)) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_stability(args) -> int:
-    if getattr(args, "scheme", None):
-        scheme = load_scheme(args.scheme)
-    else:
-        scheme = _build_scheme(args)
-    verdict = scheme_verdict(scheme, tol=args.tol)
+    verdict = scheme_verdict(_build_scheme(args), tol=args.tol)
     _emit_text(json.dumps(verdict_to_dict(verdict), indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -164,9 +144,8 @@ def cmd_stability(args) -> int:
 def cmd_solve(args) -> int:
     scheme = _build_scheme(args)
     problem = _build_problem(args)
-    N = args.N[0]
     config = SolverConfig(
-        scheme=scheme, grid=GridSpec(T=problem.T, N=N),
+        scheme=scheme, grid=GridSpec(T=problem.T, N=args.N[0]),
         basis_degree=args.basis_degree, deterministic=args.deterministic,
         allow_unstable=args.allow_unstable, stability_tol=args.tol,
     )
@@ -182,7 +161,7 @@ def cmd_solve(args) -> int:
 
 
 def _ladder_pairs(args):
-    if getattr(args, "paper_ladder", False):
+    if args.paper_ladder:
         return PAPER_LADDER
     Ns, Ms = args.N, args.M
     if len(Ms) == 1:
@@ -205,12 +184,10 @@ def cmd_convergence(args) -> int:
         formats = ("csv", "json") if args.format is None else (args.format,)
         written = emit_report(report, args.out, formats=formats)
         sys.stdout.write("".join(f"wrote {p}\n" for p in written))
+    elif args.format == "json":
+        sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
     else:
-        if args.format == "json":
-            sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
-        else:
-            from .experiments import report_csv
-            sys.stdout.write(report_csv(report))
+        sys.stdout.write(report_csv(report))
     return EXIT_OK
 
 
@@ -235,38 +212,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-step predictor-corrector solver for decoupled FBSDEs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # parent parsers, one per flag group; each subcommand takes the groups it reads
+    scheme, run, unstable, tol, ladder = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    scheme.add_argument("--config", help="key=value config file; flags override it")
+    scheme.add_argument("--steps", type=int, default=2, help="scheme step count m")
+    scheme.add_argument("--family", choices=("stable", "adams", "unstable"),
+                        default="stable", help="built-in scheme family")
+    scheme.add_argument("--scheme-file", "--scheme", dest="scheme_file",
+                        help="JSON scheme file; overrides --steps/--family")
+    scheme.add_argument("--out", help="output path (default stdout)")
 
-    p = sub.add_parser("coeffs", help="derive and print scheme coefficients")
-    _add_common(p)
-    p.set_defaults(handler=cmd_coeffs)
+    run.add_argument("--problem", choices=sorted(PROBLEM_REGISTRY),
+                     default=next(iter(PROBLEM_REGISTRY)), help="default %(default)s")
+    run.add_argument("--eta", type=float, help="problem parameter eta")
+    run.add_argument("--tau", type=_tau,
+                     help="problem parameter tau; 'auto' means 1/sqrt(dim)")
+    run.add_argument("--dim", type=int, help="problem dimension d")
+    run.add_argument("--T", type=float, help="horizon")
+    run.add_argument("--N", type=_int_list, default=[20],
+                     help="time steps (comma list allowed)")
+    run.add_argument("--M", type=_int_list, default=[10000],
+                     help="trajectories (comma list allowed)")
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--basis-degree", type=int, default=2, dest="basis_degree")
+    # a bare boolean flag means true; with a value (as from a config file) it
+    # takes true or false
+    run.add_argument("--deterministic", type=_bool, nargs="?", const=True, default=False,
+                     help="sigma = 0 recursion, no simulation")
 
-    p = sub.add_parser("stability", help="root-condition verdict for a scheme")
-    p.add_argument("--scheme", default=None, help="scheme JSON file")
-    _add_common(p)
-    p.set_defaults(handler=cmd_stability)
+    unstable.add_argument("--allow-unstable", type=_bool, nargs="?", const=True,
+                          default=False, help="run a scheme that fails the root condition")
+    tol.add_argument("--tol", type=float, default=1e-8, help="stability tolerance")
 
-    p = sub.add_parser("solve", help="single backward solve")
-    _add_common(p)
-    p.set_defaults(handler=cmd_solve)
-
-    p = sub.add_parser("convergence", help="run an (N, M) ladder with batch CIs")
-    p.add_argument("--paper-ladder", action="store_const", const=True, default=None,
-                   dest="paper_ladder", help="use the published (N, M) pairs")
-    _add_common(p)
-    p.set_defaults(handler=cmd_convergence)
-
-    p = sub.add_parser("stability-demo", help="errors vs N for a scheme")
-    _add_common(p)
-    p.set_defaults(handler=cmd_stability_demo)
-
+    ladder.add_argument("--batches", type=int, default=21)
+    ladder.add_argument("--paper-ladder", type=_bool, nargs="?", const=True, default=False,
+                        help="use the published (N, M) pairs")
+    ladder.add_argument("--format", choices=("csv", "json"))
+    for name, handler, help_text, parents in (
+        ("coeffs", cmd_coeffs, "derive and print scheme coefficients", [scheme]),
+        ("stability", cmd_stability, "root-condition verdict for a scheme", [scheme, tol]),
+        ("solve", cmd_solve, "single backward solve", [scheme, run, unstable, tol]),
+        ("convergence", cmd_convergence, "run an (N, M) ladder with batch CIs",
+         [scheme, run, unstable, ladder]),
+        ("stability-demo", cmd_stability_demo, "errors vs N for a scheme", [scheme, run]),
+    ):
+        sub.add_parser(name, help=help_text, parents=parents).set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _merge_config(args)
+        args = _parse_args(parser, argv)
         return args.handler(args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")

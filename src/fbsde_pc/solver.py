@@ -209,10 +209,19 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
         xi = X[:, i, :]
         s_z = np.zeros((M, d))
         s_pred = np.zeros(M)
+        point_mass = i == 0 and times[0] == 0.0
+        design = None if point_mass else basis.design_matrix(xi)
         # centering the z responses by any fixed function of the current state
         # leaves E_i[. dW^T] unchanged; the one-level-ahead model removes the
-        # bulk of the y spread
-        proxy = np.asarray(y_models[i + 1].predict(xi)) if config.center_z_responses else None
+        # bulk of the y spread.  Every RegressionModel here was fitted on basis,
+        # so its prediction reuses this level's design.
+        proxy = None
+        if config.center_z_responses:
+            ahead = y_models[i + 1]
+            if design is not None and isinstance(ahead, RegressionModel):
+                proxy = truncate(design @ ahead.coefficients, ahead.truncation_bound)
+            else:
+                proxy = np.asarray(ahead.predict(xi))
         dw = dW[:, i, :]  # W_{i+j} - W_i, as a running sum over j
         for j in range(1, m + 1):
             yj, fj, _ = live[i + j]
@@ -224,13 +233,11 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
         s_z /= h
         _check_finite(s_pred, "predictor response", i)
 
-        point_mass = i == 0 and times[0] == 0.0
         if point_mass:
             z_model = constant_model(s_z.mean(axis=0), basis, z_bound)
             z_here = z_model.predict(xi)
             y_pred_here = constant_model(s_pred.mean(), basis, y_bound).predict(xi)
         else:
-            design = basis.design_matrix(xi)
             solver = DesignSolver(design)
             coef = solver.solve(np.column_stack([s_z, s_pred]))
             z_model = RegressionModel(coef[:, :d], basis, z_bound)

@@ -4,13 +4,18 @@ import json
 
 import pytest
 
-from fbsde_pc import adams_pair, stable_preset
+from fbsde_pc import adams_pair, closed_form_reference, stable_preset
+from fbsde_pc import cli, experiments
 from fbsde_pc.cli import main, read_config
+from fbsde_pc.problems import PROBLEM_REGISTRY
 from fbsde_pc.schemes import save_scheme, scheme_to_dict, unstable_two_step
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -87,6 +92,18 @@ class TestSolve:
         code, out, _ = run_cli(capsys, *args, "--allow-unstable")
         assert code == 0
 
+    @pytest.mark.parametrize("name", sorted(PROBLEM_REGISTRY))
+    def test_every_registry_problem(self, capsys, name):
+        code, out, _ = run_cli(capsys, "solve", "--problem", name, "--steps", "2",
+                               "--N", "4", "--M", "400", "--T", "0.5", "--seed", "3")
+        assert code == 0
+        doc = json.loads(out)
+        problem = PROBLEM_REGISTRY[name](T=0.5)
+        y_ref, _ = closed_form_reference(problem, 0.0, problem.x0)
+        assert doc["config"]["grid"]["T"] == 0.5
+        assert doc["y0"] == pytest.approx(y_ref, abs=0.05)
+        assert len(doc["z0"]) == problem.d
+
 
 class TestConvergence:
     def test_deterministic_ladder_csv(self, tmp_path, capsys):
@@ -142,6 +159,16 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "solve", "--config", str(cfg), "--N", "8")
         assert json.loads(out)["config"]["grid"]["N"] == 8
 
+    def test_config_false_switch_runs_monte_carlo(self, tmp_path, capsys):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("problem = example2\ndeterministic = false\nsteps = 1\n"
+                       "N = 4\nM = 500\n")
+        code, out, _ = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["deterministic"] is False
+        assert doc["z0"][0] != 0.0
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("steps 2\n")
@@ -178,3 +205,36 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, config, named", [
+        (["solve"], "N = abc\n", "--N"),
+        (["solve"], "basis_degre = 3\n", "basis_degre"),
+        (["solve"], "problem = bogus\n", "--problem"),
+        (["solve", "--N", "abc"], None, "--N"),
+        (["solve", "--M", "abc"], None, "--M"),
+        (["solve", "--tau", "abc"], None, "--tau"),
+        (["solve", "--problem", "example2", "--eta", "1"], None, "--eta"),
+        (["coeffs", "--M", "5"], None, "--M"),
+        (["convergence", "--tol", "1e-8"], None, "--tol"),
+        (["solve", "--problem", "example2", "--basis-degree", "-1"], None, "--basis-degree"),
+        (["convergence", "--basis-degree", "-1"], None, "--basis-degree"),
+        (["stability-demo", "--basis-degree", "-1"], None, "--basis-degree"),
+    ], ids=["config-N", "config-unknown-key", "config-choice", "N", "M", "tau", "eta-example2",
+            "coeffs-M", "convergence-tol", "solve-basis", "convergence-basis",
+            "stability-demo-basis"])
+    def test_bad_flag_or_key_exits_2(self, tmp_path, capsys, monkeypatch,
+                                     argv, config, named):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("input was validated only after simulating")
+
+        monkeypatch.setattr(cli, "sample_ensemble", no_simulation)
+        monkeypatch.setattr(experiments, "sample_ensemble", no_simulation)
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv = [*argv, "--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert named in err
