@@ -51,8 +51,6 @@ from .regression import (
     PolynomialBasis,
     RegressionModel,
     build_basis,
-    fit_basis_model,
-    ols_fit,
     truncate,
 )
 from .schemes import (

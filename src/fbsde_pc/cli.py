@@ -67,8 +67,13 @@ def _bool(text):
 
 def read_config(path) -> dict:
     """key=value lines; '#' starts a comment; keys match the long flag names."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -123,6 +128,14 @@ def _build_problem(args):
     return problem
 
 
+def _single(args, flag: str) -> int:
+    """The one value of a list flag that this subcommand reads as a scalar."""
+    values = getattr(args, flag)
+    if len(values) != 1:
+        raise ValidationError(f"{args.command} takes a single --{flag}, got {values}")
+    return values[0]
+
+
 def _emit_text(text: str, out) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -142,10 +155,11 @@ def cmd_stability(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    N, M = _single(args, "N"), _single(args, "M")
     scheme = _build_scheme(args)
     problem = _build_problem(args)
     config = SolverConfig(
-        scheme=scheme, grid=GridSpec(T=problem.T, N=args.N[0]),
+        scheme=scheme, grid=GridSpec(T=problem.T, N=N),
         basis_degree=args.basis_degree, deterministic=args.deterministic,
         allow_unstable=args.allow_unstable, stability_tol=args.tol,
     )
@@ -153,7 +167,7 @@ def cmd_solve(args) -> int:
     if args.deterministic:
         solution = solve(problem, config)
     else:
-        ensemble = sample_ensemble(problem, config.grid, args.M[0], args.seed)
+        ensemble = sample_ensemble(problem, config.grid, M, args.seed)
         solution = solve(problem, config, ensemble)
     runtime = time.perf_counter() - start
     _emit_text(json.dumps(result_to_dict(solution, runtime), indent=2) + "\n", args.out)
@@ -192,9 +206,10 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_stability_demo(args) -> int:
+    M = _single(args, "M")
     scheme = _build_scheme(args)
     problem = _build_problem(args)
-    result = stability_demo(problem, scheme, args.N, args.M[0], args.seed,
+    result = stability_demo(problem, scheme, args.N, M, args.seed,
                             deterministic=args.deterministic,
                             basis_degree=args.basis_degree)
     doc = {
@@ -231,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dim", type=int, help="problem dimension d")
     run.add_argument("--T", type=float, help="horizon")
     run.add_argument("--N", type=_int_list, default=[20],
-                     help="time steps (comma list allowed)")
+                     help="time steps (a comma list for convergence and stability-demo)")
     run.add_argument("--M", type=_int_list, default=[10000],
-                     help="trajectories (comma list allowed)")
+                     help="trajectories (a comma list for convergence)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--basis-degree", type=int, default=2, dest="basis_degree")
     # a bare boolean flag means true; with a value (as from a config file) it

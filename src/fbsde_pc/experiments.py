@@ -24,6 +24,9 @@ from .solver import SolverConfig, solve
 # batch averages are treated as Gaussian from this many batches on
 RECOMMENDED_MIN_BATCHES = 15
 
+# confidence level of every ladder row's batch interval
+CI_LEVEL = 0.95
+
 # (N, M) pairs used by the published convergence tables
 PAPER_LADDER = ((5, 2778), (10, 5996), (15, 8809), (20, 12018))
 
@@ -45,7 +48,7 @@ def t_quantile(p: float, df: int) -> float:
     return math.sqrt(df * (1.0 - x) / x)
 
 
-def batch_ci(batch_errors: Sequence[float], level: float = 0.95):
+def batch_ci(batch_errors: Sequence[float], level: float = CI_LEVEL):
     """(mean, lower, upper) from batch averages, using the t interval with
     len-1 degrees of freedom and the unbiased variance."""
     errors = np.asarray(batch_errors, dtype=float)
@@ -100,15 +103,14 @@ def batch_seed(base_seed: int, batch_index: int) -> int:
 
 def run_trial(problem: FbsdeProblem, scheme: MultistepScheme, N: int, M: int,
               seed: int, basis_degree: int = 2, deterministic: bool = False,
-              allow_unstable: bool = False, **config_overrides) -> TrialResult:
+              allow_unstable: bool = False) -> TrialResult:
     """One simulate+solve, reporting absolute errors at (0, x0) against the
     closed form; the z error is the Euclidean norm over components."""
     if not problem.has_closed_form:
         raise ValidationError("run_trial needs a problem with a closed form")
     grid = GridSpec(T=problem.T, N=N)
     config = SolverConfig(scheme=scheme, grid=grid, basis_degree=basis_degree,
-                          deterministic=deterministic, allow_unstable=allow_unstable,
-                          **config_overrides)
+                          deterministic=deterministic, allow_unstable=allow_unstable)
     start = time.perf_counter()
     if deterministic:
         solution = solve(problem, config)
@@ -133,7 +135,6 @@ class TrialLadder:
     batches: int = 21
     base_seed: int = 0
     basis_degree: int = 2
-    level: float = 0.95
     deterministic: bool = False
     allow_unstable: bool = False
 
@@ -205,8 +206,8 @@ def run_ladder(ladder: TrialLadder) -> ConvergenceReport:
             batch_y.append(trial.err_y)
             batch_z.append(trial.err_z)
             runtime += trial.runtime_sec
-        mean_y, lo_y, hi_y = batch_ci(batch_y, ladder.level)
-        mean_z, lo_z, hi_z = batch_ci(batch_z, ladder.level)
+        mean_y, lo_y, hi_y = batch_ci(batch_y)
+        mean_z, lo_z, hi_z = batch_ci(batch_z)
         rows.append(LadderRow(N=N, M=M, err_y=mean_y, ci_y=(lo_y, hi_y),
                               err_z=mean_z, ci_z=(lo_z, hi_z), runtime_sec=runtime))
         errs_y.append(mean_y)
@@ -228,7 +229,7 @@ def run_ladder(ladder: TrialLadder) -> ConvergenceReport:
         "batches": ladder.batches,
         "base_seed": ladder.base_seed,
         "basis_degree": ladder.basis_degree,
-        "level": ladder.level,
+        "level": CI_LEVEL,
         "deterministic": ladder.deterministic,
     }
     return ConvergenceReport(rows=rows, rate_y=rate_y, rate_z=rate_z,
@@ -302,7 +303,7 @@ def plot_data(report: ConvergenceReport, which: str = "y") -> str:
 
 
 def emit_report(report: ConvergenceReport, basepath, formats: Sequence[str] = ("csv", "json"),
-                include_runtime: bool = True, with_plot_data: bool = True) -> list[Path]:
+                include_runtime: bool = True) -> list[Path]:
     """Write the report next to basepath: .csv / .json mirrors plus
     _y.dat/_z.dat plot-data files."""
     base = Path(basepath)
@@ -318,9 +319,8 @@ def emit_report(report: ConvergenceReport, basepath, formats: Sequence[str] = ("
         path.write_text(json.dumps(report.to_dict(include_runtime=include_runtime),
                                    indent=2) + "\n", encoding="utf-8")
         written.append(path)
-    if with_plot_data:
-        for which in ("y", "z"):
-            path = base.parent / (base.stem + f"_{which}.dat")
-            path.write_text(plot_data(report, which), encoding="utf-8")
-            written.append(path)
+    for which in ("y", "z"):
+        path = base.parent / (base.stem + f"_{which}.dat")
+        path.write_text(plot_data(report, which), encoding="utf-8")
+        written.append(path)
     return written

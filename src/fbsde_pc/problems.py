@@ -103,7 +103,7 @@ def closed_form_reference(problem: FbsdeProblem, t: float, x: np.ndarray):
 # -- benchmark problem 1: sine terminal, self-cancelling driver ----------------
 
 def example1(eta: float = 0.6, tau: Optional[float] = None, d: int = 2,
-             T: float = 1.0, frozen_exponent: bool = False) -> FbsdeProblem:
+             T: float = 1.0) -> FbsdeProblem:
     """Pure Brownian state (b = 0, sigma = I, so X = W) with
 
         phi(x) = 1 + eta + sin(tau * sum(x)),
@@ -111,22 +111,17 @@ def example1(eta: float = 0.6, tau: Optional[float] = None, d: int = 2,
 
     where decay(t) = exp(-tau^2 d (T - t)/2).  The driver vanishes along the
     exact solution, which is available in closed form.  tau defaults to
-    1/sqrt(d).  frozen_exponent fixes the decay factor at its t = 0 value,
-    for comparison runs; the closed form then no longer solves the equation.
+    1/sqrt(d).
     """
-    if eta <= 0 or d < 1:
-        raise ValidationError("need eta > 0 and d >= 1")
+    if d < 1:
+        raise ValidationError("need d >= 1")
     if tau is None:
         tau = 1.0 / math.sqrt(d)
-    if tau <= 0:
-        raise ValidationError("need tau > 0")
+    for name, value in (("eta", eta), ("tau", tau)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"need a finite {name} > 0, got {value}")
     tau = float(tau)
     rate = tau * tau * d / 2.0
-
-    def decay(t):
-        if frozen_exponent:
-            return math.exp(-rate * T)
-        return np.exp(-rate * (T - t))
 
     def b(t, x):
         return np.zeros_like(x)
@@ -142,7 +137,7 @@ def example1(eta: float = 0.6, tau: Optional[float] = None, d: int = 2,
         return np.repeat(g[:, None], d, axis=1)
 
     def f(t, x, y, z):
-        arg = y - eta - 1.0 - np.sin(tau * x.sum(axis=1)) * decay(t)
+        arg = y - eta - 1.0 - np.sin(tau * x.sum(axis=1)) * np.exp(-rate * (T - t))
         return np.minimum(1.0, arg * arg)
 
     def u(t, x):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,15 +59,15 @@ class PolynomialBasis:
         return out
 
 
-def build_basis(d: int, degree: int, max_size: int = DEFAULT_BASIS_CAP) -> PolynomialBasis:
+def build_basis(d: int, degree: int) -> PolynomialBasis:
     """Enumerate the C(d + degree, degree) monomials of total degree <= degree."""
     if d < 1:
         raise DimensionMismatch("need d >= 1")
     if degree < 0:
         raise ValidationError("degree must be >= 0")
     size = math.comb(d + degree, degree)
-    if size > max_size:
-        raise BasisTooLarge(f"basis would have {size} functions (cap {max_size})")
+    if size > DEFAULT_BASIS_CAP:
+        raise BasisTooLarge(f"basis would have {size} functions (cap {DEFAULT_BASIS_CAP})")
     exponents = []
     for total in range(degree + 1):
         for combo in itertools.combinations_with_replacement(range(d), total):
@@ -95,11 +95,11 @@ class DesignSolver:
     folded back into the returned coefficients.  Solves go through LAPACK's
     column-pivoted QR least squares (gelsy) with rank threshold RANK_TOL
     relative to the leading R diagonal entry, so rank-deficient systems get
-    the minimum-norm solution (in the standardized coordinates) and stacked
+    the minimum-norm solution (in the scaled coordinates) and stacked
     response columns share one factorization.
     """
 
-    def __init__(self, features: np.ndarray, standardize: bool = True):
+    def __init__(self, features: np.ndarray):
         a = np.asarray(features, dtype=float)
         if a.ndim != 2:
             raise ValueError("features must be a 2-d design matrix")
@@ -108,27 +108,24 @@ class DesignSolver:
         self.n_features = a.shape[1]
         m, k = a.shape
         self.shift = np.zeros(k)
-        self.scale = np.ones(k)
         self.intercept = None
         self._intercept_value = 1.0
-        if standardize:
-            spread = a.max(axis=0) - a.min(axis=0) if m > 1 else np.zeros(k)
-            constant = spread == 0
-            for j in range(k):
-                if constant[j] and a[0, j] != 0:
-                    self.intercept = j
-                    self._intercept_value = a[0, j]
-                    break
-            # shifting is only well defined with an intercept column to absorb it
-            if self.intercept is not None:
-                self.shift = np.where(constant, 0.0, a.mean(axis=0))
-            centered = a - self.shift
-            rms = np.sqrt(np.mean(centered**2, axis=0))
-            self.scale = np.where(rms > 0, rms, 1.0)
-            if self.intercept is not None:
-                self.scale[self.intercept] = 1.0
-            a = centered / self.scale
-        self._a = a
+        spread = a.max(axis=0) - a.min(axis=0) if m > 1 else np.zeros(k)
+        constant = spread == 0
+        for j in range(k):
+            if constant[j] and a[0, j] != 0:
+                self.intercept = j
+                self._intercept_value = a[0, j]
+                break
+        # shifting is only well defined with an intercept column to absorb it
+        if self.intercept is not None:
+            self.shift = np.where(constant, 0.0, a.mean(axis=0))
+        centered = a - self.shift
+        rms = np.sqrt(np.mean(centered**2, axis=0))
+        self.scale = np.where(rms > 0, rms, 1.0)
+        if self.intercept is not None:
+            self.scale[self.intercept] = 1.0
+        self._a = centered / self.scale
         self.rank: Optional[int] = None  # set by the first solve
 
     def solve(self, responses: np.ndarray) -> np.ndarray:
@@ -157,33 +154,12 @@ class RegressionModel:
     """
 
     coefficients: np.ndarray
-    basis: Optional[PolynomialBasis] = None
+    basis: PolynomialBasis
     truncation_bound: float = math.inf
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if self.basis is None:
-            raise ValueError("model was fitted without a basis; cannot predict from states")
         design = self.basis.design_matrix(x)
         return truncate(design @ self.coefficients, self.truncation_bound)
-
-    def to_dict(self) -> dict:
-        return {
-            "coefficients": np.asarray(self.coefficients).tolist(),
-            "degree": None if self.basis is None else self.basis.degree,
-            "d": None if self.basis is None else self.basis.d,
-            "truncation_bound": self.truncation_bound,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegressionModel":
-        basis = None
-        if data.get("degree") is not None:
-            basis = build_basis(int(data["d"]), int(data["degree"]))
-        bound = data.get("truncation_bound", math.inf)
-        if bound is None:
-            bound = math.inf
-        return cls(coefficients=np.asarray(data["coefficients"], dtype=float),
-                   basis=basis, truncation_bound=float(bound))
 
 
 def constant_model(value, basis: PolynomialBasis, bound: float = math.inf) -> RegressionModel:
@@ -196,33 +172,3 @@ def constant_model(value, basis: PolynomialBasis, bound: float = math.inf) -> Re
         coef = np.zeros((basis.size, value.shape[-1]))
         coef[0, :] = value
     return RegressionModel(coefficients=coef, basis=basis, truncation_bound=bound)
-
-
-def ols_fit(
-    features: np.ndarray,
-    responses: np.ndarray,
-    basis: Optional[PolynomialBasis] = None,
-    truncation_bound: float = math.inf,
-    standardize: bool = True,
-) -> RegressionModel:
-    """Ordinary least squares on a prebuilt design matrix.
-
-    Rank-deficient designs get the minimum-norm coefficient vector.  Vector
-    responses (M, r) share one factorization across the r columns.
-    """
-    solver = DesignSolver(features, standardize=standardize)
-    coef = solver.solve(responses)
-    return RegressionModel(coefficients=coef, basis=basis,
-                           truncation_bound=truncation_bound)
-
-
-def fit_basis_model(
-    basis: PolynomialBasis,
-    x: np.ndarray,
-    responses: np.ndarray,
-    truncation_bound: float = math.inf,
-    standardize: bool = True,
-) -> RegressionModel:
-    """Convenience wrapper: evaluate the basis at x, then ols_fit."""
-    return ols_fit(basis.design_matrix(x), responses, basis=basis,
-                   truncation_bound=truncation_bound, standardize=standardize)

@@ -26,6 +26,7 @@ from .exceptions import (
     SingularSystem,
     UnderdeterminedSystem,
     UnsupportedOrder,
+    ValidationError,
 )
 
 NumberLike = Union[int, str, float, Fraction]
@@ -64,9 +65,9 @@ class CorrectorCoefficients:
         object.__setattr__(self, "gamma0", as_fraction(self.gamma0))
         object.__setattr__(self, "gamma", _fraction_tuple(self.gamma))
         if len(self.alpha) != len(self.gamma):
-            raise ValueError("alpha and gamma must have the same length")
+            raise ValidationError("alpha and gamma must have the same length")
         if not self.alpha:
-            raise ValueError("need at least one step")
+            raise ValidationError("need at least one step")
 
     @property
     def m(self) -> int:
@@ -89,9 +90,9 @@ class PredictorCoefficients:
         object.__setattr__(self, "alpha_tilde", _fraction_tuple(self.alpha_tilde))
         object.__setattr__(self, "gamma_tilde", _fraction_tuple(self.gamma_tilde))
         if len(self.alpha_tilde) != len(self.gamma_tilde):
-            raise ValueError("alpha_tilde and gamma_tilde must have the same length")
+            raise ValidationError("alpha_tilde and gamma_tilde must have the same length")
         if not self.alpha_tilde:
-            raise ValueError("need at least one step")
+            raise ValidationError("need at least one step")
 
     @property
     def m(self) -> int:
@@ -111,7 +112,7 @@ class DerivativeWeights:
     def __post_init__(self):
         object.__setattr__(self, "lambda_h", _fraction_tuple(self.lambda_h))
         if len(self.lambda_h) < 2:
-            raise ValueError("need at least two nodes")
+            raise ValidationError("lambda_h needs at least two nodes")
 
     @property
     def m(self) -> int:
@@ -131,7 +132,7 @@ class MultistepScheme:
 
     def __post_init__(self):
         if not (self.predictor.m == self.corrector.m == self.zweights.m):
-            raise ValueError("predictor, corrector and z-weights disagree on step count")
+            raise ValidationError("predictor, corrector and z-weights disagree on step count")
         object.__setattr__(self, "error_constant_pred", as_fraction(self.error_constant_pred))
         object.__setattr__(self, "error_constant_corr", as_fraction(self.error_constant_corr))
 
@@ -493,24 +494,32 @@ def scheme_to_dict(scheme: MultistepScheme) -> dict:
 
 
 def scheme_from_dict(data: dict) -> MultistepScheme:
-    m = int(data["m"])
+    """Inverse of scheme_to_dict; lambda_h, C_pred and C_corr are derived when
+    absent.  A missing or malformed field raises ValidationError naming it."""
+    if not isinstance(data, dict):
+        raise ValidationError("a scheme must be a JSON object")
+
+    def read(key, convert=_fraction_tuple):
+        if key not in data:
+            raise ValidationError(f"scheme has no {key!r} field")
+        try:
+            return convert(data[key])
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ValidationError(f"scheme field {key!r}: {exc}") from None
+
+    m = read("m", int)
     corrector = CorrectorCoefficients(
-        alpha=[as_fraction(v) for v in data["alpha"]],
-        gamma0=as_fraction(data["gamma0"]),
-        gamma=[as_fraction(v) for v in data["gamma"]],
-    )
+        alpha=read("alpha"), gamma0=read("gamma0", as_fraction), gamma=read("gamma"))
     predictor = PredictorCoefficients(
-        alpha_tilde=[as_fraction(v) for v in data["alpha_tilde"]],
-        gamma_tilde=[as_fraction(v) for v in data["gamma_tilde"]],
-    )
+        alpha_tilde=read("alpha_tilde"), gamma_tilde=read("gamma_tilde"))
+    if corrector.m != m:
+        raise ValidationError("declared step count m disagrees with coefficient lengths")
     if "lambda_h" in data:
-        zweights = DerivativeWeights(lambda_h=[as_fraction(v) for v in data["lambda_h"]])
+        zweights = DerivativeWeights(lambda_h=read("lambda_h"))
     else:
         zweights = derivative_weights(m)
-    if corrector.m != m:
-        raise ValueError("declared step count disagrees with coefficient lengths")
-    c_pred = as_fraction(data["C_pred"]) if "C_pred" in data else error_constant(predictor)
-    c_corr = as_fraction(data["C_corr"]) if "C_corr" in data else error_constant(corrector)
+    c_pred = read("C_pred", as_fraction) if "C_pred" in data else error_constant(predictor)
+    c_corr = read("C_corr", as_fraction) if "C_corr" in data else error_constant(corrector)
     return MultistepScheme(
         predictor=predictor,
         corrector=corrector,
@@ -526,12 +535,20 @@ def scheme_to_json(scheme: MultistepScheme, indent: int = 2) -> str:
 
 
 def scheme_from_json(text: str) -> MultistepScheme:
-    return scheme_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"not JSON: {exc}") from None
+    return scheme_from_dict(data)
 
 
 def load_scheme(path) -> MultistepScheme:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scheme_from_json(fh.read())
+    """Read a scheme file; malformed content raises ValidationError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return scheme_from_json(fh.read())
+    except ValueError as exc:  # ValidationError, or UnicodeDecodeError on non-UTF-8 bytes
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_scheme(scheme: MultistepScheme, path) -> None:

@@ -9,6 +9,7 @@ uniforms, keeping the stream layout transparent.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -38,8 +39,8 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValidationError("horizon T must be positive")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValidationError(f"horizon T must be finite and positive, got {self.T}")
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
             raise ValidationError("step count N must be a positive integer")
 
@@ -79,13 +80,7 @@ def substream_normals(seed: int, n_trajectories: int, per_trajectory: int,
     return ndtri(out, out=out)
 
 
-def brownian_increments(
-    grid: GridSpec,
-    d: int,
-    M: int,
-    seed: int,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> np.ndarray:
+def brownian_increments(grid: GridSpec, d: int, M: int, seed: int) -> np.ndarray:
     """(M, N, d) increments W_{t_{i+1}} - W_{t_i}, each coordinate N(0, h).
 
     Deterministic in (grid, d, M, seed); the first k trajectories agree with a
@@ -94,9 +89,9 @@ def brownian_increments(
     if M < 1 or d < 1:
         raise ValidationError("need M >= 1 and d >= 1")
     n_elements = M * grid.N * d
-    if n_elements > max_elements:
+    if n_elements > DEFAULT_MAX_ELEMENTS:
         raise AllocationTooLarge(
-            f"{n_elements} elements exceed the budget of {max_elements}")
+            f"{n_elements} elements exceed the budget of {DEFAULT_MAX_ELEMENTS}")
     z = substream_normals(seed, M, grid.N * d, MAIN_STREAM)
     return z.reshape(M, grid.N, d) * np.sqrt(grid.h)
 
@@ -157,10 +152,9 @@ def euler_paths(problem, grid: GridSpec, increments: np.ndarray,
     return PathEnsemble(grid=grid, d=d, M=M, seed=seed, dW=dW, X=X)
 
 
-def sample_ensemble(problem, grid: GridSpec, M: int, seed: int,
-                    max_elements: int = DEFAULT_MAX_ELEMENTS) -> PathEnsemble:
+def sample_ensemble(problem, grid: GridSpec, M: int, seed: int) -> PathEnsemble:
     """brownian_increments followed by euler_paths from the problem's x0."""
-    dW = brownian_increments(grid, problem.d, M, seed, max_elements=max_elements)
+    dW = brownian_increments(grid, problem.d, M, seed)
     return euler_paths(problem, grid, dW, seed=seed)
 
 

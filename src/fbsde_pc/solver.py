@@ -17,7 +17,7 @@ check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -59,33 +59,17 @@ class SolverConfig:
     grid: GridSpec
     basis_degree: int = 2
     y_bound: Optional[float] = None   # None -> problem-supplied bound
-    z_bound: Optional[float] = None
     bootstrap_substeps: Optional[int] = None  # None -> auto
     allow_unstable: bool = False
     deterministic: bool = False
     perturb_y: float = 0.0
-    center_z_responses: bool = True
-    # subtract the martingale increments sum_k z_k(X_k) dW_k from corrector
-    # responses: zero conditional mean, so every fitted conditional
-    # expectation is unchanged while the terminal noise no longer telescopes
-    # into Y_0 (without it the Y_0 standard error is std(phi(X_T))/sqrt(M))
-    control_variate_y: bool = True
     stability_tol: float = 1e-8
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": scheme_to_dict(self.scheme),
-            "grid": {"T": self.grid.T, "N": self.grid.N},
-            "basis_degree": self.basis_degree,
-            "y_bound": self.y_bound,
-            "z_bound": self.z_bound,
-            "bootstrap_substeps": self.bootstrap_substeps,
-            "allow_unstable": self.allow_unstable,
-            "deterministic": self.deterministic,
-            "perturb_y": self.perturb_y,
-            "center_z_responses": self.center_z_responses,
-            "control_variate_y": self.control_variate_y,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(scheme=scheme_to_dict(self.scheme),
+                   grid={"T": self.grid.T, "N": self.grid.N})
+        return out
 
 
 @dataclass
@@ -186,16 +170,14 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
     alpha, gamma0, gamma, alpha_t, gamma_t, lam = _float_arrays(scheme)
     basis = build_basis(problem.d, config.basis_degree)
     y_bound = problem.y_bound if config.y_bound is None else config.y_bound
-    z_bound = problem.z_bound if config.z_bound is None else config.z_bound
+    z_bound = problem.z_bound
 
-    # the m live levels j: y_j(X_j), f_j and the control-variate increment
-    # z_j(X_j) . dW_j (None when unused), stored as each level is fitted
+    # the m live levels j: y_j(X_j), f_j and the martingale increment
+    # z_j(X_j) . dW_j (None at the last node), stored as each level is fitted
     live: dict[int, tuple] = {}
 
     def zdw_at(j: int, z: np.ndarray):
-        if not config.control_variate_y or j == n:
-            return None
-        return np.einsum("md,md->m", z, dW[:, j, :])
+        return None if j == n else np.einsum("md,md->m", z, dW[:, j, :])
 
     for j in range(n - m + 1, n + 1):
         xj = X[:, j, :]
@@ -215,18 +197,15 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
         # leaves E_i[. dW^T] unchanged; the one-level-ahead model removes the
         # bulk of the y spread.  Every RegressionModel here was fitted on basis,
         # so its prediction reuses this level's design.
-        proxy = None
-        if config.center_z_responses:
-            ahead = y_models[i + 1]
-            if design is not None and isinstance(ahead, RegressionModel):
-                proxy = truncate(design @ ahead.coefficients, ahead.truncation_bound)
-            else:
-                proxy = np.asarray(ahead.predict(xi))
+        ahead = y_models[i + 1]
+        if design is not None and isinstance(ahead, RegressionModel):
+            proxy = truncate(design @ ahead.coefficients, ahead.truncation_bound)
+        else:
+            proxy = np.asarray(ahead.predict(xi))
         dw = dW[:, i, :]  # W_{i+j} - W_i, as a running sum over j
         for j in range(1, m + 1):
             yj, fj, _ = live[i + j]
-            yy = yj if proxy is None else yj - proxy
-            s_z += lam[j - 1] * yy[:, None] * dw
+            s_z += lam[j - 1] * (yj - proxy)[:, None] * dw
             s_pred += alpha_t[j - 1] * yj + h * gamma_t[j - 1] * fj
             if j < m:
                 dw = dw + dW[:, i + j, :]
@@ -246,13 +225,17 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
 
         f_pred = np.asarray(problem.f(times[i], xi, y_pred_here, z_here))
         s_corr = h * gamma0 * f_pred
+        # subtract the martingale increments sum_k z_k(X_k) dW_k from the
+        # corrector responses: zero conditional mean, so every fitted
+        # conditional expectation is unchanged while the terminal noise no
+        # longer telescopes into Y_0 (without it the Y_0 standard error is
+        # std(phi(X_T))/sqrt(M))
         zdw = zdw_at(i, z_here)
         control = zdw
         for j in range(1, m + 1):
             yj, fj, zdw_j = live[i + j]
-            term = yj if control is None else yj - control
-            s_corr = s_corr + alpha[j - 1] * term + h * gamma[j - 1] * fj
-            if control is not None and j < m:
+            s_corr = s_corr + alpha[j - 1] * (yj - control) + h * gamma[j - 1] * fj
+            if j < m:
                 control = control + zdw_j
         if config.perturb_y:
             s_corr = s_corr + config.perturb_y

@@ -1,10 +1,11 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
-from fbsde_pc import adams_pair, closed_form_reference, stable_preset
+from fbsde_pc import SolverConfig, adams_pair, closed_form_reference, stable_preset
 from fbsde_pc import cli, experiments
 from fbsde_pc.cli import main, read_config
 from fbsde_pc.problems import PROBLEM_REGISTRY
@@ -18,6 +19,13 @@ def run_cli(capsys, *argv):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def scheme_json(key, value):
+    """stable_preset(2) as scheme JSON with one field replaced (dropped when None)."""
+    doc = scheme_to_dict(stable_preset(2))
+    doc[key] = value
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
 
 
 class TestCoeffs:
@@ -103,6 +111,14 @@ class TestSolve:
         assert doc["config"]["grid"]["T"] == 0.5
         assert doc["y0"] == pytest.approx(y_ref, abs=0.05)
         assert len(doc["z0"]) == problem.d
+
+    def test_config_document_lists_every_field(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--problem", "exponential-ode",
+                               "--deterministic", "--N", "8", "--tol", "1e-6")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert set(config) == {f.name for f in dataclasses.fields(SolverConfig)}
+        assert config["stability_tol"] == 1e-6
 
 
 class TestConvergence:
@@ -206,10 +222,10 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv, config, named", [
-        (["solve"], "N = abc\n", "--N"),
-        (["solve"], "basis_degre = 3\n", "basis_degre"),
-        (["solve"], "problem = bogus\n", "--problem"),
+    @pytest.mark.parametrize("argv, file, named", [
+        (["solve"], ("--config", "N = abc\n"), "--N"),
+        (["solve"], ("--config", "basis_degre = 3\n"), "basis_degre"),
+        (["solve"], ("--config", "problem = bogus\n"), "--problem"),
         (["solve", "--N", "abc"], None, "--N"),
         (["solve", "--M", "abc"], None, "--M"),
         (["solve", "--tau", "abc"], None, "--tau"),
@@ -219,22 +235,42 @@ class TestExitCodes:
         (["solve", "--problem", "example2", "--basis-degree", "-1"], None, "--basis-degree"),
         (["convergence", "--basis-degree", "-1"], None, "--basis-degree"),
         (["stability-demo", "--basis-degree", "-1"], None, "--basis-degree"),
+        (["stability"], ("--scheme-file", scheme_json("gamma", ["1/2"])),
+         "{file}: alpha and gamma"),
+        (["stability"], ("--scheme-file", scheme_json("alpha", None)),
+         "{file}: scheme has no 'alpha'"),
+        (["stability"], ("--scheme-file", "m = 2\n"), "{file}: not JSON"),
+        (["stability"], ("--scheme-file", scheme_json("gamma0", "abc")),
+         "{file}: scheme field 'gamma0'"),
+        (["solve"], ("--config", b"N = 4\xff\n"), "{file}: not UTF-8"),
+        (["solve", "--eta", "nan"], None, "finite eta"),
+        (["solve", "--tau", "nan"], None, "finite tau"),
+        (["solve", "--tau", "inf"], None, "finite tau"),
+        (["solve", "--T", "inf"], None, "horizon T"),
+        (["solve", "--N", "4,8"], None, "--N"),
+        (["solve", "--M", "400,800"], None, "--M"),
+        (["stability-demo", "--M", "400,800"], None, "--M"),
     ], ids=["config-N", "config-unknown-key", "config-choice", "N", "M", "tau", "eta-example2",
             "coeffs-M", "convergence-tol", "solve-basis", "convergence-basis",
-            "stability-demo-basis"])
+            "stability-demo-basis", "scheme-lengths", "scheme-missing-field",
+            "scheme-not-json", "scheme-bad-coefficient", "config-not-utf8", "eta-nan",
+            "tau-nan", "tau-inf", "T-inf", "solve-N-list", "solve-M-list",
+            "stability-demo-M-list"])
     def test_bad_flag_or_key_exits_2(self, tmp_path, capsys, monkeypatch,
-                                     argv, config, named):
+                                     argv, file, named):
         def no_simulation(*args, **kwargs):
             raise AssertionError("input was validated only after simulating")
 
         monkeypatch.setattr(cli, "sample_ensemble", no_simulation)
         monkeypatch.setattr(experiments, "sample_ensemble", no_simulation)
-        if config is not None:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(config)
-            argv = [*argv, "--config", str(cfg)]
+        path = tmp_path / "input"
+        if file is not None:
+            flag, content = file
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
+            argv = [*argv, flag, str(path)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
-        assert named in err
+        assert err.count("error:") == 1
+        assert named.format(file=path) in err

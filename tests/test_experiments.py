@@ -219,8 +219,7 @@ class TestReports:
         assert len(doc["rows"]) == 2
 
     def test_runtime_column_optional(self, tmp_path):
-        emit_report(tiny_report(), tmp_path / "a", include_runtime=False,
-                    with_plot_data=False)
+        emit_report(tiny_report(), tmp_path / "a", include_runtime=False)
         text = (tmp_path / "a.csv").read_text()
         assert "runtime" not in text
 

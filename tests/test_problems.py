@@ -57,16 +57,6 @@ class TestExample1:
         assert problem.y_bound == pytest.approx(2.6)
         assert problem.z_bound == pytest.approx(math.sqrt(2) / math.sqrt(2))
 
-    def test_frozen_exponent_variant_differs(self):
-        running = example1(eta=0.6, d=2)
-        frozen = example1(eta=0.6, d=2, frozen_exponent=True)
-        t, x = 0.3, np.ones((1, 2))
-        y = np.array([1.9])
-        z = np.zeros((1, 2))
-        assert float(running.f(t, x, y, z)[0]) != pytest.approx(float(frozen.f(t, x, y, z)[0]))
-        # at t = 0 both read the same horizon-length factor
-        assert float(running.f(0.0, x, y, z)[0]) == pytest.approx(float(frozen.f(0.0, x, y, z)[0]))
-
     def test_driver_clamp(self):
         problem = example1(eta=0.6)
         f = problem.f(0.0, np.zeros((1, 2)), np.array([50.0]), np.zeros((1, 2)))

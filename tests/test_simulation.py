@@ -85,7 +85,8 @@ class TestBrownianIncrements:
     def test_allocation_budget(self):
         grid = GridSpec(T=1.0, N=1000)
         with pytest.raises(AllocationTooLarge):
-            brownian_increments(grid, 10, 10_000, seed=0, max_elements=10_000)
+            # 20 000 * 1000 * 10 = 2e8 elements, past the 2**27 budget
+            brownian_increments(grid, 10, 20_000, seed=0)
 
 
 class TestEulerPaths:
