@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -51,6 +52,25 @@ def _int_list(text):
     if not values:
         raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
     return values
+
+
+def _checked(kind, accept, expected):
+    """A converter that parses with kind and rejects values accept refuses."""
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return convert
+
+
+# seeds key the Philox substreams, whose key words are unsigned 64-bit
+_seed = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+_dim = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_tol = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
 def _tau(text):
@@ -243,13 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--eta", type=float, help="problem parameter eta")
     run.add_argument("--tau", type=_tau,
                      help="problem parameter tau; 'auto' means 1/sqrt(dim)")
-    run.add_argument("--dim", type=int, help="problem dimension d")
+    run.add_argument("--dim", type=_dim, help="problem dimension d")
     run.add_argument("--T", type=float, help="horizon")
     run.add_argument("--N", type=_int_list, default=[20],
                      help="time steps (a comma list for convergence and stability-demo)")
     run.add_argument("--M", type=_int_list, default=[10000],
                      help="trajectories (a comma list for convergence)")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_seed, default=0)
     run.add_argument("--basis-degree", type=int, default=2, dest="basis_degree")
     # a bare boolean flag means true; with a value (as from a config file) it
     # takes true or false
@@ -258,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     unstable.add_argument("--allow-unstable", type=_bool, nargs="?", const=True,
                           default=False, help="run a scheme that fails the root condition")
-    tol.add_argument("--tol", type=float, default=1e-8, help="stability tolerance")
+    tol.add_argument("--tol", type=_tol, default=1e-8, help="stability tolerance")
 
     ladder.add_argument("--batches", type=int, default=21)
     ladder.add_argument("--paper-ladder", type=_bool, nargs="?", const=True, default=False,

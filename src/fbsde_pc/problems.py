@@ -245,6 +245,8 @@ def exponential_ode(T: float = 1.0, coefficient: float = -1.0) -> FbsdeProblem:
 def constant_problem(value: float = 1.0, d: int = 1, T: float = 1.0,
                      diffusion: float = 1.0) -> FbsdeProblem:
     """Zero driver with constant terminal payoff; Y = value and Z = 0."""
+    if d < 1:
+        raise ValidationError("need d >= 1")
 
     def b(t, x):
         return np.zeros_like(x)

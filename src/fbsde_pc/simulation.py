@@ -2,9 +2,13 @@
 
 Every trajectory draws from its own counter-based substream keyed by
 (seed, trajectory index), so trajectory m is bit-identical no matter how many
-trajectories are requested alongside it and generation parallelizes trivially.
-Gaussians come from the inverse normal CDF applied to strictly-interior
-uniforms, keeping the stream layout transparent.
+trajectories are requested alongside it.  The generator is Philox4x64-10
+(Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011), the bit generator behind numpy's ``Philox``: each block of four
+64-bit words is a pure function of (counter, key), so every trajectory's
+substream is computed at once on (rows, blocks) arrays.  Gaussians come from
+the inverse normal CDF applied to strictly-interior uniforms, keeping the
+stream layout transparent.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from .exceptions import AllocationTooLarge, NonFiniteState, ValidationError
@@ -25,6 +28,15 @@ MAIN_STREAM = 0
 BRIDGE_STREAM = 1
 
 DEFAULT_MAX_ELEMENTS = 2**27  # ~1 GiB of float64 per array
+
+# Philox4x64-10: round multipliers and the key increments (Weyl constants)
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+_U64 = 2**64
+_LO32 = np.uint64(0xFFFFFFFF)
+# counter blocks per chunk: eight uint64 scratch arrays of 128 KiB stay in cache
+_CHUNK_BLOCKS = 2**14
 
 _HEADER = struct.Struct("<8sHHIQdQ")
 _MAGIC = b"FBSDEENS"
@@ -53,31 +65,96 @@ class GridSpec:
         return np.linspace(0.0, self.T, self.N + 1)
 
 
+def _mulhi(a: np.ndarray, m: int, scratch: list) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * m, built from 32-bit halves
+    (no partial sum overflows); scratch holds four arrays shaped like a, and
+    the result lands in scratch[1]."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi, t, u = scratch
+    np.bitwise_and(a, _LO32, out=a_lo)
+    np.right_shift(a, 32, out=a_hi)
+    np.multiply(a_lo, m_lo, out=t)
+    np.right_shift(t, 32, out=t)
+    np.multiply(a_hi, m_lo, out=u)
+    u += t                          # u = a_hi m_lo + hi32(a_lo m_lo)
+    a_lo *= m_hi
+    np.bitwise_and(u, _LO32, out=t)
+    a_lo += t                       # v = a_lo m_hi + lo32(u)
+    a_lo >>= 32
+    u >>= 32
+    a_hi *= m_hi
+    a_hi += u
+    a_hi += a_lo                    # a_hi m_hi + hi32(u) + hi32(v)
+    return a_hi
+
+
+def _philox_blocks(seed: int, key1: np.ndarray, first_block: int, tile: list) -> list:
+    """Philox4x64-10 on (rows, blocks) arrays: row i has key (seed, key1[i]) and
+    column j counter (first_block + j, 0, 0, 0).  tile holds eight scratch
+    arrays of that shape; returns the four holding output words 0..3."""
+    c0, c1, c2, c3 = tile[:4]
+    scratch = tile[4:]
+    c0[...] = np.arange(first_block, first_block + c0.shape[1], dtype=np.uint64)
+    c1.fill(0)
+    c2.fill(0)
+    c3.fill(0)
+    k0, k1 = seed, key1.copy()
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_W0) % _U64
+            k1 += np.uint64(_PHILOX_W1)
+        # (c0, c1, c2, c3) -> (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
+        c1 ^= _mulhi(c2, _PHILOX_M1, scratch)
+        c1 ^= np.uint64(k0)
+        c2 *= np.uint64(_PHILOX_M1)
+        c3 ^= _mulhi(c0, _PHILOX_M0, scratch)
+        c3 ^= k1
+        c0 *= np.uint64(_PHILOX_M0)
+        c0, c1, c2, c3 = c1, c2, c3, c0
+    return [c0, c1, c2, c3]
+
+
 def substream_normals(seed: int, n_trajectories: int, per_trajectory: int,
                       stream: int = MAIN_STREAM) -> np.ndarray:
     """(n_trajectories, per_trajectory) standard normals, one substream per row.
 
-    Row m is the stream of Philox(key=[seed, m | stream << 56]): 53-bit
-    integers mapped to strictly interior uniforms (so ndtri never sees 0 or 1)
-    and then through the inverse normal CDF.  One bit-generator object is
-    recycled by resetting its (counter, key) state, which skips numpy's
-    per-construction entropy setup.
+    Row m is the stream of numpy's ``Philox(key=[seed, m | stream << 56])``:
+    its k-th block of four 64-bit words (k = 1, 2, ...) is Philox4x64-10 of
+    counter (k, 0, 0, 0), and the words are taken in order.  Each word w gives
+    the 53-bit integer w >> 11 (what ``Generator.integers(0, 1 << 53)`` draws,
+    never rejecting), mapped to the strictly interior uniform
+    ((w >> 11) + 0.5) 2^-53 (so ndtri never sees 0 or 1) and then through the
+    inverse normal CDF.  Rows are generated together, in chunks of about
+    2^14 blocks.  The seed must lie in [0, 2^64) and the row count may not
+    exceed 2^56, where the row index would reach the stream tag.
     """
+    if not 0 <= seed < _U64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
+    if n_trajectories > 2**56:
+        raise ValidationError(
+            f"{n_trajectories} trajectories exceed the 2**56 a substream key can index")
+    seed = int(seed)
     out = np.empty((n_trajectories, per_trajectory))
-    bitgen = Philox(key=[np.uint64(0), np.uint64(0)])
-    gen = Generator(bitgen)
-    template = bitgen.state
-    template["state"]["counter"][:] = 0
-    key = template["state"]["key"]
-    key[0] = np.uint64(seed)
-    high = np.uint64(stream) << np.uint64(56)
-    for m in range(n_trajectories):
-        key[1] = np.uint64(m) | high
-        bitgen.state = template
-        out[m] = gen.integers(0, 1 << 53, size=per_trajectory)
-    out += 0.5
-    out *= 2.0**-53
-    return ndtri(out, out=out)
+    n_blocks = -(-per_trajectory // 4)
+    cols = max(1, min(n_blocks, _CHUNK_BLOCKS))
+    rows = max(1, min(n_trajectories, _CHUNK_BLOCKS // cols))
+    buffers = np.empty((8, rows * cols), dtype=np.uint64)
+    for r0 in range(0, n_trajectories, rows):
+        r1 = min(r0 + rows, n_trajectories)
+        key1 = np.arange(r0, r1, dtype=np.uint64)[:, None] | np.uint64(stream << 56)
+        for b0 in range(0, n_blocks, cols):
+            b1 = min(b0 + cols, n_blocks)
+            tile = [a[:(r1 - r0) * (b1 - b0)].reshape(r1 - r0, b1 - b0) for a in buffers]
+            words = _philox_blocks(seed, key1, b0 + 1, tile)
+            block = out[r0:r1, 4 * b0:min(4 * b1, per_trajectory)]
+            for j, w in enumerate(words):
+                w >>= 11
+                dst = block[:, j::4]
+                dst[...] = w[:, :dst.shape[1]]
+            block += 0.5
+            block *= 2.0**-53
+            ndtri(block, out=block)
+    return out
 
 
 def brownian_increments(grid: GridSpec, d: int, M: int, seed: int) -> np.ndarray:

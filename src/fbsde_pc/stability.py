@@ -8,11 +8,12 @@ simple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import NonConvergence
+from .exceptions import NonConvergence, ValidationError
 from .schemes import CorrectorCoefficients, MultistepScheme
 
 STABLE = "stable"
@@ -149,8 +150,8 @@ def check_root_condition(roots, tol: float = DEFAULT_TOL) -> StabilityVerdict:
     appears at tol/10 or 10*tol, the call is tolerance-sensitive and the
     verdict is Marginal rather than Stable.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be finite and > 0, got {tol}")
     roots = [complex(r) for r in roots]
     offending, reps, mults = _violations(roots, tol)
     if offending:

@@ -250,12 +250,22 @@ class TestExitCodes:
         (["solve", "--N", "4,8"], None, "--N"),
         (["solve", "--M", "400,800"], None, "--M"),
         (["stability-demo", "--M", "400,800"], None, "--M"),
+        (["solve", "--seed", "-1", "--N", "4", "--M", "10"], None, "--seed"),
+        (["solve", "--seed", str(2**64), "--N", "4", "--M", "10"], None, "--seed"),
+        (["convergence"], ("--config", "seed = -1\n"), "--seed"),
+        (["stability", "--family", "unstable", "--steps", "2", "--tol", "nan"], None, "--tol"),
+        (["stability", "--family", "unstable", "--steps", "2", "--tol", "-1"], None, "--tol"),
+        (["stability", "--family", "unstable", "--steps", "2", "--tol", "inf"], None, "--tol"),
+        (["solve", "--problem", "exponential-ode", "--deterministic", "--family", "unstable",
+          "--tol", "nan"], None, "--tol"),
+        (["solve", "--problem", "constant", "--dim", "0"], None, "--dim"),
     ], ids=["config-N", "config-unknown-key", "config-choice", "N", "M", "tau", "eta-example2",
             "coeffs-M", "convergence-tol", "solve-basis", "convergence-basis",
             "stability-demo-basis", "scheme-lengths", "scheme-missing-field",
             "scheme-not-json", "scheme-bad-coefficient", "config-not-utf8", "eta-nan",
             "tau-nan", "tau-inf", "T-inf", "solve-N-list", "solve-M-list",
-            "stability-demo-M-list"])
+            "stability-demo-M-list", "seed-negative", "seed-2^64", "config-seed-negative",
+            "tol-nan", "tol-negative", "tol-inf", "solve-unstable-tol-nan", "dim-0"])
     def test_bad_flag_or_key_exits_2(self, tmp_path, capsys, monkeypatch,
                                      argv, file, named):
         def no_simulation(*args, **kwargs):

@@ -7,6 +7,7 @@ import pytest
 
 from fbsde_pc import (
     NoClosedForm,
+    ValidationError,
     closed_form_reference,
     example1,
     example2,
@@ -122,6 +123,10 @@ class TestExample2:
 
 
 class TestTerminalValues:
+    def test_constant_problem_needs_a_dimension(self):
+        with pytest.raises(ValidationError, match="d >= 1"):
+            constant_problem(d=0)
+
     def test_constant_payoff_zero_z(self):
         problem = constant_problem(value=2.0, d=3)
         tv = terminal_values(problem, np.random.default_rng(0).standard_normal((20, 3)))

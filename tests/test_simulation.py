@@ -3,6 +3,8 @@ Euler paths, bridge refinement and the binary dump format."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy import stats
 from scipy.special import ndtri
@@ -20,6 +22,7 @@ from fbsde_pc import (
 )
 from fbsde_pc.problems import FbsdeProblem, constant_problem, example2
 from fbsde_pc.simulation import (
+    _CHUNK_BLOCKS,
     BRIDGE_STREAM,
     MAIN_STREAM,
     refine_increments,
@@ -225,9 +228,50 @@ def _normals(gen, n):
     return ndtri(u)
 
 
+def _reference(seed, n, per, stream):
+    return np.stack([_normals(_substream(seed, m, stream), per) for m in range(n)])
+
+
+# rows of 11 draws (3 counter blocks) that fill one chunk
+_ROWS_PER_CHUNK = _CHUNK_BLOCKS // 3
+STREAMS = [MAIN_STREAM, BRIDGE_STREAM]
+
+
 class TestSubstreams:
     @pytest.mark.parametrize("stream", [MAIN_STREAM, BRIDGE_STREAM], ids=["main", "bridge"])
     def test_rows_match_per_trajectory_reference(self, stream):
         got = substream_normals(6, 103, 11, stream)
         reference = np.stack([_normals(_substream(6, m, stream), 11) for m in range(103)])
         assert np.array_equal(got, reference)
+
+    @pytest.mark.parametrize("stream", STREAMS, ids=["main", "bridge"])
+    @pytest.mark.parametrize("seed, n, per", [
+        (6, 2 * _ROWS_PER_CHUNK + 7, 11),
+        (6, 37, 1), (6, 37, 3), (6, 37, 5), (6, 37, 384),
+        (2**64 - 1, 37, 5),
+        (6, 2, 4 * _CHUNK_BLOCKS + 5),
+    ], ids=["chunks-and-remainder", "per-1", "per-3", "per-5", "per-384",
+            "seed-2^64-1", "row-longer-than-chunk"])
+    def test_shapes_match_reference(self, stream, seed, n, per):
+        assert np.array_equal(substream_normals(seed, n, per, stream),
+                              _reference(seed, n, per, stream))
+
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 30),
+           per=st.integers(1, 30), stream=st.sampled_from(STREAMS))
+    @settings(max_examples=60, deadline=None)
+    def test_random_shapes_match_reference(self, seed, n, per, stream):
+        assert np.array_equal(substream_normals(seed, n, per, stream),
+                              _reference(seed, n, per, stream))
+
+    @pytest.mark.parametrize("k", [1, _ROWS_PER_CHUNK - 1, _ROWS_PER_CHUNK,
+                                   _ROWS_PER_CHUNK + 1, 2 * _ROWS_PER_CHUNK + 6])
+    def test_prefix_equals_fewer_rows(self, k):
+        full = substream_normals(11, 2 * _ROWS_PER_CHUNK + 7, 11)
+        assert np.array_equal(substream_normals(11, k, 11), full[:k])
+
+    @pytest.mark.parametrize("seed, n", [(-1, 4), (2**64, 4), (0, 2**56 + 1)],
+                             ids=["seed-negative", "seed-2^64", "rows-past-stream-tag"])
+    def test_out_of_range_key_rejected(self, seed, n):
+        # raises before the (n, per) output would be allocated
+        with pytest.raises(ValidationError, match=r"2\*\*(64|56)"):
+            substream_normals(seed, n, 3)

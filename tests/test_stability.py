@@ -10,6 +10,7 @@ import pytest
 from fbsde_pc import (
     CharacteristicPolynomial,
     CorrectorCoefficients,
+    ValidationError,
     characteristic_polynomial,
     check_root_condition,
     polynomial_roots,
@@ -124,6 +125,12 @@ class TestRootCondition:
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             check_root_condition([0.5], tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # a NaN tolerance fails every comparison, so it would pass any scheme
+        with pytest.raises(ValidationError, match="tol must be finite"):
+            scheme_verdict(unstable_two_step(), tol=tol)
 
     def test_random_stable_and_planted_unstable(self):
         rng = np.random.default_rng(11)
