@@ -252,6 +252,10 @@ def stability_demo(problem: FbsdeProblem, scheme: MultistepScheme,
     error stays within 1.5x of its predecessor scaled by the expected
     order-driven ratio, "irregular" otherwise.  Unstable schemes run under an
     automatic override; instability shows up in the classification."""
+    if len(Ns) < 2:
+        raise ValidationError(
+            f"stability demo compares errors across N: needs at least two --N values, "
+            f"got {list(Ns)}")
     errors = []
     order = max(scheme.corrector.order(), 1)
     for N in Ns:

@@ -7,18 +7,37 @@ bound on the solution (the truncation operator).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .exceptions import BasisTooLarge, DimensionMismatch, EmptySample, ValidationError
 
 DEFAULT_BASIS_CAP = 512
 RANK_TOL = 1e-10
+# Smallest 1-norm reciprocal condition estimate of R for which a design is
+# solved from its own pivoted QR instead of by gelsy.  gelsy counts a design
+# as full rank when, for every leading block R_i of R, its incremental
+# condition estimate smin/smax exceeds RANK_TOL.  That estimate's smin is
+# attained by a unit vector, so it is >= sigma_min(R_i) >= sigma_min(R), and
+# its smax is <= sigma_max(R_i) <= sigma_max(R); the ratio is therefore at
+# least 1/cond_2(R).  On the other side cond_2(R) <= K cond_1(R), and dtrcon's
+# estimate of ||R^-1||_1 is attained by a vector, so it can fall short of the
+# true norm but never exceed it.  The margin of 1e6 over RANK_TOL covers
+# K <= DEFAULT_BASIS_CAP = 512 with a further factor of about 2000 for that
+# shortfall (in practice it stays below 10), so a design above this threshold
+# is one gelsy would also solve at full rank, by the same QR.
+QR_RCOND_MIN = 1e6 * RANK_TOL
 
 
 @dataclass(frozen=True)
@@ -87,16 +106,65 @@ def truncate(x, bound: float):
     return np.clip(np.asarray(x, dtype=float), -bound, bound)
 
 
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS bundled with numpy
+    (ILP64, symbols suffixed 64_) or scipy and loaded in this process; empty
+    when neither wheel bundles one.  Looked up on first use, not at import."""
+    controls = []
+    for module in (np, scipy):
+        libs = Path(module.__file__).resolve().parent.parent / f"{module.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
+            except OSError:
+                continue  # bundled but not loaded
+            for suffix in ("64_", ""):
+                get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get_threads is not None and set_threads is not None:
+                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    controls.append((get_threads, set_threads))
+                    break
+    return tuple(controls)
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread and give each
+    copy back its previous thread count on exit, also on an exception.
+
+    numpy and scipy each bundle an OpenBLAS with its own thread pool.  The
+    solver alternates between them on tall, narrow designs, where the two
+    pools mostly compete for the same cores; one thread each is faster and
+    gives the same results.  The count is process-wide, so solves running in
+    concurrent threads of one process would see each other's setting.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get_threads() for get_threads, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, previous):
+            set_threads(count)
+
+
 class DesignSolver:
-    """A design matrix prepared once and solved against several response sets.
+    """A design matrix factored once and solved against several response sets.
 
     Non-constant columns are shifted to zero mean (when an intercept column is
     present to absorb the shift) and scaled to unit RMS; the transform is
-    folded back into the returned coefficients.  Solves go through LAPACK's
-    column-pivoted QR least squares (gelsy) with rank threshold RANK_TOL
-    relative to the leading R diagonal entry, so rank-deficient systems get
-    the minimum-norm solution (in the scaled coordinates) and stacked
-    response columns share one factorization.
+    folded back into the returned coefficients.  The standardized design is
+    factored once, in place, by column-pivoted QR (geqp3).  When it has at
+    least as many rows as columns and R's condition estimate clears
+    QR_RCOND_MIN, each solve applies Q^T and back-substitutes with R.  Any
+    other design is solved by LAPACK's pivoted-QR least squares (gelsy) with
+    rank threshold RANK_TOL relative to the leading R diagonal entry, so
+    rank-deficient systems get the minimum-norm solution in the scaled
+    coordinates.  rank is known from construction on.
     """
 
     def __init__(self, features: np.ndarray):
@@ -105,8 +173,8 @@ class DesignSolver:
             raise ValueError("features must be a 2-d design matrix")
         if a.shape[0] == 0:
             raise EmptySample("regression needs at least one sample")
-        self.n_features = a.shape[1]
         m, k = a.shape
+        self.n_samples, self.n_features = m, k
         self.shift = np.zeros(k)
         self.intercept = None
         self._intercept_value = 1.0
@@ -125,8 +193,29 @@ class DesignSolver:
         self.scale = np.where(rms > 0, rms, 1.0)
         if self.intercept is not None:
             self.scale[self.intercept] = 1.0
-        self._a = centered / self.scale
-        self.rank: Optional[int] = None  # set by the first solve
+        # the one standardized copy, Fortran-ordered so geqp3 factors it in place
+        qr = np.divide(centered, self.scale, order="F")
+        del centered
+        self._qr = self._features = None
+        if m >= k:
+            lwork = int(lapack.dgeqp3(qr, lwork=-1, overwrite_a=True)[3][0])
+            qr, pivots, tau, _, _ = lapack.dgeqp3(qr, lwork=lwork, overwrite_a=True)
+            r = np.asfortranarray(qr[:k])
+            rcond, _ = lapack.dtrcon(r)
+            if rcond >= QR_RCOND_MIN:
+                self._qr, self._tau, self._r, self._order = qr, tau, r, pivots - 1
+                self.rank = k
+                return
+        # gelsy decides the rank; it standardizes the caller's features again
+        # for each solve, so that no second M x K copy is kept
+        self._features = a
+        self.rank = self._gelsy(np.zeros(m))[1]
+
+    def _gelsy(self, b: np.ndarray) -> tuple[np.ndarray, int]:
+        std = (self._features - self.shift) / self.scale
+        std_coef, _, rank, _ = scipy.linalg.lstsq(
+            std, b, cond=RANK_TOL, lapack_driver="gelsy", check_finite=False)
+        return std_coef, int(rank)
 
     def solve(self, responses: np.ndarray) -> np.ndarray:
         """Least-squares coefficients for one or more response columns."""
@@ -134,11 +223,21 @@ class DesignSolver:
         vector_input = b.ndim == 1
         if vector_input:
             b = b[:, None]
-        if b.shape[0] != self._a.shape[0]:
+        if b.shape[0] != self.n_samples:
             raise ValueError("responses and features disagree on sample count")
-        std_coef, _, rank, _ = scipy.linalg.lstsq(
-            self._a, b, cond=RANK_TOL, lapack_driver="gelsy", check_finite=False)
-        self.rank = int(rank)
+        if self._qr is None:
+            std_coef = self._gelsy(b)[0]
+        else:
+            # ormqr gets the workspace gelsy would leave it, which decides
+            # whether Q^T is applied in blocks
+            m, k = self._qr.shape
+            lwork = int(lapack.dgelsy_lwork(m, k, b.shape[1], RANK_TOL)[0]) - 2 * k
+            qtb, _, _ = lapack.dormqr("L", "T", self._qr, self._tau, b, lwork)
+            # trsm, as inside gelsy (trtrs takes another kernel for one column),
+            # and Fortran order, as gelsy returns it, so that shift @ coef
+            # below sums in the same order: the result is gelsy's, bit for bit
+            std_coef = np.empty((self.rank, b.shape[1]), order="F")
+            std_coef[self._order] = blas.dtrsm(1.0, self._r, qtb[:self.rank])
         coef = std_coef / self.scale[:, None]
         if self.intercept is not None:
             coef[self.intercept] -= (self.shift @ coef) / self._intercept_value

@@ -35,6 +35,7 @@ from .regression import (
     RegressionModel,
     build_basis,
     constant_model,
+    single_blas_thread,
     truncate,
 )
 from .schemes import MultistepScheme, milne_factor, scheme_to_dict, stable_preset
@@ -62,7 +63,6 @@ class SolverConfig:
     bootstrap_substeps: Optional[int] = None  # None -> auto
     allow_unstable: bool = False
     deterministic: bool = False
-    perturb_y: float = 0.0
     stability_tol: float = 1e-8
 
     def to_dict(self) -> dict:
@@ -237,8 +237,6 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
             s_corr = s_corr + alpha[j - 1] * (yj - control) + h * gamma[j - 1] * fj
             if j < m:
                 control = control + zdw_j
-        if config.perturb_y:
-            s_corr = s_corr + config.perturb_y
         _check_finite(s_corr, "corrector response", i)
 
         if point_mass:
@@ -276,7 +274,7 @@ def _bootstrap(problem: FbsdeProblem, config: SolverConfig, ensemble: PathEnsemb
     n_fine = len(times) - 1
     fine_y = [None] * n_fine + [y_models[N]]
     fine_z = [None] * n_fine + [z_models[N]]
-    trapezoid = replace(config, scheme=stable_preset(1), perturb_y=0.0)
+    trapezoid = replace(config, scheme=stable_preset(1))
     _backward(problem, trapezoid, times, h_f, fine_x, fine_dw, fine_y, fine_z)
     y_models[start:N] = fine_y[:-1:r]
     z_models[start:N] = fine_z[:-1:r]
@@ -304,10 +302,11 @@ def solve(problem: FbsdeProblem, config: SolverConfig,
     z_models: list = [None] * (N + 1)
     y_models[N] = _TerminalY(problem)
     z_models[N] = _TerminalZ(problem)
-    if m >= 2:
-        _bootstrap(problem, config, ensemble, y_models, z_models)
-    milne = _backward(problem, config, grid.times, grid.h, ensemble.X, ensemble.dW,
-                      y_models, z_models)
+    with single_blas_thread():
+        if m >= 2:
+            _bootstrap(problem, config, ensemble, y_models, z_models)
+        milne = _backward(problem, config, grid.times, grid.h, ensemble.X, ensemble.dW,
+                          y_models, z_models)
 
     x0 = ensemble.X[0:1, 0, :]
     y0 = float(np.asarray(y_models[0].predict(x0)).reshape(-1)[0])
@@ -389,13 +388,15 @@ def _ode_recursion(scheme: MultistepScheme, h: float, fval, y: np.ndarray,
 
 
 def deterministic_solve(problem: FbsdeProblem, config: SolverConfig,
-                        seed_levels: str = "auto") -> DeterministicSolution:
+                        seed_levels: str = "auto", *,
+                        _perturb_y: float = 0.0) -> DeterministicSolution:
     """Scalar scheme recursion for sigma = 0 problems (no regression).
 
     seed_levels picks how Y_{N-1}..Y_{N-m+1} are produced: "closed-form"
     (requires the problem's exact solution), "bootstrap" (the one-step
     trapezoidal recursion on a refined grid), or "auto" (closed form when
-    available).
+    available).  _perturb_y is added to every corrector of the main
+    recursion, for deterministic_perturbation_deviation.
     """
     _probe_deterministic(problem)
     scheme = config.scheme
@@ -431,7 +432,7 @@ def deterministic_solve(problem: FbsdeProblem, config: SolverConfig,
             y[start:N] = v[:-1:r]
 
     y_tilde, milne = _ode_recursion(scheme, h, _ode_driver(problem, times, xpath), y,
-                                    config.perturb_y)
+                                    _perturb_y)
     return DeterministicSolution(times=times, y=y, y_tilde=y_tilde, milne=milne,
                                  y0=float(y[0]), z0=np.zeros(problem.d), config=config)
 
@@ -475,7 +476,7 @@ def deterministic_perturbation_deviation(problem: FbsdeProblem, scheme: Multiste
     base = SolverConfig(scheme=scheme, grid=grid, deterministic=True,
                         allow_unstable=allow_unstable)
     clean = deterministic_solve(problem, base)
-    noisy = deterministic_solve(problem, replace(base, perturb_y=delta))
+    noisy = deterministic_solve(problem, base, _perturb_y=delta)
     return abs(noisy.y0 - clean.y0)
 
 

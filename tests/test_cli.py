@@ -259,13 +259,15 @@ class TestExitCodes:
         (["solve", "--problem", "exponential-ode", "--deterministic", "--family", "unstable",
           "--tol", "nan"], None, "--tol"),
         (["solve", "--problem", "constant", "--dim", "0"], None, "--dim"),
+        (["stability-demo", "--N", "4", "--M", "50"], None, "--N"),
     ], ids=["config-N", "config-unknown-key", "config-choice", "N", "M", "tau", "eta-example2",
             "coeffs-M", "convergence-tol", "solve-basis", "convergence-basis",
             "stability-demo-basis", "scheme-lengths", "scheme-missing-field",
             "scheme-not-json", "scheme-bad-coefficient", "config-not-utf8", "eta-nan",
             "tau-nan", "tau-inf", "T-inf", "solve-N-list", "solve-M-list",
             "stability-demo-M-list", "seed-negative", "seed-2^64", "config-seed-negative",
-            "tol-nan", "tol-negative", "tol-inf", "solve-unstable-tol-nan", "dim-0"])
+            "tol-nan", "tol-negative", "tol-inf", "solve-unstable-tol-nan", "dim-0",
+            "stability-demo-single-N"])
     def test_bad_flag_or_key_exits_2(self, tmp_path, capsys, monkeypatch,
                                      argv, file, named):
         def no_simulation(*args, **kwargs):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,10 +13,18 @@ from fbsde_pc import (
     BasisTooLarge,
     DimensionMismatch,
     EmptySample,
+    GridSpec,
     build_basis,
+    sample_ensemble,
     truncate,
 )
-from fbsde_pc.regression import DesignSolver, RegressionModel, constant_model
+from fbsde_pc.problems import example1
+from fbsde_pc.regression import (
+    RANK_TOL,
+    DesignSolver,
+    RegressionModel,
+    constant_model,
+)
 
 
 class TestBuildBasis:
@@ -206,3 +215,107 @@ class TestDesignSolver:
         model = constant_model(np.array([3.0, -9.0]), basis, bound=5.0)
         out = model.predict(np.ones((4, 2)))
         assert out[0].tolist() == [3.0, -5.0]
+
+    # -- factored once: the QR path and the gelsy fallback ------------------------
+
+    @staticmethod
+    def gelsy_reference(design, b):
+        """(coefficients, rank) of one gelsy call on the design standardized
+        by DesignSolver's shift and scale, the transform folded back: what
+        DesignSolver returned before it factored each design once.  b holds
+        one response per column."""
+        solver = DesignSolver(design)
+        std = (design - solver.shift) / solver.scale
+        std_coef, _, rank, _ = scipy.linalg.lstsq(
+            std, b, cond=RANK_TOL, lapack_driver="gelsy", check_finite=False)
+        coef = std_coef / solver.scale[:, None]
+        if solver.intercept is not None:
+            coef[solver.intercept] -= (solver.shift @ coef) / design[0, solver.intercept]
+        return coef, rank
+
+    @pytest.fixture
+    def gelsy_calls(self, monkeypatch):
+        calls = []
+        lstsq = scipy.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("lapack_driver"))
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lstsq", counting)
+        return calls
+
+    @staticmethod
+    def example1_design():
+        """Degree-6 design of example1's states at the middle of the acceptance
+        grid (d = 2, K = 28), standardized column by column."""
+        problem = example1(eta=0.6, tau=1.0 / math.sqrt(2.0), d=2)
+        grid = GridSpec(T=problem.T, N=20)
+        x = sample_ensemble(problem, grid, 3000, seed=5).X[:, 10, :]
+        design = build_basis(2, 6).design_matrix(x)
+        design[:, 1:] -= design[:, 1:].mean(axis=0)
+        design[:, 1:] /= np.sqrt(np.mean(design[:, 1:] ** 2, axis=0))
+        return design
+
+    @pytest.mark.parametrize("shape", [(60, 4), (500, 10), (2000, 28), "example1"],
+                             ids=["60x4", "500x10", "2000x28", "example1"])
+    def test_full_rank_design_matches_gelsy(self, gelsy_calls, shape):
+        rng = np.random.default_rng(31)
+        if shape == "example1":
+            design = self.example1_design()
+        else:
+            design = rng.standard_normal(shape)
+            design[:, 0] = 1.0
+        m, k = design.shape
+        b = rng.standard_normal((m, 3))
+        solver = DesignSolver(design)
+        assert solver.rank == k
+        coef = solver.solve(b)
+        assert gelsy_calls == []
+        want, _, rank, _ = scipy.linalg.lstsq(design, b, cond=RANK_TOL,
+                                              lapack_driver="gelsy")
+        assert rank == k
+        np.testing.assert_allclose(coef, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(solver.solve(b[:, 1]), want[:, 1], rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+        # same kernels as inside gelsy, so the same bits as the gelsy path
+        assert np.array_equal(coef, self.gelsy_reference(design, b)[0])
+
+    @staticmethod
+    def near_collinear_design():
+        """Two columns equal but for a 1e-11 relative perturbation: the
+        standardized design has condition number about 1e11."""
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((400, 4))
+        design = np.column_stack([np.ones(400), x[:, :3], x[:, 0] + 1e-11 * x[:, 3]])
+        std = design.copy()
+        std[:, 1:] = (std[:, 1:] - std[:, 1:].mean(axis=0)) / std[:, 1:].std(axis=0)
+        s = np.linalg.svd(std, compute_uv=False)
+        assert 1e10 < s[0] / s[-1] < 1e12
+        return design
+
+    @pytest.mark.parametrize("case", ["duplicated", "point-mass", "M<K", "cond-1e11"])
+    def test_degenerate_design_takes_gelsy_bit_for_bit(self, gelsy_calls, case):
+        rng = np.random.default_rng(43)
+        if case == "duplicated":
+            x = rng.standard_normal((80, 2))
+            design = np.column_stack([np.ones(80), x, x[:, 0]])
+        elif case == "point-mass":
+            design = build_basis(2, 2).design_matrix(np.full((50, 2), 0.3))
+        elif case == "M<K":
+            design = build_basis(2, 6).design_matrix(rng.standard_normal((20, 2)))
+        else:
+            design = self.near_collinear_design()
+        m, k = design.shape
+        solver = DesignSolver(design)
+        want_rank = self.gelsy_reference(design, np.zeros((m, 1)))[1]
+        assert want_rank < k
+        assert solver.rank == want_rank
+        b = rng.standard_normal((m, 3))
+        for given, columns in ((b, b), (b[:, 1], b[:, 1:2])):
+            gelsy_calls.clear()
+            coef = solver.solve(given)
+            assert gelsy_calls == ["gelsy"]
+            want, rank = self.gelsy_reference(design, columns)
+            assert rank == want_rank
+            assert np.array_equal(coef, want.reshape(coef.shape))

@@ -21,6 +21,8 @@ from fbsde_pc import (
     stable_preset,
     unstable_two_step,
 )
+from fbsde_pc import regression
+from fbsde_pc.exceptions import NonFiniteResponse
 from fbsde_pc.problems import constant_problem, example1, example2, exponential_ode
 from fbsde_pc.solver import (
     auto_substeps,
@@ -279,3 +281,61 @@ class TestStochasticSolver:
         assert set(doc["config"]) == {f.name for f in dataclasses.fields(SolverConfig)}
         assert doc["config"]["grid"] == {"T": 1.0, "N": 10}
         assert len(doc["milne"]) == 10 - 2 + 1
+
+
+class TestBlasThreads:
+    """solve runs with every loaded OpenBLAS on one thread and gives each copy
+    its thread count back."""
+
+    @pytest.fixture
+    def controls(self):
+        controls = regression._openblas_thread_controls()
+        if not controls:
+            pytest.skip("numpy and scipy link no bundled OpenBLAS here")
+        saved = [get_threads() for get_threads, _ in controls]
+        # 2 where the library allows it, so that 1 inside a solve differs
+        for _, set_threads in controls:
+            set_threads(2)
+        yield controls
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
+    @staticmethod
+    def counts(controls):
+        return [get_threads() for get_threads, _ in controls]
+
+    @staticmethod
+    def small_solve(problem):
+        grid = GridSpec(T=1.0, N=4)
+        ens = sample_ensemble(problem, grid, 300, seed=8)
+        return solve(problem, config_for(stable_preset(2), 4, basis_degree=2), ens)
+
+    def test_one_thread_inside_previous_counts_after(self, controls):
+        before = self.counts(controls)
+        seen = []
+        problem = example1()
+
+        def driver(t, x, y, z):
+            seen.append(self.counts(controls))
+            return problem.f(t, x, y, z)
+
+        self.small_solve(dataclasses.replace(problem, f=driver))
+        assert seen and all(inside == [1] * len(controls) for inside in seen)
+        assert self.counts(controls) == before
+
+    def test_previous_counts_after_a_failed_solve(self, controls):
+        before = self.counts(controls)
+
+        def driver(t, x, y, z):
+            return np.full(np.shape(y), np.nan)
+
+        with pytest.raises(NonFiniteResponse):
+            self.small_solve(dataclasses.replace(example1(), f=driver))
+        assert self.counts(controls) == before
+
+    def test_no_openblas_found_same_results(self, monkeypatch):
+        scoped = self.small_solve(example1())
+        monkeypatch.setattr(regression, "_openblas_thread_controls", lambda: ())
+        unscoped = self.small_solve(example1())
+        assert scoped.y0 == unscoped.y0
+        assert np.array_equal(scoped.z0, unscoped.z0)
