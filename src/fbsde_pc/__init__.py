@@ -77,9 +77,7 @@ from .simulation import (
     PathEnsemble,
     brownian_increments,
     euler_paths,
-    load_ensemble,
     sample_ensemble,
-    save_ensemble,
 )
 from .solver import (
     BackwardSolution,

@@ -39,6 +39,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
+# stability-demo's default N ladder: it needs at least two values
+STABILITY_DEMO_N = [10, 20, 40]
+
 # problem flags and the factory parameter each one sets
 _PROBLEM_PARAMS = {"eta": "eta", "tau": "tau", "dim": "d", "T": "T"}
 
@@ -241,23 +244,14 @@ def cmd_stability_demo(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fbsde-pc",
-        description="Multi-step predictor-corrector solver for decoupled FBSDEs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # parent parsers, one per flag group; each subcommand takes the groups it reads
-    scheme, run, unstable, tol, ladder = (
-        argparse.ArgumentParser(add_help=False) for _ in range(5))
-    scheme.add_argument("--config", help="key=value config file; flags override it")
-    scheme.add_argument("--steps", type=int, default=2, help="scheme step count m")
-    scheme.add_argument("--family", choices=("stable", "adams", "unstable"),
-                        default="stable", help="built-in scheme family")
-    scheme.add_argument("--scheme-file", "--scheme", dest="scheme_file",
-                        help="JSON scheme file; overrides --steps/--family")
-    scheme.add_argument("--out", help="output path (default stdout)")
+def _run_flags(n_default: list) -> argparse.ArgumentParser:
+    """The problem and run flag group, with --N defaulting to n_default.
 
+    Subcommands that share a group share its argument objects, whose defaults
+    a subparser cannot override alone; stability-demo, which compares errors
+    across N, therefore gets a group of its own.
+    """
+    run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--problem", choices=sorted(PROBLEM_REGISTRY),
                      default=next(iter(PROBLEM_REGISTRY)), help="default %(default)s")
     run.add_argument("--eta", type=float, help="problem parameter eta")
@@ -265,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="problem parameter tau; 'auto' means 1/sqrt(dim)")
     run.add_argument("--dim", type=_dim, help="problem dimension d")
     run.add_argument("--T", type=float, help="horizon")
-    run.add_argument("--N", type=_int_list, default=[20],
+    run.add_argument("--N", type=_int_list, default=n_default,
                      help="time steps (a comma list for convergence and stability-demo)")
     run.add_argument("--M", type=_int_list, default=[10000],
                      help="trajectories (a comma list for convergence)")
@@ -275,6 +269,25 @@ def build_parser() -> argparse.ArgumentParser:
     # takes true or false
     run.add_argument("--deterministic", type=_bool, nargs="?", const=True, default=False,
                      help="sigma = 0 recursion, no simulation")
+    return run
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fbsde-pc",
+        description="Multi-step predictor-corrector solver for decoupled FBSDEs",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    # parent parsers, one per flag group; each subcommand takes the groups it reads
+    scheme, unstable, tol, ladder = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4))
+    scheme.add_argument("--config", help="key=value config file; flags override it")
+    scheme.add_argument("--steps", type=int, default=2, help="scheme step count m")
+    scheme.add_argument("--family", choices=("stable", "adams", "unstable"),
+                        default="stable", help="built-in scheme family")
+    scheme.add_argument("--scheme-file", "--scheme", dest="scheme_file",
+                        help="JSON scheme file; overrides --steps/--family")
+    scheme.add_argument("--out", help="output path (default stdout)")
 
     unstable.add_argument("--allow-unstable", type=_bool, nargs="?", const=True,
                           default=False, help="run a scheme that fails the root condition")
@@ -284,13 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     ladder.add_argument("--paper-ladder", type=_bool, nargs="?", const=True, default=False,
                         help="use the published (N, M) pairs")
     ladder.add_argument("--format", choices=("csv", "json"))
+    run = _run_flags([20])
     for name, handler, help_text, parents in (
         ("coeffs", cmd_coeffs, "derive and print scheme coefficients", [scheme]),
         ("stability", cmd_stability, "root-condition verdict for a scheme", [scheme, tol]),
         ("solve", cmd_solve, "single backward solve", [scheme, run, unstable, tol]),
         ("convergence", cmd_convergence, "run an (N, M) ladder with batch CIs",
          [scheme, run, unstable, ladder]),
-        ("stability-demo", cmd_stability_demo, "errors vs N for a scheme", [scheme, run]),
+        ("stability-demo", cmd_stability_demo, "errors vs N for a scheme",
+         [scheme, _run_flags(STABILITY_DEMO_N)]),
     ):
         sub.add_parser(name, help=help_text, parents=parents).set_defaults(handler=handler)
     return parser

@@ -9,7 +9,7 @@ shape (M, d), y values (M,), z values (M, d).  sigma may return a constant
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,8 +24,9 @@ class FbsdeProblem:
 
     dX = b dt + sigma dW with X_0 = x0, and backward
     Y_t = phi(X_T) + int_t^T f(s, X_s, Y_s, Z_s) ds - int_t^T Z_s dW_s.
-    closed_form_y/z, when present, give the exact (Y, Z) as functions of (t, x)
-    and are used purely as test oracles.
+    grad_phi is the gradient of phi at the rows of x, (M, d) -> (M, d); it
+    gives the terminal Z.  closed_form_y/z, when present, give the exact
+    (Y, Z) as functions of (t, x) and are used purely as test oracles.
     """
 
     name: str
@@ -36,7 +37,7 @@ class FbsdeProblem:
     sigma: Callable
     f: Callable
     phi: Callable
-    grad_phi: Optional[Callable] = None
+    grad_phi: Callable
     y_bound: float = math.inf
     z_bound: float = math.inf
     closed_form_y: Optional[Callable] = None
@@ -58,30 +59,13 @@ class TerminalValues:
     z: np.ndarray  # (M, d)
 
 
-def finite_difference_gradient(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """Central differences with relative step 1e-6 * (1 + |x|), per coordinate."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for k in range(x.shape[1]):
-        step = 1e-6 * (1.0 + np.abs(x[:, k]))
-        hi = x.copy()
-        lo = x.copy()
-        hi[:, k] += step
-        lo[:, k] -= step
-        grad[:, k] = (fn(hi) - fn(lo)) / (2.0 * step)
-    return grad
-
-
 def terminal_values(problem: FbsdeProblem, x_terminal: np.ndarray) -> TerminalValues:
     """Evaluate the terminal rule at the given states (M, d)."""
     x = np.asarray(x_terminal, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
     y = np.asarray(problem.phi(x), dtype=float)
-    if problem.grad_phi is not None:
-        grad = np.asarray(problem.grad_phi(x), dtype=float)
-    else:
-        grad = finite_difference_gradient(problem.phi, x)
+    grad = np.asarray(problem.grad_phi(x), dtype=float)
     sig = np.asarray(problem.sigma(problem.T, x), dtype=float)
     if sig.ndim == 2:
         z = grad @ sig

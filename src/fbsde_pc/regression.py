@@ -178,24 +178,26 @@ class DesignSolver:
         self.shift = np.zeros(k)
         self.intercept = None
         self._intercept_value = 1.0
-        spread = a.max(axis=0) - a.min(axis=0) if m > 1 else np.zeros(k)
+        # the one standardized copy, Fortran-ordered so that every column
+        # statistic runs down contiguous memory and geqp3 factors it in place;
+        # np.array always copies, so the caller's design is never overwritten
+        qr = np.array(a, order="F")
+        spread = qr.max(axis=0) - qr.min(axis=0) if m > 1 else np.zeros(k)
         constant = spread == 0
         for j in range(k):
-            if constant[j] and a[0, j] != 0:
+            if constant[j] and qr[0, j] != 0:
                 self.intercept = j
-                self._intercept_value = a[0, j]
+                self._intercept_value = qr[0, j]
                 break
         # shifting is only well defined with an intercept column to absorb it
         if self.intercept is not None:
-            self.shift = np.where(constant, 0.0, a.mean(axis=0))
-        centered = a - self.shift
-        rms = np.sqrt(np.mean(centered**2, axis=0))
+            self.shift = np.where(constant, 0.0, qr.mean(axis=0))
+            qr -= self.shift
+        rms = np.sqrt(np.einsum("ij,ij->j", qr, qr) / m)
         self.scale = np.where(rms > 0, rms, 1.0)
         if self.intercept is not None:
             self.scale[self.intercept] = 1.0
-        # the one standardized copy, Fortran-ordered so geqp3 factors it in place
-        qr = np.divide(centered, self.scale, order="F")
-        del centered
+        qr /= self.scale
         self._qr = self._features = None
         if m >= k:
             lwork = int(lapack.dgeqp3(qr, lwork=-1, overwrite_a=True)[3][0])

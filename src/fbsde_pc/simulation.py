@@ -9,12 +9,16 @@ SC 2011), the bit generator behind numpy's ``Philox``: each block of four
 substream is computed at once on (rows, blocks) arrays.  Gaussians come from
 the inverse normal CDF applied to strictly-interior uniforms, keeping the
 stream layout transparent.
+
+Increments and states keep their trajectory-first shapes, (M, N, d) and
+(M, N+1, d), but are stored level-major: each is a transposed view of a
+C-ordered (N, M, d) or (N+1, M, d) buffer, so the (M, d) slice at one time
+level, which every Euler step and backward level reads, is contiguous.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,10 +41,6 @@ _U64 = 2**64
 _LO32 = np.uint64(0xFFFFFFFF)
 # counter blocks per chunk: eight uint64 scratch arrays of 128 KiB stay in cache
 _CHUNK_BLOCKS = 2**14
-
-_HEADER = struct.Struct("<8sHHIQdQ")
-_MAGIC = b"FBSDEENS"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,14 @@ def substream_normals(seed: int, n_trajectories: int, per_trajectory: int,
     return out
 
 
+def _level_major(M: int, n: int, d: int) -> np.ndarray:
+    """An uninitialized (M, n, d) array whose (M, d) level slices are contiguous."""
+    return np.empty((n, M, d)).transpose(1, 0, 2)
+
+
 def brownian_increments(grid: GridSpec, d: int, M: int, seed: int) -> np.ndarray:
-    """(M, N, d) increments W_{t_{i+1}} - W_{t_i}, each coordinate N(0, h).
+    """(M, N, d) increments W_{t_{i+1}} - W_{t_i}, each coordinate N(0, h),
+    stored level-major.
 
     Deterministic in (grid, d, M, seed); the first k trajectories agree with a
     fresh call at M = k.
@@ -170,12 +176,21 @@ def brownian_increments(grid: GridSpec, d: int, M: int, seed: int) -> np.ndarray
         raise AllocationTooLarge(
             f"{n_elements} elements exceed the budget of {DEFAULT_MAX_ELEMENTS}")
     z = substream_normals(seed, M, grid.N * d, MAIN_STREAM)
-    return z.reshape(M, grid.N, d) * np.sqrt(grid.h)
+    dW = _level_major(M, grid.N, d)
+    np.multiply(z.reshape(M, grid.N, d), np.sqrt(grid.h), out=dW)
+    return dW
 
 
 @dataclass
 class PathEnsemble:
-    """Simulated increments plus the forward Euler states that consumed them."""
+    """Simulated increments plus the forward Euler states that consumed them.
+
+    Storage order: sample_ensemble and euler_paths build dW (M, N, d) and
+    X (M, N+1, d) as transposed views of C-ordered (N, M, d) and (N+1, M, d)
+    buffers, so dW[:, i, :] and X[:, i, :] are C-contiguous.  An ensemble
+    holding the same values in any other layout solves to the same values,
+    only more slowly.
+    """
 
     grid: GridSpec
     d: int
@@ -198,9 +213,10 @@ def _apply_sigma(sigma_val: np.ndarray, dw: np.ndarray) -> np.ndarray:
 def euler_states(problem, times: np.ndarray, h: float, dW: np.ndarray,
                  start) -> np.ndarray:
     """Forward Euler X_{i+1} = X_i + h b(t_i, X_i) + sigma(t_i, X_i) dW_i from
-    the start state(s) at times[0]: (M, n, d) increments -> (M, n+1, d) states."""
+    the start state(s) at times[0]: (M, n, d) increments -> (M, n+1, d) states,
+    stored level-major."""
     M, n, d = dW.shape
-    X = np.empty((M, n + 1, d))
+    X = _level_major(M, n + 1, d)
     X[:, 0, :] = start
     for i in range(n):
         xi = X[:, i, :]
@@ -237,8 +253,9 @@ def sample_ensemble(problem, grid: GridSpec, M: int, seed: int) -> PathEnsemble:
 
 def refine_increments(ensemble: PathEnsemble, first_step: int, substeps: int) -> np.ndarray:
     """Brownian-bridge refinement of coarse steps first_step..N-1 into substeps
-    pieces each: (M, (N - first_step) * substeps, d) fine increments whose
-    per-coarse-step sums reproduce the stored increments exactly.
+    pieces each: (M, (N - first_step) * substeps, d) fine increments, stored
+    level-major, whose per-coarse-step sums reproduce the stored increments
+    exactly.
     """
     r = int(substeps)
     if r < 1:
@@ -249,48 +266,14 @@ def refine_increments(ensemble: PathEnsemble, first_step: int, substeps: int) ->
     coarse = ensemble.dW[:, first_step:, :]  # (M, k, d)
     M, k, d = coarse.shape
     if r == 1:
-        return coarse.copy()
+        fine = _level_major(M, k, d)
+        fine[...] = coarse
+        return fine
     h_fine = ensemble.grid.h / r
-    z = substream_normals(ensemble.seed, M, k * r * d, BRIDGE_STREAM)
-    g = z.reshape(M, k, r, d) * np.sqrt(h_fine)
+    g = substream_normals(ensemble.seed, M, k * r * d, BRIDGE_STREAM).reshape(M, k, r, d)
+    g *= np.sqrt(h_fine)
     # condition the free draws on the known coarse sum
     correction = (g.sum(axis=2) - coarse) / r
-    fine = g - correction[:, :, None, :]
-    return fine.reshape(M, k * r, d)
-
-
-def save_ensemble(path, ensemble: PathEnsemble) -> None:
-    """Flat binary dump: 40-byte header, then dW and X as little-endian f64."""
-    header = _HEADER.pack(
-        _MAGIC, _VERSION, ensemble.d, ensemble.grid.N,
-        ensemble.M, ensemble.grid.T, ensemble.seed,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(ensemble.dW, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ensemble.X, dtype="<f8").tobytes())
-
-
-def load_ensemble(path) -> PathEnsemble:
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        payload = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValidationError(
-            f"ensemble file holds {len(raw)} bytes, less than its {_HEADER.size}-byte header")
-    magic, version, d, N, M, T, seed = _HEADER.unpack(raw)
-    if magic != _MAGIC:
-        raise ValidationError("not an ensemble file (bad magic)")
-    if version != _VERSION:
-        raise ValidationError(f"unsupported ensemble file version {version}")
-    n_dw, n_x = M * N * d, M * (N + 1) * d
-    expected = 8 * (n_dw + n_x)
-    if len(payload) != expected:
-        raise ValidationError(
-            f"ensemble payload holds {len(payload)} bytes; the header "
-            f"(M={M}, N={N}, d={d}) needs {expected}")
-    grid = GridSpec(T=T, N=N)
-    values = np.frombuffer(payload, dtype="<f8").astype(float)
-    return PathEnsemble(grid=grid, d=d, M=M, seed=seed,
-                        dW=values[:n_dw].reshape(M, N, d),
-                        X=values[n_dw:].reshape(M, N + 1, d))
+    fine = np.empty((k, r, M, d))
+    np.subtract(g.transpose(1, 2, 0, 3), correction.transpose(1, 0, 2)[:, None], out=fine)
+    return fine.reshape(k * r, M, d).transpose(1, 0, 2)

@@ -7,7 +7,7 @@ import pytest
 
 from fbsde_pc import SolverConfig, adams_pair, closed_form_reference, stable_preset
 from fbsde_pc import cli, experiments
-from fbsde_pc.cli import main, read_config
+from fbsde_pc.cli import build_parser, main, read_config
 from fbsde_pc.problems import PROBLEM_REGISTRY
 from fbsde_pc.schemes import save_scheme, scheme_to_dict, unstable_two_step
 
@@ -155,6 +155,17 @@ class TestStabilityDemo:
         doc = json.loads(out)
         assert doc["classification"] == "irregular"
         assert len(doc["rows"]) == 3
+
+    def test_default_N_list_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "stability-demo", "--problem", "exponential-ode", "--deterministic")
+        assert code == 0
+        assert [row["N"] for row in json.loads(out)["rows"]] == [10, 20, 40]
+
+    def test_default_N_leaves_solve_default(self):
+        parser = build_parser()
+        assert parser.parse_args(["stability-demo"]).N == [10, 20, 40]
+        assert parser.parse_args(["solve"]).N == [20]
 
 
 class TestConfigFile:

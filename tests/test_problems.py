@@ -141,15 +141,6 @@ class TestTerminalValues:
         for k in range(2):
             assert tv.z[:, k] == pytest.approx(want, rel=1e-12)
 
-    def test_finite_difference_gradient_fallback(self):
-        problem = example1(eta=0.6, tau=0.5, d=2)
-        import dataclasses
-        no_grad = dataclasses.replace(problem, grad_phi=None)
-        x = np.random.default_rng(5).standard_normal((30, 2))
-        exact = terminal_values(problem, x)
-        approx = terminal_values(no_grad, x)
-        assert approx.z == pytest.approx(exact.z, abs=1e-7)
-
 
 class TestClosedFormReference:
     def test_missing_closed_form(self):
@@ -159,6 +150,7 @@ class TestClosedFormReference:
             sigma=lambda t, x: np.eye(1),
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             phi=lambda x: np.zeros(x.shape[0]),
+            grad_phi=lambda x: np.zeros_like(x),
         )
         with pytest.raises(NoClosedForm):
             closed_form_reference(problem, 0.0, problem.x0)

@@ -216,6 +216,24 @@ class TestDesignSolver:
         out = model.predict(np.ones((4, 2)))
         assert out[0].tolist() == [3.0, -5.0]
 
+    @pytest.mark.parametrize("shape", [(300, 6), (20, 28)], ids=["qr", "gelsy"])
+    def test_caller_design_never_overwritten(self, shape):
+        # the standardized copy is factored in place; a Fortran-ordered
+        # design must not be aliased by it
+        rng = np.random.default_rng(17)
+        m, k = shape
+        c_design = build_basis(2, 6).design_matrix(rng.standard_normal((m, 2)))[:, :k]
+        f_design = np.asfortranarray(c_design)
+        b = rng.standard_normal((m, 2))
+        coefs = []
+        for design in (c_design, f_design):
+            before = design.tobytes(order="A")
+            solver = DesignSolver(design)
+            assert design.tobytes(order="A") == before
+            coefs.append(solver.solve(b))
+            assert design.tobytes(order="A") == before
+        assert np.array_equal(coefs[0], coefs[1])
+
     # -- factored once: the QR path and the gelsy fallback ------------------------
 
     @staticmethod

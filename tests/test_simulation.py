@@ -1,5 +1,7 @@
 """Brownian ensembles: determinism, substream independence, statistics,
-Euler paths, bridge refinement and the binary dump format."""
+Euler paths, bridge refinement and the level-major storage order."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,9 +18,7 @@ from fbsde_pc import (
     ValidationError,
     brownian_increments,
     euler_paths,
-    load_ensemble,
     sample_ensemble,
-    save_ensemble,
 )
 from fbsde_pc.problems import FbsdeProblem, constant_problem, example2
 from fbsde_pc.simulation import (
@@ -107,6 +107,7 @@ class TestEulerPaths:
             sigma=lambda t, x: np.zeros((2, 2)),
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             phi=lambda x: np.zeros(x.shape[0]),
+            grad_phi=lambda x: np.zeros_like(x),
         )
         grid = GridSpec(T=1.0, N=4)
         dw = brownian_increments(grid, 2, 8, seed=0)
@@ -135,6 +136,7 @@ class TestEulerPaths:
             sigma=lambda t, x: np.zeros((1, 1)),
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             phi=lambda x: np.zeros(x.shape[0]),
+            grad_phi=lambda x: np.zeros_like(x),
         )
         grid = GridSpec(T=1.0, N=4)
         dw = brownian_increments(grid, 1, 4, seed=0)
@@ -176,45 +178,51 @@ class TestBridgeRefinement:
         assert np.array_equal(refine_increments(ens, 1, 5), refine_increments(ens, 1, 5))
 
 
-class TestDumpLoad:
-    def test_roundtrip(self, tmp_path):
-        problem = brownian_problem()
-        grid = GridSpec(T=0.5, N=6)
-        ens = sample_ensemble(problem, grid, 25, seed=77)
-        path = tmp_path / "ens.bin"
-        save_ensemble(path, ens)
-        again = load_ensemble(path)
-        assert again.grid == ens.grid
-        assert again.d == ens.d and again.M == ens.M and again.seed == ens.seed
-        assert np.array_equal(again.dW, ens.dW)
-        assert np.array_equal(again.X, ens.X)
+def _levels_contiguous(arr):
+    return all(arr[:, i, :].flags.c_contiguous for i in range(arr.shape[1]))
 
-    def test_header_layout(self, tmp_path):
-        problem = brownian_problem()
-        grid = GridSpec(T=0.5, N=6)
-        ens = sample_ensemble(problem, grid, 3, seed=8)
-        path = tmp_path / "ens.bin"
-        save_ensemble(path, ens)
-        raw = path.read_bytes()
-        assert raw[:8] == b"FBSDEENS"
-        assert len(raw) == 40 + 8 * (ens.dW.size + ens.X.size)
 
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
-            load_ensemble(path)
+class TestLevelMajorStorage:
+    """Ensembles keep their (M, levels, d) shapes but store each level
+    contiguously; the values are those of the trajectory-major arrays."""
 
-    def test_truncated_payload_rejected(self, tmp_path):
-        problem = brownian_problem()
-        ens = sample_ensemble(problem, GridSpec(T=0.5, N=6), 5, seed=8)
-        path = tmp_path / "ens.bin"
-        save_ensemble(path, ens)
-        full = path.read_bytes()
-        path.write_bytes(full[:-12])
-        expected = 8 * (ens.dW.size + ens.X.size)
-        with pytest.raises(ValidationError, match=f"{expected - 12} bytes.*needs {expected}"):
-            load_ensemble(path)
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_ensemble_levels_contiguous_and_equal_to_reference(self, d):
+        grid = GridSpec(T=0.8, N=6)
+        ens = sample_ensemble(brownian_problem(d), grid, 37, seed=11)
+        assert ens.dW.shape == (37, 6, d) and ens.X.shape == (37, 7, d)
+        assert _levels_contiguous(ens.dW) and _levels_contiguous(ens.X)
+        z = substream_normals(11, 37, 6 * d, MAIN_STREAM)
+        assert np.array_equal(ens.dW, z.reshape(37, 6, d) * np.sqrt(grid.h))
+        assert np.array_equal(ens.X[:, 1:, :], np.cumsum(ens.dW, axis=1) + ens.X[:, :1, :])
+
+    def test_euler_paths_value_independent_of_increment_layout(self):
+        problem = example2()
+        grid = GridSpec(T=1.0, N=5)
+        dw = brownian_increments(grid, 1, 29, seed=6)
+        native = euler_paths(problem, grid, dw)
+        trajectory_major = euler_paths(problem, grid, np.ascontiguousarray(dw))
+        assert _levels_contiguous(trajectory_major.X)
+        assert np.array_equal(native.X, trajectory_major.X)
+
+    @pytest.mark.parametrize("r", [1, 5])
+    def test_fine_levels_contiguous_and_equal_to_reference(self, r):
+        grid = GridSpec(T=1.0, N=6)
+        ens = sample_ensemble(brownian_problem(2), grid, 23, seed=12)
+        fine = refine_increments(ens, first_step=3, substeps=r)
+        assert fine.shape == (23, 3 * r, 2)
+        assert _levels_contiguous(fine)
+        coarse = ens.dW[:, 3:, :]
+        if r == 1:
+            want = coarse
+        else:
+            z = substream_normals(12, 23, 3 * r * 2, BRIDGE_STREAM)
+            g = z.reshape(23, 3, r, 2) * np.sqrt(grid.h / r)
+            correction = (g.sum(axis=2) - coarse) / r
+            want = (g - correction[:, :, None, :]).reshape(23, 3 * r, 2)
+        assert np.array_equal(fine, want)
+        trajectory_major = dataclasses.replace(ens, dW=np.ascontiguousarray(ens.dW))
+        assert np.array_equal(refine_increments(trajectory_major, 3, r), fine)
 
 
 def _substream(seed, trajectory, stream):

@@ -263,6 +263,20 @@ class TestStochasticSolver:
             assert b[N - 1].coefficients == pytest.approx(a[N - 1].coefficients,
                                                           rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_storage_layout_changes_speed_only(self, m):
+        # the same values stored trajectory-major solve to the same bits
+        problem = example1(eta=0.6, d=2)
+        N = 6
+        ens = sample_ensemble(problem, GridSpec(T=1.0, N=N), 1500, seed=8)
+        trajectory_major = dataclasses.replace(
+            ens, X=np.ascontiguousarray(ens.X), dW=np.ascontiguousarray(ens.dW))
+        assert not trajectory_major.X[:, 1, :].flags.c_contiguous
+        cfg = config_for(stable_preset(m), N, basis_degree=3)
+        native, other = solve(problem, cfg, ens), solve(problem, cfg, trajectory_major)
+        assert native.y0.hex() == other.y0.hex()
+        assert [v.hex() for v in native.z0] == [v.hex() for v in other.z0]
+
     def test_mismatched_grid_rejected(self):
         problem = example1()
         ens = sample_ensemble(problem, GridSpec(T=1.0, N=6), 100, seed=0)
