@@ -31,7 +31,7 @@ from .experiments import (
 from .problems import PROBLEM_REGISTRY
 from .regression import build_basis
 from .schemes import load_scheme, preset_scheme, scheme_to_json
-from .simulation import GridSpec, sample_ensemble
+from .simulation import DEFAULT_MAX_ELEMENTS, GridSpec, sample_ensemble
 from .solver import SolverConfig, result_to_dict, solve
 from .stability import scheme_verdict, verdict_to_dict
 
@@ -72,7 +72,9 @@ def _checked(kind, accept, expected):
 
 # seeds key the Philox substreams, whose key words are unsigned 64-bit
 _seed = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
-_dim = _checked(int, lambda v: v >= 1, "an integer >= 1")
+# every simulated array holds M * N * d elements within the allocation budget
+_dim = _checked(int, lambda v: 1 <= v <= DEFAULT_MAX_ELEMENTS,
+                f"an integer in [1, {DEFAULT_MAX_ELEMENTS}]")
 _tol = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 

@@ -84,6 +84,13 @@ def pairwise_rates(Ns: Sequence[float], errors: Sequence[float]) -> list[float]:
     return out
 
 
+def _check_increasing(Ns: Sequence[int]) -> None:
+    """Errors are compared across consecutive N, so each must exceed the one
+    before it: a repeated N compares a run with itself."""
+    if any(n2 <= n1 for n1, n2 in zip(Ns, Ns[1:])):
+        raise ValidationError(f"--N values must be strictly increasing, got {list(Ns)}")
+
+
 # -- single trials ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -142,6 +149,7 @@ class TrialLadder:
         # every (N, M) row shares the problem's horizon by construction
         if self.batches < 2:
             raise TooFewBatches("a ladder needs at least two batches")
+        _check_increasing([N for N, _ in self.pairs])
 
 
 @dataclass
@@ -256,6 +264,7 @@ def stability_demo(problem: FbsdeProblem, scheme: MultistepScheme,
         raise ValidationError(
             f"stability demo compares errors across N: needs at least two --N values, "
             f"got {list(Ns)}")
+    _check_increasing(Ns)
     errors = []
     order = max(scheme.corrector.order(), 1)
     for N in Ns:

@@ -25,19 +25,21 @@ from .exceptions import BasisTooLarge, DimensionMismatch, EmptySample, Validatio
 
 DEFAULT_BASIS_CAP = 512
 RANK_TOL = 1e-10
-# Smallest 1-norm reciprocal condition estimate of R for which a design is
-# solved from its own pivoted QR instead of by gelsy.  gelsy counts a design
-# as full rank when, for every leading block R_i of R, its incremental
-# condition estimate smin/smax exceeds RANK_TOL.  That estimate's smin is
-# attained by a unit vector, so it is >= sigma_min(R_i) >= sigma_min(R), and
-# its smax is <= sigma_max(R_i) <= sigma_max(R); the ratio is therefore at
-# least 1/cond_2(R).  On the other side cond_2(R) <= K cond_1(R), and dtrcon's
-# estimate of ||R^-1||_1 is attained by a vector, so it can fall short of the
-# true norm but never exceed it.  The margin of 1e6 over RANK_TOL covers
-# K <= DEFAULT_BASIS_CAP = 512 with a further factor of about 2000 for that
-# shortfall (in practice it stays below 10), so a design above this threshold
-# is one gelsy would also solve at full rank, by the same QR.
-QR_RCOND_MIN = 1e6 * RANK_TOL
+# Smallest 1-norm reciprocal condition estimate of the Cholesky factor R of a
+# standardized design's Gram matrix A^T A for which the design is solved from
+# the normal equations instead of by gelsy.  R^T R = A^T A, so cond_2(R) =
+# cond_2(A) <= K cond_1(R); dtrcon's estimate of ||R^-1||_1 is attained by a
+# vector, so it can fall short of the true norm (in practice by less than 10)
+# but never exceed it.  Above the threshold cond_2(A) is thus below about
+# 1e4 K.  gelsy's incremental condition estimate of every leading block of its
+# R is at least 1/cond_2(A), far above RANK_TOL for K <= DEFAULT_BASIS_CAP, so
+# gelsy would find full rank too and the minimum-norm rule never applies.
+# Forming A^T A squares the condition number (Higham, Accuracy and Stability
+# of Numerical Algorithms, ch. 20): the coefficients differ from gelsy's by a
+# relative error of order eps cond_2(A)^2, about 1e-10 for cond_2(A) near 1e3
+# at the threshold and 1e-13 on the acceptance-size designs (K = 28,
+# cond_2(A) about 20, factor estimate above 4e-3).
+CHOLESKY_RCOND_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -54,14 +56,19 @@ class PolynomialBasis:
         return len(self.exponents)
 
     def design_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate every monomial at the rows of x: (M, d) -> (M, K)."""
+        """Evaluate every monomial at the rows of x: (M, d) -> (M, K).
+
+        The design is Fortran-ordered: each monomial's column is contiguous,
+        as the column statistics and BLAS calls of DesignSolver read it.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
         if x.shape[1] != self.d:
             raise DimensionMismatch(
                 f"basis has dimension {self.d}, points have {x.shape[1]}")
-        out = np.ones((x.shape[0], self.size))
+        # one contiguous row per monomial, transposed on return
+        out = np.ones((self.size, x.shape[0]))
         # cache integer powers per coordinate; degrees are tiny
         powers = [None] * self.d
         maxdeg = [max(e[k] for e in self.exponents) for k in range(self.d)]
@@ -71,11 +78,11 @@ class PolynomialBasis:
                 cols.append(cols[-1] * x[:, k])
             powers[k] = cols
         for j, expo in enumerate(self.exponents):
-            col = out[:, j]
+            row = out[j]
             for k, e in enumerate(expo):
                 if e:
-                    col *= powers[k][e]
-        return out
+                    row *= powers[k][e]
+        return out.T
 
 
 def build_basis(d: int, degree: int) -> PolynomialBasis:
@@ -157,14 +164,15 @@ class DesignSolver:
 
     Non-constant columns are shifted to zero mean (when an intercept column is
     present to absorb the shift) and scaled to unit RMS; the transform is
-    folded back into the returned coefficients.  The standardized design is
-    factored once, in place, by column-pivoted QR (geqp3).  When it has at
-    least as many rows as columns and R's condition estimate clears
-    QR_RCOND_MIN, each solve applies Q^T and back-substitutes with R.  Any
-    other design is solved by LAPACK's pivoted-QR least squares (gelsy) with
-    rank threshold RANK_TOL relative to the leading R diagonal entry, so
-    rank-deficient systems get the minimum-norm solution in the scaled
-    coordinates.  rank is known from construction on.
+    folded back into the returned coefficients.  The standardized design A
+    has its Gram matrix A^T A formed and Cholesky-factored once.  When A has
+    at least as many rows as columns, the factorization succeeds and its
+    condition estimate clears CHOLESKY_RCOND_MIN, each solve is A^T b and two
+    triangular solves with the factor.  Any other design is solved by
+    LAPACK's pivoted-QR least squares (gelsy) with rank threshold RANK_TOL
+    relative to the leading R diagonal entry, so rank-deficient systems get
+    the minimum-norm solution in the scaled coordinates.  rank is known from
+    construction on.
     """
 
     def __init__(self, features: np.ndarray):
@@ -179,33 +187,31 @@ class DesignSolver:
         self.intercept = None
         self._intercept_value = 1.0
         # the one standardized copy, Fortran-ordered so that every column
-        # statistic runs down contiguous memory and geqp3 factors it in place;
+        # statistic runs down contiguous memory and BLAS reads it untransposed;
         # np.array always copies, so the caller's design is never overwritten
-        qr = np.array(a, order="F")
-        spread = qr.max(axis=0) - qr.min(axis=0) if m > 1 else np.zeros(k)
+        std = np.array(a, order="F")
+        spread = std.max(axis=0) - std.min(axis=0) if m > 1 else np.zeros(k)
         constant = spread == 0
         for j in range(k):
-            if constant[j] and qr[0, j] != 0:
+            if constant[j] and std[0, j] != 0:
                 self.intercept = j
-                self._intercept_value = qr[0, j]
+                self._intercept_value = std[0, j]
                 break
         # shifting is only well defined with an intercept column to absorb it
         if self.intercept is not None:
-            self.shift = np.where(constant, 0.0, qr.mean(axis=0))
-            qr -= self.shift
-        rms = np.sqrt(np.einsum("ij,ij->j", qr, qr) / m)
+            self.shift = np.where(constant, 0.0, std.mean(axis=0))
+            std -= self.shift
+        rms = np.sqrt(np.einsum("ij,ij->j", std, std) / m)
         self.scale = np.where(rms > 0, rms, 1.0)
         if self.intercept is not None:
             self.scale[self.intercept] = 1.0
-        qr /= self.scale
-        self._qr = self._features = None
+        std /= self.scale
+        self._std = self._cholesky = self._features = None
         if m >= k:
-            lwork = int(lapack.dgeqp3(qr, lwork=-1, overwrite_a=True)[3][0])
-            qr, pivots, tau, _, _ = lapack.dgeqp3(qr, lwork=lwork, overwrite_a=True)
-            r = np.asfortranarray(qr[:k])
-            rcond, _ = lapack.dtrcon(r)
-            if rcond >= QR_RCOND_MIN:
-                self._qr, self._tau, self._r, self._order = qr, tau, r, pivots - 1
+            # upper triangles of A^T A and of its factor R, R^T R = A^T A
+            cholesky, info = lapack.dpotrf(blas.dsyrk(1.0, std, trans=1), overwrite_a=True)
+            if info == 0 and lapack.dtrcon(cholesky)[0] >= CHOLESKY_RCOND_MIN:
+                self._std, self._cholesky = std, cholesky
                 self.rank = k
                 return
         # gelsy decides the rank; it standardizes the caller's features again
@@ -227,19 +233,11 @@ class DesignSolver:
             b = b[:, None]
         if b.shape[0] != self.n_samples:
             raise ValueError("responses and features disagree on sample count")
-        if self._qr is None:
+        if self._cholesky is None:
             std_coef = self._gelsy(b)[0]
         else:
-            # ormqr gets the workspace gelsy would leave it, which decides
-            # whether Q^T is applied in blocks
-            m, k = self._qr.shape
-            lwork = int(lapack.dgelsy_lwork(m, k, b.shape[1], RANK_TOL)[0]) - 2 * k
-            qtb, _, _ = lapack.dormqr("L", "T", self._qr, self._tau, b, lwork)
-            # trsm, as inside gelsy (trtrs takes another kernel for one column),
-            # and Fortran order, as gelsy returns it, so that shift @ coef
-            # below sums in the same order: the result is gelsy's, bit for bit
-            std_coef = np.empty((self.rank, b.shape[1]), order="F")
-            std_coef[self._order] = blas.dtrsm(1.0, self._r, qtb[:self.rank])
+            std_coef, _ = lapack.dpotrs(
+                self._cholesky, blas.dgemm(1.0, self._std, b, trans_a=True), overwrite_b=True)
         coef = std_coef / self.scale[:, None]
         if self.intercept is not None:
             coef[self.intercept] -= (self.shift @ coef) / self._intercept_value

@@ -1,9 +1,17 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fbsde_pc import SolverConfig, adams_pair, closed_form_reference, stable_preset
 from fbsde_pc import cli, experiments
@@ -271,6 +279,9 @@ class TestExitCodes:
           "--tol", "nan"], None, "--tol"),
         (["solve", "--problem", "constant", "--dim", "0"], None, "--dim"),
         (["stability-demo", "--N", "4", "--M", "50"], None, "--N"),
+        (["convergence", "--N", "4,4", "--M", "50,50", "--batches", "2"], None, "--N"),
+        (["stability-demo", "--N", "10,10", "--M", "50"], None, "--N"),
+        (["stability-demo", "--N", "20,10", "--M", "50"], None, "--N"),
     ], ids=["config-N", "config-unknown-key", "config-choice", "N", "M", "tau", "eta-example2",
             "coeffs-M", "convergence-tol", "solve-basis", "convergence-basis",
             "stability-demo-basis", "scheme-lengths", "scheme-missing-field",
@@ -278,7 +289,8 @@ class TestExitCodes:
             "tau-nan", "tau-inf", "T-inf", "solve-N-list", "solve-M-list",
             "stability-demo-M-list", "seed-negative", "seed-2^64", "config-seed-negative",
             "tol-nan", "tol-negative", "tol-inf", "solve-unstable-tol-nan", "dim-0",
-            "stability-demo-single-N"])
+            "stability-demo-single-N", "convergence-repeated-N", "stability-demo-repeated-N",
+            "stability-demo-decreasing-N"])
     def test_bad_flag_or_key_exits_2(self, tmp_path, capsys, monkeypatch,
                                      argv, file, named):
         def no_simulation(*args, **kwargs):
@@ -297,3 +309,96 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.count("error:") == 1
         assert named.format(file=path) in err
+
+
+# -- generative contract ---------------------------------------------------------
+
+EDGE_TOKENS = ("0", "-1", "1", "nan", "inf", "-inf", "1e308", "", "abc", "4,8", "1,2,3",
+               str(2**64), "9" * 30)
+# --N, --M and --batches come from small pools and always from the command
+# line, which overrides a config file, so that no draw runs a large solve
+CAPPED = {
+    "--N": ("4", "8", "4,8", "2,4,8", "4,4", "8,4", "0", "-1", "", "abc"),
+    "--M": ("20", "50", "20,50", "0", "-1", "", "abc"),
+    "--batches": ("2", "3", "1", "abc"),
+}
+
+
+def _flag_pools() -> dict:
+    """{subcommand: {flag: (dest, tokens)}} for every long flag build_parser()
+    gives each subcommand: the key a config file uses for it, and the edge
+    tokens plus the flag's choices and scalar default."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    pools = {}
+    for name, sub in subparsers.choices.items():
+        flags = {}
+        for action in sub._actions:
+            if not action.option_strings or action.dest == "help":
+                continue
+            flag = action.option_strings[0]
+            valid = tuple(action.choices or ())
+            if isinstance(action.default, (int, float, str)):
+                valid += (str(action.default),)
+            tokens = CAPPED.get(flag, EDGE_TOKENS + valid)
+            if action.dest == "paper_ladder":
+                # the published ladder is a full-size run; keep it off
+                tokens = tuple(t for t in tokens if t != "1")
+            flags[flag] = (action.dest, tokens)
+        pools[name] = flags
+    return pools
+
+
+POOLS = _flag_pools()
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv, config lines): a subcommand with drawn flag values, plus drawn
+    config entries (or none)."""
+    name = draw(st.sampled_from(sorted(POOLS)))
+    flags = POOLS[name]
+    argv = [name] + [f"{flag}={draw(st.sampled_from(flags[flag][1]))}"
+                     for flag in CAPPED if flag in flags]
+    free = sorted(set(flags) - set(CAPPED) - {"--config"})
+    for flag in draw(st.lists(st.sampled_from(free), unique=True, max_size=3)):
+        argv.append(f"{flag}={draw(st.sampled_from(flags[flag][1]))}")
+    keys = st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=2)
+    config = [f"{flags[flag][0]} = {draw(st.sampled_from(flags[flag][1]))}"
+              for flag in draw(st.one_of(st.just([]), keys))]
+    return argv, config
+
+
+class TestContract:
+    # edge values such as 1e308 overflow on the way to a numerical failure
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cli_cases())
+    @example((["convergence", "--N=4,4", "--M=50,50", "--batches=2"], []))
+    @example((["stability-demo", "--N=10,10", "--M=50"], []))
+    @example((["stability-demo", "--N=20,10", "--M=50"], []))
+    @example((["solve", "--N=4", "--M=20"], [f"dim = {2**64}"]))
+    def test_exit_code_and_output(self, case):
+        argv, config = case
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            # --out and --scheme-file values are relative paths
+            os.chdir(tmp)
+            try:
+                if config:
+                    Path("run.cfg").write_text("\n".join(config) + "\n", encoding="utf-8")
+                    argv = [*argv, "--config=run.cfg"]
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse rejected the command line
+                        code = exc.code
+            finally:
+                os.chdir(cwd)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3), (argv, config, err)
+        assert "Traceback" not in out + err
+        if code == 2:
+            assert out == ""
+            assert err.count("error:") == 1, err

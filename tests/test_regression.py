@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from fbsde_pc import (
 )
 from fbsde_pc.problems import example1
 from fbsde_pc.regression import (
+    CHOLESKY_RCOND_MIN,
     RANK_TOL,
     DesignSolver,
     RegressionModel,
@@ -49,6 +51,27 @@ class TestBuildBasis:
         x = np.array([[2.0, 3.0]])
         row = basis.design_matrix(x)[0]
         assert row.tolist() == [1.0, 2.0, 3.0, 4.0, 6.0, 9.0]
+
+    def test_design_matrix_is_fortran_ordered(self):
+        basis = build_basis(2, 4)
+        x = np.random.default_rng(7).standard_normal((50, 2))
+        design = basis.design_matrix(x)
+        assert design.shape == (50, basis.size)
+        assert design.flags.f_contiguous
+        # each column multiplied out in the order design_matrix uses
+        want = np.empty((50, basis.size))
+        for j, expo in enumerate(basis.exponents):
+            col = np.ones(50)
+            for k, e in enumerate(expo):
+                power = np.ones(50)
+                for _ in range(e):
+                    power = power * x[:, k]
+                col = col * power
+            want[:, j] = col
+        assert np.array_equal(design, want)
+        coef = np.random.default_rng(8).standard_normal((basis.size, 2))
+        model = RegressionModel(coef, basis, 1.0)
+        assert np.array_equal(model.predict(x), np.clip(design @ coef, -1.0, 1.0))
 
     def test_design_matrix_dimension_check(self):
         basis = build_basis(2, 2)
@@ -216,9 +239,9 @@ class TestDesignSolver:
         out = model.predict(np.ones((4, 2)))
         assert out[0].tolist() == [3.0, -5.0]
 
-    @pytest.mark.parametrize("shape", [(300, 6), (20, 28)], ids=["qr", "gelsy"])
+    @pytest.mark.parametrize("shape", [(300, 6), (20, 28)], ids=["cholesky", "gelsy"])
     def test_caller_design_never_overwritten(self, shape):
-        # the standardized copy is factored in place; a Fortran-ordered
+        # the standardized copy is scaled in place; a Fortran-ordered
         # design must not be aliased by it
         rng = np.random.default_rng(17)
         m, k = shape
@@ -234,7 +257,7 @@ class TestDesignSolver:
             assert design.tobytes(order="A") == before
         assert np.array_equal(coefs[0], coefs[1])
 
-    # -- factored once: the QR path and the gelsy fallback ------------------------
+    # -- factored once: the Cholesky path and the gelsy fallback ------------------
 
     @staticmethod
     def gelsy_reference(design, b):
@@ -264,13 +287,17 @@ class TestDesignSolver:
         return calls
 
     @staticmethod
-    def example1_design():
-        """Degree-6 design of example1's states at the middle of the acceptance
-        grid (d = 2, K = 28), standardized column by column."""
+    def example1_states():
+        """example1's states at the middle of the acceptance grid (d = 2)."""
         problem = example1(eta=0.6, tau=1.0 / math.sqrt(2.0), d=2)
         grid = GridSpec(T=problem.T, N=20)
-        x = sample_ensemble(problem, grid, 3000, seed=5).X[:, 10, :]
-        design = build_basis(2, 6).design_matrix(x)
+        return sample_ensemble(problem, grid, 3000, seed=5).X[:, 10, :]
+
+    @classmethod
+    def example1_design(cls):
+        """Degree-6 design (K = 28) of example1_states, standardized column by
+        column."""
+        design = build_basis(2, 6).design_matrix(cls.example1_states())
         design[:, 1:] -= design[:, 1:].mean(axis=0)
         design[:, 1:] /= np.sqrt(np.mean(design[:, 1:] ** 2, axis=0))
         return design
@@ -296,8 +323,31 @@ class TestDesignSolver:
         np.testing.assert_allclose(coef, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         np.testing.assert_allclose(solver.solve(b[:, 1]), want[:, 1], rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
-        # same kernels as inside gelsy, so the same bits as the gelsy path
-        assert np.array_equal(coef, self.gelsy_reference(design, b)[0])
+
+    @pytest.mark.parametrize("shift, cholesky", [(0.80, True), (0.82, False)],
+                             ids=["just-above", "just-below"])
+    def test_rcond_threshold_decides_path(self, gelsy_calls, shift, cholesky):
+        # moving example1's states off the origin makes the monomials more
+        # collinear; these shifts put the Cholesky factor's condition
+        # estimate within 5 % either side of CHOLESKY_RCOND_MIN
+        design = build_basis(2, 6).design_matrix(self.example1_states() + shift)
+        m, k = design.shape
+        b = np.random.default_rng(47).standard_normal((m, 3))
+        solver = DesignSolver(design)
+        coef = solver.solve(b)
+        assert gelsy_calls == ([] if cholesky else ["gelsy", "gelsy"])
+        assert solver.rank == k
+        std = (design - solver.shift) / solver.scale
+        ratio = lapack.dtrcon(np.linalg.cholesky(std.T @ std).T)[0] / CHOLESKY_RCOND_MIN
+        assert (1.0 < ratio < 1.05) if cholesky else (0.95 < ratio < 1.0)
+        want, rank = self.gelsy_reference(design, b)
+        assert rank == k
+        if cholesky:
+            # the normal equations lose accuracy as cond_2(A)^2
+            bound = k * np.finfo(float).eps * np.linalg.cond(std) ** 2
+            np.testing.assert_allclose(coef, want, rtol=0, atol=bound * np.abs(want).max())
+        else:
+            assert np.array_equal(coef, want)
 
     @staticmethod
     def near_collinear_design():
