@@ -6,28 +6,7 @@ Monte Carlo), problems (benchmark definitions), solver (the backward pass),
 experiments (convergence/stability harness), cli (command line).
 """
 
-from .exceptions import (
-    AllocationTooLarge,
-    BasisTooLarge,
-    DegenerateIndicator,
-    DimensionMismatch,
-    EmptySample,
-    FbsdeError,
-    NoClosedForm,
-    NonConvergence,
-    NonFiniteResponse,
-    NonFiniteState,
-    NonPositiveError,
-    NotDeterministic,
-    NumericalError,
-    OverdeterminedSystem,
-    SingularSystem,
-    TooFewBatches,
-    UnderdeterminedSystem,
-    UnstableScheme,
-    UnsupportedOrder,
-    ValidationError,
-)
+from .exceptions import DegenerateIndicator, FbsdeError, NumericalError, ValidationError
 from .experiments import (
     ConvergenceReport,
     TrialLadder,
@@ -62,7 +41,6 @@ from .schemes import (
     derivative_weights,
     load_scheme,
     milne_factor,
-    save_scheme,
     scheme_from_json,
     scheme_to_json,
     solve_order_conditions,

@@ -6,7 +6,8 @@ batch CIs), stability-demo (error-vs-N classification).  Each subcommand takes
 only the flags it reads.  A key=value config file can preload any of them:
 its keys are that subcommand's flag names and its values are parsed by the
 flags themselves, ahead of the command line, so explicit flags win.  Exit
-codes: 0 success, 2 validation error, 3 numerical failure.
+codes: 0 success, 2 validation error, 3 numerical failure.  JSON output is
+strict: a non-finite number bound for it is a numerical failure.
 """
 
 from __future__ import annotations
@@ -168,6 +169,10 @@ def _emit_text(text: str, out) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(doc, out) -> None:
+    _emit_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", out)
+
+
 def cmd_coeffs(args) -> int:
     _emit_text(scheme_to_json(_build_scheme(args)) + "\n", args.out)
     return EXIT_OK
@@ -175,7 +180,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_stability(args) -> int:
     verdict = scheme_verdict(_build_scheme(args), tol=args.tol)
-    _emit_text(json.dumps(verdict_to_dict(verdict), indent=2) + "\n", args.out)
+    _emit_json(verdict_to_dict(verdict), args.out)
     return EXIT_OK
 
 
@@ -195,7 +200,7 @@ def cmd_solve(args) -> int:
         ensemble = sample_ensemble(problem, config.grid, M, args.seed)
         solution = solve(problem, config, ensemble)
     runtime = time.perf_counter() - start
-    _emit_text(json.dumps(result_to_dict(solution, runtime), indent=2) + "\n", args.out)
+    _emit_json(result_to_dict(solution, runtime), args.out)
     return EXIT_OK
 
 
@@ -224,7 +229,7 @@ def cmd_convergence(args) -> int:
         written = emit_report(report, args.out, formats=formats)
         sys.stdout.write("".join(f"wrote {p}\n" for p in written))
     elif args.format == "json":
-        sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        _emit_json(report.to_dict(), None)
     else:
         sys.stdout.write(report_csv(report))
     return EXIT_OK
@@ -242,7 +247,7 @@ def cmd_stability_demo(args) -> int:
         "rows": [{"N": n, "err_y": e} for n, e in zip(result.Ns, result.errors)],
         "classification": result.classification,
     }
-    _emit_text(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit_json(doc, args.out)
     return EXIT_OK
 
 
@@ -322,7 +327,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    except NumericalError as exc:
+    except (NumericalError, ValueError) as exc:  # ValueError: NaN or inf bound for JSON
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except OSError as exc:

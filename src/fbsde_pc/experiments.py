@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import betaincinv
 
-from .exceptions import NonPositiveError, TooFewBatches, ValidationError
+from .exceptions import ValidationError
 from .problems import FbsdeProblem, closed_form_reference
 from .schemes import MultistepScheme
 from .simulation import GridSpec, sample_ensemble
@@ -53,7 +53,7 @@ def batch_ci(batch_errors: Sequence[float], level: float = CI_LEVEL):
     len-1 degrees of freedom and the unbiased variance."""
     errors = np.asarray(batch_errors, dtype=float)
     if errors.size < 2:
-        raise TooFewBatches("confidence interval needs at least two batches")
+        raise ValidationError("confidence interval needs at least two batches")
     if not 0.0 < level < 1.0:
         raise ValidationError("confidence level must be in (0, 1)")
     mean = float(errors.mean())
@@ -69,7 +69,7 @@ def convergence_rate(Ns: Sequence[float], errors: Sequence[float]) -> float:
     if Ns.size != errors.size or Ns.size < 2:
         raise ValidationError("need at least two (N, error) points")
     if np.any(errors <= 0.0):
-        raise NonPositiveError("errors must be strictly positive to fit a rate")
+        raise ValidationError("errors must be strictly positive to fit a rate")
     slope = np.polyfit(np.log2(Ns), np.log2(errors), 1)[0]
     return float(-slope)
 
@@ -79,7 +79,7 @@ def pairwise_rates(Ns: Sequence[float], errors: Sequence[float]) -> list[float]:
     out = []
     for (n1, e1), (n2, e2) in zip(zip(Ns, errors), zip(Ns[1:], errors[1:])):
         if e1 <= 0 or e2 <= 0:
-            raise NonPositiveError("errors must be strictly positive")
+            raise ValidationError("errors must be strictly positive")
         out.append(float(math.log2(e1 / e2) / math.log2(n2 / n1)))
     return out
 
@@ -148,7 +148,7 @@ class TrialLadder:
     def __post_init__(self):
         # every (N, M) row shares the problem's horizon by construction
         if self.batches < 2:
-            raise TooFewBatches("a ladder needs at least two batches")
+            raise ValidationError("a ladder needs at least two batches")
         _check_increasing([N for N, _ in self.pairs])
 
 
@@ -216,7 +216,7 @@ def run_ladder(ladder: TrialLadder) -> ConvergenceReport:
             runtime += trial.runtime_sec
         mean_y, lo_y, hi_y = batch_ci(batch_y)
         mean_z, lo_z, hi_z = batch_ci(batch_z)
-        rows.append(LadderRow(N=N, M=M, err_y=mean_y, ci_y=(lo_y, hi_y),
+        rows.append(LadderRow(N=int(N), M=int(M), err_y=mean_y, ci_y=(lo_y, hi_y),
                               err_z=mean_z, ci_z=(lo_z, hi_z), runtime_sec=runtime))
         errs_y.append(mean_y)
         errs_z.append(mean_z)
@@ -292,12 +292,8 @@ def report_csv(report: ConvergenceReport, include_runtime: bool = True) -> str:
     cols = CSV_COLUMNS if include_runtime else CSV_COLUMNS[:-1]
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
-    for r in report.rows:
-        row = [r.N, r.M, repr(r.err_y), repr(r.ci_y[0]), repr(r.ci_y[1]),
-               repr(r.err_z), repr(r.ci_z[0]), repr(r.ci_z[1])]
-        if include_runtime:
-            row.append(repr(r.runtime_sec))
-        writer.writerow(row)
+    for row in report.to_dict(include_runtime)["rows"]:
+        writer.writerow([repr(row[c]) for c in cols])
     if report.rate_y is not None:
         buf.write(f"# rate_y={report.rate_y!r}\n")
     if report.rate_z is not None:
@@ -330,7 +326,7 @@ def emit_report(report: ConvergenceReport, basepath, formats: Sequence[str] = ("
     if "json" in formats:
         path = base.with_suffix(".json")
         path.write_text(json.dumps(report.to_dict(include_runtime=include_runtime),
-                                   indent=2) + "\n", encoding="utf-8")
+                                   indent=2, allow_nan=False) + "\n", encoding="utf-8")
         written.append(path)
     for which in ("y", "z"):
         path = base.parent / (base.stem + f"_{which}.dat")

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit
 
-from .exceptions import NoClosedForm, ValidationError
+from .exceptions import ValidationError
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,9 @@ def terminal_values(problem: FbsdeProblem, x_terminal: np.ndarray) -> TerminalVa
 
 
 def closed_form_reference(problem: FbsdeProblem, t: float, x: np.ndarray):
-    """(Y, Z) of the closed-form solution at one state; raises NoClosedForm."""
+    """(Y, Z) of the closed-form solution at one state; raises ValidationError without one."""
     if not problem.has_closed_form:
-        raise NoClosedForm(f"problem {problem.name!r} has no closed-form solution")
+        raise ValidationError(f"problem {problem.name!r} has no closed-form solution")
     x = np.asarray(x, dtype=float).reshape(1, problem.d)
     y = float(np.asarray(problem.closed_form_y(t, x)).reshape(-1)[0])
     z = np.asarray(problem.closed_form_z(t, x), dtype=float).reshape(problem.d)

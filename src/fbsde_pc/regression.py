@@ -21,7 +21,7 @@ import scipy
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
-from .exceptions import BasisTooLarge, DimensionMismatch, EmptySample, ValidationError
+from .exceptions import ValidationError
 
 DEFAULT_BASIS_CAP = 512
 RANK_TOL = 1e-10
@@ -65,7 +65,7 @@ class PolynomialBasis:
         if x.ndim == 1:
             x = x[None, :]
         if x.shape[1] != self.d:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"basis has dimension {self.d}, points have {x.shape[1]}")
         # one contiguous row per monomial, transposed on return
         out = np.ones((self.size, x.shape[0]))
@@ -88,12 +88,12 @@ class PolynomialBasis:
 def build_basis(d: int, degree: int) -> PolynomialBasis:
     """Enumerate the C(d + degree, degree) monomials of total degree <= degree."""
     if d < 1:
-        raise DimensionMismatch("need d >= 1")
+        raise ValidationError("need d >= 1")
     if degree < 0:
         raise ValidationError("degree must be >= 0")
     size = math.comb(d + degree, degree)
     if size > DEFAULT_BASIS_CAP:
-        raise BasisTooLarge(f"basis would have {size} functions (cap {DEFAULT_BASIS_CAP})")
+        raise ValidationError(f"basis would have {size} functions (cap {DEFAULT_BASIS_CAP})")
     exponents = []
     for total in range(degree + 1):
         for combo in itertools.combinations_with_replacement(range(d), total):
@@ -180,7 +180,7 @@ class DesignSolver:
         if a.ndim != 2:
             raise ValueError("features must be a 2-d design matrix")
         if a.shape[0] == 0:
-            raise EmptySample("regression needs at least one sample")
+            raise ValidationError("regression needs at least one sample")
         m, k = a.shape
         self.n_samples, self.n_features = m, k
         self.shift = np.zeros(k)

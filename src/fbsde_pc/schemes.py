@@ -20,14 +20,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence, Union
 
-from .exceptions import (
-    DegenerateIndicator,
-    OverdeterminedSystem,
-    SingularSystem,
-    UnderdeterminedSystem,
-    UnsupportedOrder,
-    ValidationError,
-)
+from .exceptions import DegenerateIndicator, ValidationError
 
 NumberLike = Union[int, str, float, Fraction]
 
@@ -40,9 +33,7 @@ def as_fraction(value: NumberLike) -> Fraction:
     """Coerce to an exact Fraction (floats via their binary expansion)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
@@ -151,6 +142,19 @@ def _weights_of(coeffs) -> tuple[tuple[Fraction, ...], Fraction, tuple[Fraction,
     raise TypeError(f"expected corrector or predictor coefficients, got {type(coeffs)!r}")
 
 
+def _alpha_row_coeff(j: int, l: int) -> Fraction:
+    return -Fraction(l**j) / factorial(j)
+
+
+def _gamma_row_coeff(j: int, l: int) -> Fraction:
+    # l = 0 encodes gamma0, which only enters C_1
+    if l == 0:
+        return Fraction(1) if j == 1 else Fraction(0)
+    if j == 0:
+        return Fraction(0)
+    return Fraction(l ** (j - 1)) / factorial(j - 1)
+
+
 def truncation_residuals(coeffs, up_to: int) -> list[Fraction]:
     """Evaluate the truncation coefficients C_0..C_{up_to} exactly.
 
@@ -161,18 +165,10 @@ def truncation_residuals(coeffs, up_to: int) -> list[Fraction]:
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
     alpha, gamma0, gamma = _weights_of(coeffs)
-    m = len(alpha)
-    out = []
-    for j in range(up_to + 1):
-        if j == 0:
-            c = Fraction(1) - sum(alpha)
-        else:
-            c = -sum(Fraction(l**j) * alpha[l - 1] for l in range(1, m + 1)) / factorial(j)
-            c += sum(Fraction(l ** (j - 1)) * gamma[l - 1] for l in range(1, m + 1)) / factorial(j - 1)
-            if j == 1:
-                c += gamma0
-        out.append(c)
-    return out
+    return [Fraction(j == 0)
+            + sum(_alpha_row_coeff(j, l) * a for l, a in enumerate(alpha, 1))
+            + sum(_gamma_row_coeff(j, l) * g for l, g in enumerate((gamma0, *gamma)))
+            for j in range(up_to + 1)]
 
 
 def _formal_order(coeffs, max_order: Optional[int] = None) -> int:
@@ -198,9 +194,9 @@ def error_constant(coeffs) -> Fraction:
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Gaussian elimination with partial pivoting over exact rationals.
 
-    Raises OverdeterminedSystem on an inconsistent system, and
-    Underdetermined/SingularSystem when unknowns remain free (classified by
-    whether enough equations touched the unknowns at all).
+    Raises ValidationError on an inconsistent (overdetermined) system, and
+    when unknowns remain free: underdetermined when too few equations touch
+    them at all, singular otherwise.
     """
     n_unknowns = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
@@ -228,16 +224,14 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
             break
     for r in range(row_at, len(aug)):
         if all(c == 0 for c in aug[r][:-1]) and aug[r][-1] != 0:
-            raise OverdeterminedSystem(
-                "pinned values are inconsistent with the order conditions"
-            )
+            raise ValidationError(
+                "overdetermined: pinned values are inconsistent with the order conditions")
     if len(pivots) < n_unknowns:
         if touched < n_unknowns:
-            raise UnderdeterminedSystem(
-                f"{n_unknowns} unknowns but only {touched} conditions involve them; "
-                "pin more values"
-            )
-        raise SingularSystem("pins make the order-condition system rank-deficient")
+            raise ValidationError(
+                f"underdetermined: {n_unknowns} unknowns but only {touched} conditions "
+                "involve them; pin more values")
+        raise ValidationError("singular: pins make the order-condition system rank-deficient")
     solution = [Fraction(0)] * n_unknowns
     for r, col in enumerate(pivots):
         solution[col] = aug[r][-1]
@@ -251,19 +245,6 @@ def _normalize_pins(values, m: int, label: str) -> list[Optional[Fraction]]:
     if len(values) != m:
         raise ValueError(f"{label} must have length {m}, got {len(values)}")
     return [None if v is None else as_fraction(v) for v in values]
-
-
-def _alpha_row_coeff(j: int, l: int) -> Fraction:
-    return -Fraction(l**j) / factorial(j)
-
-
-def _gamma_row_coeff(j: int, l: int) -> Fraction:
-    # l = 0 encodes gamma0, which only enters C_1
-    if l == 0:
-        return Fraction(1) if j == 1 else Fraction(0)
-    if j == 0:
-        return Fraction(0)
-    return Fraction(l ** (j - 1)) / factorial(j - 1)
 
 
 def _solve_conditions(m, alpha_pins, gamma0_pin, gamma_pins, with_gamma0):
@@ -320,7 +301,7 @@ def solve_order_conditions(
     supplied to make the solution unique; pinned values are kept exactly.
     """
     if m < 1:
-        raise UnsupportedOrder("step count must be >= 1")
+        raise ValidationError("step count must be >= 1")
     a, g0, g = _solve_conditions(
         m,
         _normalize_pins(alpha, m, "alpha"),
@@ -339,7 +320,7 @@ def solve_predictor_conditions(
 ) -> PredictorCoefficients:
     """Same as solve_order_conditions with the current-driver weight absent."""
     if m < 1:
-        raise UnsupportedOrder("step count must be >= 1")
+        raise ValidationError("step count must be >= 1")
     a, _, g = _solve_conditions(
         m,
         _normalize_pins(alpha_tilde, m, "alpha_tilde"),
@@ -359,9 +340,9 @@ def derivative_weights(m: int) -> DerivativeWeights:
     derivative estimate of order m.
     """
     if m < 1:
-        raise UnsupportedOrder("need m >= 1")
+        raise ValidationError("need m >= 1")
     if m > MAX_STEP_COUNT:
-        raise UnsupportedOrder(f"derivative weights unsupported past m = {MAX_STEP_COUNT}")
+        raise ValidationError(f"derivative weights unsupported past m = {MAX_STEP_COUNT}")
     rows = [[Fraction(n**j) for n in range(m + 1)] for j in range(m + 1)]
     rhs = [Fraction(1) if j == 1 else Fraction(0) for j in range(m + 1)]
     return DerivativeWeights(lambda_h=tuple(_solve_exact(rows, rhs)))
@@ -403,7 +384,7 @@ def adams_pair(order: int) -> MultistepScheme:
     nodes i..i+order-1 plus the predicted value at i.
     """
     if not 1 <= order <= 6:
-        raise UnsupportedOrder("Adams pairs are provided for orders 1..6")
+        raise ValidationError("Adams pairs are provided for orders 1..6")
     nearest = (Fraction(1),) + (Fraction(0),) * (order - 1)
     predictor = solve_predictor_conditions(order, alpha_tilde=nearest)
     gamma_pins: list[Optional[Fraction]] = [None] * order
@@ -431,7 +412,7 @@ def stable_preset(m: int) -> MultistepScheme:
     by the gamma0 values above.
     """
     if m not in _UNIFORM_GAMMA0:
-        raise UnsupportedOrder("uniform presets cover m = 1..4")
+        raise ValidationError("uniform presets cover m = 1..4")
     uniform = (Fraction(1, m),) * m
     predictor = solve_predictor_conditions(m, alpha_tilde=uniform)
     corrector = solve_order_conditions(m, alpha=uniform, gamma0=_UNIFORM_GAMMA0[m])
@@ -467,11 +448,11 @@ def preset_scheme(family: str, m: int) -> MultistepScheme:
             return unstable_two_step()
         if m == 3:
             return unstable_three_step()
-        raise UnsupportedOrder("unstable presets exist for m = 2 and m = 3")
+        raise ValidationError("unstable presets exist for m = 2 and m = 3")
     try:
         return _FAMILIES[family](m)
     except KeyError:
-        raise UnsupportedOrder(f"unknown scheme family {family!r}") from None
+        raise ValidationError(f"unknown scheme family {family!r}") from None
 
 
 # -- JSON interchange ---------------------------------------------------------
@@ -531,7 +512,7 @@ def scheme_from_dict(data: dict) -> MultistepScheme:
 
 
 def scheme_to_json(scheme: MultistepScheme, indent: int = 2) -> str:
-    return json.dumps(scheme_to_dict(scheme), indent=indent)
+    return json.dumps(scheme_to_dict(scheme), indent=indent, allow_nan=False)
 
 
 def scheme_from_json(text: str) -> MultistepScheme:
@@ -549,8 +530,3 @@ def load_scheme(path) -> MultistepScheme:
             return scheme_from_json(fh.read())
     except ValueError as exc:  # ValidationError, or UnicodeDecodeError on non-UTF-8 bytes
         raise ValidationError(f"{path}: {exc}") from None
-
-
-def save_scheme(scheme: MultistepScheme, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scheme_to_json(scheme) + "\n")

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .exceptions import AllocationTooLarge, NonFiniteState, ValidationError
+from .exceptions import NumericalError, ValidationError
 
 # trajectory substream tags; packed into the high bits of the Philox key word
 MAIN_STREAM = 0
@@ -173,7 +173,7 @@ def brownian_increments(grid: GridSpec, d: int, M: int, seed: int) -> np.ndarray
         raise ValidationError("need M >= 1 and d >= 1")
     n_elements = M * grid.N * d
     if n_elements > DEFAULT_MAX_ELEMENTS:
-        raise AllocationTooLarge(
+        raise ValidationError(
             f"{n_elements} elements exceed the budget of {DEFAULT_MAX_ELEMENTS}")
     z = substream_normals(seed, M, grid.N * d, MAIN_STREAM)
     dW = _level_major(M, grid.N, d)
@@ -199,10 +199,6 @@ class PathEnsemble:
     dW: np.ndarray  # (M, N, d)
     X: np.ndarray   # (M, N+1, d)
 
-    @property
-    def x0(self) -> np.ndarray:
-        return self.X[0, 0].copy()
-
 
 def _apply_sigma(sigma_val: np.ndarray, dw: np.ndarray) -> np.ndarray:
     if sigma_val.ndim == 2:
@@ -225,7 +221,7 @@ def euler_states(problem, times: np.ndarray, h: float, dW: np.ndarray,
         nxt = xi + h * drift + _apply_sigma(diffusion, dW[:, i, :])
         if not np.all(np.isfinite(nxt)):
             bad = np.argwhere(~np.isfinite(nxt))[0]
-            raise NonFiniteState(
+            raise NumericalError(
                 f"non-finite state at trajectory {bad[0]}, step {i + 1}")
         X[:, i + 1, :] = nxt
     return X

@@ -22,13 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateIndicator,
-    NonFiniteResponse,
-    NotDeterministic,
-    UnstableScheme,
-    ValidationError,
-)
+from .exceptions import DegenerateIndicator, NumericalError, ValidationError
 from .problems import FbsdeProblem, closed_form_reference, terminal_values
 from .regression import (
     DesignSolver,
@@ -126,15 +120,16 @@ def _require_stable(scheme: MultistepScheme, allow_unstable: bool, tol: float) -
         return
     verdict = scheme_verdict(scheme, tol=tol)
     if not verdict.is_stable:
-        raise UnstableScheme(
-            f"scheme {scheme.name or scheme.m}-step has verdict {verdict.status!r} "
-            f"(offending roots {verdict.offending}); pass allow_unstable to override"
+        raise ValidationError(
+            f"root condition: scheme {scheme.name or scheme.m}-step has verdict "
+            f"{verdict.status!r} (offending roots {verdict.offending}); "
+            "pass allow_unstable to override"
         )
 
 
 def _check_finite(arr: np.ndarray, what: str, step: int) -> None:
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteResponse(f"non-finite {what} at step {step}")
+        raise NumericalError(f"non-finite {what} at step {step}")
 
 
 def _milne_scale(scheme: MultistepScheme) -> float:
@@ -324,13 +319,15 @@ def _probe_deterministic(problem: FbsdeProblem) -> None:
         for shift in (0.0, 1.0):
             sig = np.asarray(problem.sigma(t, x + shift), dtype=float)
             if np.any(sig != 0.0):
-                raise NotDeterministic("sigma is not identically zero")
+                raise ValidationError(
+                    "deterministic solve needs sigma = 0, but sigma is not identically zero")
     y = np.array([0.7])
     for t in (0.0, problem.T / 2.0):
         f0 = np.asarray(problem.f(t, x, y, np.zeros((1, problem.d))))
         f1 = np.asarray(problem.f(t, x, y, np.ones((1, problem.d))))
         if not np.allclose(f0, f1, rtol=0.0, atol=0.0):
-            raise NotDeterministic("driver depends on z")
+            raise ValidationError(
+                "deterministic solve needs a driver free of z, but the driver depends on z")
 
 
 def _ode_path(problem: FbsdeProblem, times: np.ndarray, h: float, x_start) -> np.ndarray:
@@ -433,6 +430,8 @@ def deterministic_solve(problem: FbsdeProblem, config: SolverConfig,
 
     y_tilde, milne = _ode_recursion(scheme, h, _ode_driver(problem, times, xpath), y,
                                     _perturb_y)
+    if not math.isfinite(y[0]):
+        raise NumericalError(f"non-finite y0 ({y[0]}) from the sigma = 0 recursion")
     return DeterministicSolution(times=times, y=y, y_tilde=y_tilde, milne=milne,
                                  y0=float(y[0]), z0=np.zeros(problem.d), config=config)
 
@@ -481,11 +480,13 @@ def deterministic_perturbation_deviation(problem: FbsdeProblem, scheme: Multiste
 
 
 def result_to_dict(solution, runtime_sec: Optional[float] = None) -> dict:
-    """Result document for the CLI: estimates, indicators and the config."""
+    """Result document for the CLI: estimates, indicators and the config.
+    The Milne indicators are null when the scheme leaves them undefined."""
+    undefined = math.isnan(_milne_scale(solution.config.scheme))
     out = {
         "y0": solution.y0,
         "z0": np.asarray(solution.z0, dtype=float).tolist(),
-        "milne": np.asarray(solution.milne, dtype=float).tolist(),
+        "milne": None if undefined else np.asarray(solution.milne, dtype=float).tolist(),
         "config": solution.config.to_dict(),
     }
     if runtime_sec is not None:

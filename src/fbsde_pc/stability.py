@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import NonConvergence, ValidationError
+from .exceptions import NumericalError, ValidationError
 from .schemes import CorrectorCoefficients, MultistepScheme
 
 STABLE = "stable"
@@ -74,19 +74,17 @@ def polynomial_roots(poly: CharacteristicPolynomial) -> list[complex]:
     """All roots via companion-matrix eigenvalues plus one Newton polish each.
 
     Each returned root r satisfies |P(r)| <= 1e-9 * max|coeff|; anything
-    worse raises NonConvergence.
+    worse raises NumericalError.
     """
     coeffs = np.asarray(poly.coeffs, dtype=float)
     n = poly.degree
-    if n == 1:
-        return [complex(-coeffs[1])]
     companion = np.zeros((n, n))
     companion[0, :] = -coeffs[1:]
     companion[np.arange(1, n), np.arange(0, n - 1)] = 1.0
     try:
         roots = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
+        raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
     deriv = np.polyder(coeffs)
     p = np.polyval(coeffs, roots)
     dp = np.polyval(deriv, roots)
@@ -95,7 +93,7 @@ def polynomial_roots(poly: CharacteristicPolynomial) -> list[complex]:
     residual = np.abs(np.polyval(coeffs, roots))
     bound = 1e-9 * np.max(np.abs(coeffs))
     if np.any(residual > bound):
-        raise NonConvergence(
+        raise NumericalError(
             f"root residual {residual.max():.3e} above {bound:.3e}; "
             f"partial roots: {roots.tolist()}"
         )

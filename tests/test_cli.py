@@ -17,7 +17,7 @@ from fbsde_pc import SolverConfig, adams_pair, closed_form_reference, stable_pre
 from fbsde_pc import cli, experiments
 from fbsde_pc.cli import build_parser, main, read_config
 from fbsde_pc.problems import PROBLEM_REGISTRY
-from fbsde_pc.schemes import save_scheme, scheme_to_dict, unstable_two_step
+from fbsde_pc.schemes import scheme_to_dict, scheme_to_json, unstable_two_step
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +27,13 @@ def run_cli(capsys, *argv):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def scheme_json(key, value):
@@ -63,7 +70,7 @@ class TestCoeffs:
 class TestStability:
     def test_verdict_from_scheme_file(self, tmp_path, capsys):
         path = tmp_path / "unstable.json"
-        save_scheme(unstable_two_step(), path)
+        path.write_text(scheme_to_json(unstable_two_step()) + "\n", encoding="utf-8")
         code, out, _ = run_cli(capsys, "stability", "--scheme", str(path),
                                "--tol", "1e-8")
         assert code == 0
@@ -127,6 +134,17 @@ class TestSolve:
         config = json.loads(out)["config"]
         assert set(config) == {f.name for f in dataclasses.fields(SolverConfig)}
         assert config["stability_tol"] == 1e-6
+
+    def test_undefined_milne_indicator_is_null(self, tmp_path, capsys):
+        # equal predictor and corrector error constants leave the factor undefined
+        path = tmp_path / "degenerate.json"
+        path.write_text(scheme_json("C_pred", scheme_to_dict(stable_preset(2))["C_corr"]))
+        code, out, _ = run_cli(capsys, "solve", "--scheme-file", str(path),
+                               "--N", "4", "--M", "50")
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["milne"] is None
+        assert doc["config"]["scheme"]["C_pred"] == doc["config"]["scheme"]["C_corr"]
 
 
 class TestConvergence:
@@ -240,6 +258,19 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--N", "4"],
+        ["convergence", "--N", "4,8", "--batches", "2", "--format", "json"],
+    ])
+    def test_non_finite_result_is_numerical_failure(self, capsys, argv):
+        # the sigma = 0 recursion overflows on this horizon
+        code, out, err = run_cli(capsys, *argv, "--problem", "exponential-ode",
+                                 "--deterministic", "--T", "1e308")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, file, named", [
         (["solve"], ("--config", "N = abc\n"), "--N"),
@@ -378,6 +409,8 @@ class TestContract:
     @example((["stability-demo", "--N=10,10", "--M=50"], []))
     @example((["stability-demo", "--N=20,10", "--M=50"], []))
     @example((["solve", "--N=4", "--M=20"], [f"dim = {2**64}"]))
+    @example((["solve", "--N=4", "--M=20", "--T=1e308", "--deterministic",
+               "--problem=exponential-ode"], []))
     def test_exit_code_and_output(self, case):
         argv, config = case
         out, err = io.StringIO(), io.StringIO()
@@ -402,3 +435,8 @@ class TestContract:
         if code == 2:
             assert out == ""
             assert err.count("error:") == 1, err
+        if code == 3:
+            assert out == ""
+            assert err.count("numerical failure:") == 1, err
+        if code == 0 and out.startswith("{"):
+            strict_json(out)

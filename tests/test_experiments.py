@@ -8,8 +8,7 @@ import pytest
 from scipy import integrate, optimize
 
 from fbsde_pc import (
-    NonPositiveError,
-    TooFewBatches,
+    ValidationError,
     batch_ci,
     convergence_rate,
     emit_report,
@@ -72,7 +71,6 @@ class TestTQuantile:
         assert t_quantile(0.025, 20) == pytest.approx(-t_quantile(0.975, 20), abs=1e-12)
 
     def test_domain(self):
-        from fbsde_pc.exceptions import ValidationError
         with pytest.raises(ValidationError):
             t_quantile(0.0, 5)
         with pytest.raises(ValidationError):
@@ -99,7 +97,7 @@ class TestBatchCi:
         assert hi - mean == pytest.approx(12.7062, abs=1e-3)
 
     def test_too_few(self):
-        with pytest.raises(TooFewBatches):
+        with pytest.raises(ValidationError, match="at least two batches"):
             batch_ci([1.0])
 
     def test_coverage_on_synthetic_gaussian(self):
@@ -131,7 +129,7 @@ class TestConvergenceRate:
         assert rate > 0.0
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(NonPositiveError):
+        with pytest.raises(ValidationError, match="strictly positive to fit a rate"):
             convergence_rate([5, 10], [1e-3, 0.0])
 
     def test_pairwise(self):
@@ -163,7 +161,6 @@ class TestRunTrial:
 
     def test_requires_closed_form(self):
         import dataclasses
-        from fbsde_pc.exceptions import ValidationError
         bare = dataclasses.replace(constant_problem(), closed_form_y=None,
                                    closed_form_z=None)
         with pytest.raises(ValidationError):
@@ -245,7 +242,7 @@ class TestLadder:
             assert pa.read_bytes() == pb.read_bytes()
 
     def test_batch_count_guard(self):
-        with pytest.raises(TooFewBatches):
+        with pytest.raises(ValidationError, match="at least two batches"):
             self.make_ladder(batches=1)
 
     def test_paper_ladder_pairs(self):

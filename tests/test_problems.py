@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fbsde_pc import (
-    NoClosedForm,
     ValidationError,
     closed_form_reference,
     example1,
@@ -152,7 +151,7 @@ class TestClosedFormReference:
             phi=lambda x: np.zeros(x.shape[0]),
             grad_phi=lambda x: np.zeros_like(x),
         )
-        with pytest.raises(NoClosedForm):
+        with pytest.raises(ValidationError, match="has no closed-form solution"):
             closed_form_reference(problem, 0.0, problem.x0)
 
     def test_exponential_ode_oracle(self):

@@ -11,10 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbsde_pc import (
-    BasisTooLarge,
-    DimensionMismatch,
-    EmptySample,
     GridSpec,
+    ValidationError,
     build_basis,
     sample_ensemble,
     truncate,
@@ -43,7 +41,7 @@ class TestBuildBasis:
         assert build_basis(3, 2).size == 10
 
     def test_cap(self):
-        with pytest.raises(BasisTooLarge):
+        with pytest.raises(ValidationError, match="basis would have 3003 functions"):
             build_basis(10, 5)  # C(15, 5) = 3003 functions, past the cap of 512
 
     def test_design_matrix_values(self):
@@ -75,7 +73,7 @@ class TestBuildBasis:
 
     def test_design_matrix_dimension_check(self):
         basis = build_basis(2, 2)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="basis has dimension 2, points have 3"):
             basis.design_matrix(np.zeros((4, 3)))
 
 
@@ -109,7 +107,7 @@ class TestOlsFit:
         assert expected == pytest.approx([0.5, 0.5])
 
     def test_empty_sample(self):
-        with pytest.raises(EmptySample):
+        with pytest.raises(ValidationError, match="at least one sample"):
             DesignSolver(np.zeros((0, 2))).solve(np.zeros(0))
 
     def test_vector_target_matches_columnwise_fits(self):
@@ -211,7 +209,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         basis = build_basis(2, 1)
         model = RegressionModel(np.zeros(3), basis, math.inf)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="basis has dimension 2, points have 3"):
             model.predict(np.zeros((4, 3)))
 
 

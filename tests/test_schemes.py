@@ -1,6 +1,7 @@
 """Coefficient machinery: fixtures, order-condition solving, derivative
 weights and the Milne factor."""
 
+import re
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -10,11 +11,8 @@ from fbsde_pc import (
     CorrectorCoefficients,
     DegenerateIndicator,
     MultistepScheme,
-    OverdeterminedSystem,
     PredictorCoefficients,
-    SingularSystem,
-    UnderdeterminedSystem,
-    UnsupportedOrder,
+    ValidationError,
     adams_pair,
     derivative_weights,
     milne_factor,
@@ -78,7 +76,7 @@ def test_adams_pair_residuals_vanish_exactly(order):
 
 def test_adams_pair_rejects_unsupported_order():
     for bad in (0, 7, -1):
-        with pytest.raises(UnsupportedOrder):
+        with pytest.raises(ValidationError, match="Adams pairs are provided for orders 1..6"):
             adams_pair(bad)
 
 
@@ -104,12 +102,12 @@ class TestSolveOrderConditions:
         assert corr.gamma0 == Fr(2, 3)
 
     def test_underdetermined(self):
-        with pytest.raises(UnderdeterminedSystem):
+        with pytest.raises(ValidationError, match="^underdetermined:"):
             solve_order_conditions(2, gamma0=Fr(1, 2))
 
     def test_overdetermined_conflicting_pins(self):
         # alpha_1 = 1/2 violates C_0 = 1 - alpha_1 = 0 outright
-        with pytest.raises(OverdeterminedSystem):
+        with pytest.raises(ValidationError, match="^overdetermined:"):
             solve_order_conditions(1, alpha=(Fr(1, 2),), gamma0=Fr(1, 2))
 
     def test_roundtrip_random_pins(self):
@@ -120,7 +118,8 @@ class TestSolveOrderConditions:
                      for _ in range(m)]
             try:
                 corr = solve_order_conditions(m, alpha=alpha, gamma0=Fr(1, 2))
-            except (OverdeterminedSystem, SingularSystem, UnderdeterminedSystem):
+            except ValidationError as exc:
+                assert re.match("(over|under)determined:|singular:", str(exc)), exc
                 continue
             res = truncation_residuals(corr, m)
             assert all(c == 0 for c in res)
@@ -166,9 +165,9 @@ class TestDerivativeWeights:
             assert est == pytest.approx(slope, rel=1e-12)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(UnsupportedOrder):
+        with pytest.raises(ValidationError, match="need m >= 1"):
             derivative_weights(0)
-        with pytest.raises(UnsupportedOrder):
+        with pytest.raises(ValidationError, match="unsupported past m = 12"):
             derivative_weights(13)
 
 
@@ -246,12 +245,12 @@ class TestSchemeJson:
 class TestExactSolver:
     def test_singular_square_system(self):
         rows = [[Fr(1), Fr(2)], [Fr(2), Fr(4)]]
-        with pytest.raises(SingularSystem):
+        with pytest.raises(ValidationError, match="^singular:"):
             _solve_exact(rows, [Fr(1), Fr(2)])
 
     def test_inconsistent_system(self):
         rows = [[Fr(1)], [Fr(1)]]
-        with pytest.raises(OverdeterminedSystem):
+        with pytest.raises(ValidationError, match="^overdetermined:"):
             _solve_exact(rows, [Fr(1), Fr(2)])
 
     def test_unique_solution(self):

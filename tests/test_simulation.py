@@ -12,9 +12,8 @@ from scipy import stats
 from scipy.special import ndtri
 
 from fbsde_pc import (
-    AllocationTooLarge,
     GridSpec,
-    NonFiniteState,
+    NumericalError,
     ValidationError,
     brownian_increments,
     euler_paths,
@@ -87,7 +86,7 @@ class TestBrownianIncrements:
 
     def test_allocation_budget(self):
         grid = GridSpec(T=1.0, N=1000)
-        with pytest.raises(AllocationTooLarge):
+        with pytest.raises(ValidationError, match="exceed the budget"):
             # 20 000 * 1000 * 10 = 2e8 elements, past the 2**27 budget
             brownian_increments(grid, 10, 20_000, seed=0)
 
@@ -140,7 +139,7 @@ class TestEulerPaths:
         )
         grid = GridSpec(T=1.0, N=4)
         dw = brownian_increments(grid, 1, 4, seed=0)
-        with pytest.raises(NonFiniteState, match="step"):
+        with pytest.raises(NumericalError, match="non-finite state at trajectory .*, step"):
             euler_paths(problem, grid, dw)
 
 

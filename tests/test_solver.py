@@ -9,9 +9,8 @@ import pytest
 
 from fbsde_pc import (
     GridSpec,
-    NotDeterministic,
+    NumericalError,
     SolverConfig,
-    UnstableScheme,
     ValidationError,
     adams_pair,
     deterministic_solve,
@@ -22,7 +21,6 @@ from fbsde_pc import (
     unstable_two_step,
 )
 from fbsde_pc import regression
-from fbsde_pc.exceptions import NonFiniteResponse
 from fbsde_pc.problems import constant_problem, example1, example2, exponential_ode
 from fbsde_pc.solver import (
     auto_substeps,
@@ -105,12 +103,18 @@ class TestDeterministicSolve:
         sol = deterministic_solve(problem, config_for(stable_preset(2), 12))
         assert np.all(sol.z0 == 0.0)
 
+    def test_non_finite_y0_is_numerical_error(self):
+        # the recursion overflows on this horizon
+        problem = exponential_ode(T=1e308)
+        with pytest.raises(NumericalError, match="non-finite y0"):
+            deterministic_solve(problem, config_for(stable_preset(2), 4, T=1e308))
+
     def test_rejects_noisy_problem(self):
-        with pytest.raises(NotDeterministic):
+        with pytest.raises(ValidationError, match="sigma is not identically zero"):
             deterministic_solve(example1(), config_for(stable_preset(1), 8))
 
     def test_rejects_z_dependent_driver(self):
-        with pytest.raises(NotDeterministic):
+        with pytest.raises(ValidationError, match="driver depends on z"):
             deterministic_solve(
                 dataclasses.replace(example2(),
                                     sigma=lambda t, x: np.zeros((1, 1))),
@@ -186,7 +190,7 @@ class TestMilneLocalRatios:
 class TestStabilityGuard:
     def test_unstable_scheme_rejected(self):
         problem = exponential_ode()
-        with pytest.raises(UnstableScheme):
+        with pytest.raises(ValidationError, match="root condition"):
             deterministic_solve(problem, config_for(unstable_two_step(), 10))
 
     def test_override_allows_unstable(self):
@@ -343,7 +347,7 @@ class TestBlasThreads:
         def driver(t, x, y, z):
             return np.full(np.shape(y), np.nan)
 
-        with pytest.raises(NonFiniteResponse):
+        with pytest.raises(NumericalError, match="non-finite (predictor|corrector) response"):
             self.small_solve(dataclasses.replace(example1(), f=driver))
         assert self.counts(controls) == before
 
