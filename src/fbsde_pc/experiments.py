@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import betaincinv
 
-from .exceptions import ValidationError
+from .exceptions import NumericalError, ValidationError
 from .problems import FbsdeProblem, closed_form_reference
 from .schemes import MultistepScheme
 from .simulation import GridSpec, sample_ensemble
@@ -249,7 +249,7 @@ def run_ladder(ladder: TrialLadder) -> ConvergenceReport:
 @dataclass
 class StabilityDemoResult:
     Ns: list[int]
-    errors: list[float]
+    errors: list[Optional[float]]  # None where the run broke down numerically
     classification: str  # "decreasing" or "irregular"
 
 
@@ -259,7 +259,9 @@ def stability_demo(problem: FbsdeProblem, scheme: MultistepScheme,
     """Errors against N for one scheme, classified as "decreasing" when each
     error stays within 1.5x of its predecessor scaled by the expected
     order-driven ratio, "irregular" otherwise.  Unstable schemes run under an
-    automatic override; instability shows up in the classification."""
+    automatic override; instability shows up in the classification.  A run
+    that breaks down numerically (NumericalError) records its error as None
+    and makes the ladder "irregular"."""
     if len(Ns) < 2:
         raise ValidationError(
             f"stability demo compares errors across N: needs at least two --N values, "
@@ -268,15 +270,16 @@ def stability_demo(problem: FbsdeProblem, scheme: MultistepScheme,
     errors = []
     order = max(scheme.corrector.order(), 1)
     for N in Ns:
-        trial = run_trial(problem, scheme, N, M, seed, basis_degree=basis_degree,
-                          deterministic=deterministic, allow_unstable=True)
-        errors.append(trial.err_y)
-    decreasing = True
-    for (n1, e1), (n2, e2) in zip(zip(Ns, errors), zip(list(Ns)[1:], errors[1:])):
-        expected = e1 * (n1 / n2) ** order
-        if not (np.isfinite(e2) and e2 <= 1.5 * expected):
-            decreasing = False
-            break
+        try:
+            trial = run_trial(problem, scheme, N, M, seed, basis_degree=basis_degree,
+                              deterministic=deterministic, allow_unstable=True)
+        except NumericalError:
+            errors.append(None)
+        else:
+            errors.append(trial.err_y)
+    decreasing = None not in errors and all(
+        np.isfinite(e2) and e2 <= 1.5 * e1 * (n1 / n2) ** order
+        for (n1, e1), (n2, e2) in zip(zip(Ns, errors), zip(list(Ns)[1:], errors[1:])))
     return StabilityDemoResult(Ns=list(Ns), errors=errors,
                                classification="decreasing" if decreasing else "irregular")
 

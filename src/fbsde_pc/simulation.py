@@ -5,10 +5,11 @@ Every trajectory draws from its own counter-based substream keyed by
 trajectories are requested alongside it.  The generator is Philox4x64-10
 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3",
 SC 2011), the bit generator behind numpy's ``Philox``: each block of four
-64-bit words is a pure function of (counter, key), so every trajectory's
-substream is computed at once on (rows, blocks) arrays.  Gaussians come from
-the inverse normal CDF applied to strictly-interior uniforms, keeping the
-stream layout transparent.
+64-bit words is a pure function of (counter, key), so the substreams are
+computed together on (rows, blocks) arrays, in contiguous row ranges spread
+over the process's cores, with the same values for any split.  Gaussians
+come from the inverse normal CDF applied to strictly-interior uniforms,
+keeping the stream layout transparent.
 
 Increments and states keep their trajectory-first shapes, (M, N, d) and
 (M, N+1, d), but are stored level-major: each is a transposed view of a
@@ -19,6 +20,8 @@ level, which every Euler step and backward level reads, is contiguous.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,8 +42,13 @@ _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
 _U64 = 2**64
 _LO32 = np.uint64(0xFFFFFFFF)
-# counter blocks per chunk: eight uint64 scratch arrays of 128 KiB stay in cache
-_CHUNK_BLOCKS = 2**14
+# counter blocks per tile: eight uint64 scratch arrays of 256 KiB per thread
+# stay in cache, and each numpy call carries enough work to amortize the GIL
+# hand-off between threads
+_CHUNK_BLOCKS = 2**15
+# fewest counter blocks worth a thread of their own: one full tile (measured on
+# two cores, a thread with less work than that does not pay for its start-up)
+_WORKER_MIN_BLOCKS = _CHUNK_BLOCKS
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,51 @@ def _philox_blocks(seed: int, key1: np.ndarray, first_block: int, tile: list) ->
     return [c0, c1, c2, c3]
 
 
+def _cores() -> list:
+    """The cores of this process's CPU affinity; where the platform cannot
+    tell, one None per core, which pins no thread."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return [None] * (os.cpu_count() or 1)
+
+
+def _fill_rows(out: np.ndarray, seed: int, stream: int, r0: int, r1: int,
+               buffers: np.ndarray) -> None:
+    """Write the normals of rows r0..r1-1 into out, one tile of at most
+    buffers.shape[1] counter blocks at a time, using only the (8, tile)
+    scratch in buffers."""
+    n_blocks = -(-out.shape[1] // 4)
+    cols = max(1, min(n_blocks, buffers.shape[1]))
+    rows = buffers.shape[1] // cols
+    for t0 in range(r0, r1, rows):
+        t1 = min(t0 + rows, r1)
+        key1 = np.arange(t0, t1, dtype=np.uint64)[:, None] | np.uint64(stream << 56)
+        for b0 in range(0, n_blocks, cols):
+            b1 = min(b0 + cols, n_blocks)
+            tile = [a[:(t1 - t0) * (b1 - b0)].reshape(t1 - t0, b1 - b0) for a in buffers]
+            words = _philox_blocks(seed, key1, b0 + 1, tile)
+            block = out[t0:t1, 4 * b0:min(4 * b1, out.shape[1])]
+            for j, w in enumerate(words):
+                w >>= 11
+                dst = block[:, j::4]
+                dst[...] = w[:, :dst.shape[1]]
+            block += 0.5
+            block *= 2.0**-53
+            ndtri(block, out=block)
+
+
+def _fill_rows_on(core, *args) -> None:
+    """_fill_rows in a worker thread pinned to one core.  Left to the
+    scheduler on a two-core machine, the two workers often shared one core
+    for the whole call while the other idled (each waited on the run queue
+    as long as it ran), which made the call no faster than one thread.  The
+    pin ends with the thread, which exits before the call returns."""
+    if core is not None:
+        os.sched_setaffinity(0, {core})
+    _fill_rows(*args)
+
+
 def substream_normals(seed: int, n_trajectories: int, per_trajectory: int,
                       stream: int = MAIN_STREAM) -> np.ndarray:
     """(n_trajectories, per_trajectory) standard normals, one substream per row.
@@ -124,9 +177,13 @@ def substream_normals(seed: int, n_trajectories: int, per_trajectory: int,
     the 53-bit integer w >> 11 (what ``Generator.integers(0, 1 << 53)`` draws,
     never rejecting), mapped to the strictly interior uniform
     ((w >> 11) + 0.5) 2^-53 (so ndtri never sees 0 or 1) and then through the
-    inverse normal CDF.  Rows are generated together, in chunks of about
-    2^14 blocks.  The seed must lie in [0, 2^64) and the row count may not
-    exceed 2^56, where the row index would reach the stream tag.
+    inverse normal CDF.  Rows are generated in tiles of about _CHUNK_BLOCKS
+    blocks.  A call with at least _WORKER_MIN_BLOCKS blocks per core splits
+    the rows into contiguous ranges, one per core of the process's affinity,
+    each filled by its own thread pinned to that core; every value is a pure
+    function of (seed, row, column), so the output does not depend on the
+    split.  The seed must lie in [0, 2^64) and the row count may not exceed
+    2^56, where the row index would reach the stream tag.
     """
     if not 0 <= seed < _U64:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
@@ -136,24 +193,22 @@ def substream_normals(seed: int, n_trajectories: int, per_trajectory: int,
     seed = int(seed)
     out = np.empty((n_trajectories, per_trajectory))
     n_blocks = -(-per_trajectory // 4)
+    cores = _cores()
+    workers = max(1, min(len(cores), n_trajectories * n_blocks // _WORKER_MIN_BLOCKS))
     cols = max(1, min(n_blocks, _CHUNK_BLOCKS))
-    rows = max(1, min(n_trajectories, _CHUNK_BLOCKS // cols))
-    buffers = np.empty((8, rows * cols), dtype=np.uint64)
-    for r0 in range(0, n_trajectories, rows):
-        r1 = min(r0 + rows, n_trajectories)
-        key1 = np.arange(r0, r1, dtype=np.uint64)[:, None] | np.uint64(stream << 56)
-        for b0 in range(0, n_blocks, cols):
-            b1 = min(b0 + cols, n_blocks)
-            tile = [a[:(r1 - r0) * (b1 - b0)].reshape(r1 - r0, b1 - b0) for a in buffers]
-            words = _philox_blocks(seed, key1, b0 + 1, tile)
-            block = out[r0:r1, 4 * b0:min(4 * b1, per_trajectory)]
-            for j, w in enumerate(words):
-                w >>= 11
-                dst = block[:, j::4]
-                dst[...] = w[:, :dst.shape[1]]
-            block += 0.5
-            block *= 2.0**-53
-            ndtri(block, out=block)
+    rows = max(1, min(-(-n_trajectories // workers), _CHUNK_BLOCKS // cols))
+    # all scratch is allocated here: the threads allocate nothing large
+    buffers = np.empty((workers, 8, rows * cols), dtype=np.uint64)
+    if workers == 1:
+        _fill_rows(out, seed, stream, 0, n_trajectories, buffers[0])
+        return out
+    bounds = [n_trajectories * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        jobs = [pool.submit(_fill_rows_on, cores[k], out, seed, stream,
+                            bounds[k], bounds[k + 1], buffers[k])
+                for k in range(workers)]
+    for job in jobs:
+        job.result()
     return out
 
 

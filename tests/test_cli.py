@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -181,6 +182,19 @@ class TestStabilityDemo:
         doc = json.loads(out)
         assert doc["classification"] == "irregular"
         assert len(doc["rows"]) == 3
+
+    def test_numerical_breakdown_reported_as_null(self, capsys):
+        # the unstable scheme overflows at N = 2000: that row has no error
+        code, out, _ = run_cli(
+            capsys, "stability-demo", "--problem", "exponential-ode",
+            "--deterministic", "--steps", "2", "--family", "unstable",
+            "--N", "10,2000", "--M", "1")
+        assert code == 0
+        doc = strict_json(out)
+        errors = [row["err_y"] for row in doc["rows"]]
+        assert isinstance(errors[0], float) and math.isfinite(errors[0])
+        assert errors[1] is None
+        assert doc["classification"] == "irregular"
 
     def test_default_N_list_runs(self, capsys):
         code, out, _ = run_cli(

@@ -266,3 +266,15 @@ class TestStabilityDemo:
                                 Ns=(10, 20, 40), M=1, seed=0, deterministic=True)
         assert result.classification == "irregular"
         assert result.errors[-1] > result.errors[0]
+
+    def test_numerical_breakdown_recorded_as_none(self):
+        result = stability_demo(exponential_ode(), unstable_two_step(),
+                                Ns=(10, 2000), M=1, seed=0, deterministic=True)
+        assert math.isfinite(result.errors[0])
+        assert result.errors[1] is None
+        assert result.classification == "irregular"
+
+    def test_validation_error_propagates(self):
+        with pytest.raises(ValidationError, match="degree must be >= 0"):
+            stability_demo(exponential_ode(), adams_pair(2), Ns=(10, 20), M=50,
+                           seed=0, basis_degree=-1)

@@ -2,6 +2,8 @@
 Euler paths, bridge refinement and the level-major storage order."""
 
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from fbsde_pc import (
     euler_paths,
     sample_ensemble,
 )
+from fbsde_pc import simulation
 from fbsde_pc.problems import FbsdeProblem, constant_problem, example2
 from fbsde_pc.simulation import (
     _CHUNK_BLOCKS,
+    _WORKER_MIN_BLOCKS,
     BRIDGE_STREAM,
     MAIN_STREAM,
     refine_increments,
@@ -282,3 +286,80 @@ class TestSubstreams:
         # raises before the (n, per) output would be allocated
         with pytest.raises(ValidationError, match=r"2\*\*(64|56)"):
             substream_normals(seed, n, 3)
+
+
+def _affinity():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+_REAL_CORES = simulation._cores()
+
+
+def _record_ranges(monkeypatch, cores, fail_from=None):
+    """Pretend the affinity holds `cores` cores (the real ones, repeated) and
+    log each (r0, r1, thread, thread affinity) that fills rows; the range
+    starting at fail_from raises instead."""
+    monkeypatch.setattr(simulation, "_cores", lambda: (_REAL_CORES * cores)[:cores])
+    calls = []
+    fill = simulation._fill_rows
+
+    def recording(out, seed, stream, r0, r1, buffers):
+        calls.append((r0, r1, threading.get_ident(), _affinity()))
+        if r0 == fail_from:
+            raise MemoryError("planted")
+        fill(out, seed, stream, r0, r1, buffers)
+
+    monkeypatch.setattr(simulation, "_fill_rows", recording)
+    return calls
+
+
+# rows of 11 draws (3 counter blocks) enough for three workers; the count is
+# odd and not a multiple of 3, so neither split is even
+_PARALLEL_ROWS = _WORKER_MIN_BLOCKS + 9
+
+
+class TestParallelSubstreams:
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("stream", STREAMS, ids=["main", "bridge"])
+    @pytest.mark.parametrize("n, per", [(_PARALLEL_ROWS, 11), (5, 4 * _CHUNK_BLOCKS + 5)],
+                             ids=["many-rows", "row-longer-than-chunk"])
+    def test_row_ranges_match_one_worker(self, monkeypatch, cores, stream, n, per):
+        assert n % cores and n * -(-per // 4) >= cores * _WORKER_MIN_BLOCKS
+        monkeypatch.setattr(simulation, "_cores", lambda: _REAL_CORES[:1])
+        serial = substream_normals(9, n, per, stream)
+        threads, affinity = threading.active_count(), _affinity()
+        calls = _record_ranges(monkeypatch, cores)
+        got = substream_normals(9, n, per, stream)
+        assert threading.active_count() == threads
+        assert _affinity() == affinity
+        bounds = [n * k // cores for k in range(cores + 1)]
+        assert sorted(c[:2] for c in calls) == list(zip(bounds[:-1], bounds[1:]))
+        workers = {c[2] for c in calls}
+        assert threading.get_ident() not in workers and len(workers) <= cores
+        if affinity is not None:
+            # each range's thread runs on the core the split gave it
+            pinned = (_REAL_CORES * cores)[:cores]
+            assert {c[0]: c[3] for c in calls} == {
+                b: {core} for b, core in zip(bounds, pinned)}
+        assert np.array_equal(got, serial)
+        edges = sorted({0, n - 1} | {b + e for b in bounds[1:-1] for e in (-1, 0)})
+        want = np.stack([_normals(_substream(9, m, stream), per) for m in edges])
+        assert np.array_equal(got[edges], want)
+
+    @pytest.mark.parametrize("cores, n", [(1, _PARALLEL_ROWS), (3, 2 * _WORKER_MIN_BLOCKS // 3)],
+                             ids=["one-core", "below-two-workers"])
+    def test_one_worker_starts_no_thread(self, monkeypatch, cores, n):
+        calls = _record_ranges(monkeypatch, cores)
+        threads = threading.active_count()
+        substream_normals(9, n, 11)
+        assert threading.active_count() == threads
+        assert calls == [(0, n, threading.get_ident(), _affinity())]
+
+    def test_worker_error_reraised_after_join(self, monkeypatch):
+        n = _PARALLEL_ROWS
+        calls = _record_ranges(monkeypatch, 2, fail_from=n // 2)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="planted"):
+            substream_normals(9, n, 11)
+        assert threading.active_count() == threads
+        assert sorted(c[:2] for c in calls) == [(0, n // 2), (n // 2, n)]
