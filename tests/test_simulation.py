@@ -245,6 +245,7 @@ def _reference(seed, n, per, stream):
 
 # rows of 11 draws (3 counter blocks) that fill one chunk
 _ROWS_PER_CHUNK = _CHUNK_BLOCKS // 3
+_ROWS_PER_HALF_CHUNK = _CHUNK_BLOCKS // 2 // 3
 STREAMS = [MAIN_STREAM, BRIDGE_STREAM]
 
 
@@ -274,7 +275,11 @@ class TestSubstreams:
         assert np.array_equal(substream_normals(seed, n, per, stream),
                               _reference(seed, n, per, stream))
 
-    @pytest.mark.parametrize("k", [1, _ROWS_PER_CHUNK - 1, _ROWS_PER_CHUNK,
+    # boundaries of half a chunk (a chunk of 2^14 blocks, the earlier tile
+    # size) and of a whole chunk
+    @pytest.mark.parametrize("k", [1, _ROWS_PER_HALF_CHUNK - 1, _ROWS_PER_HALF_CHUNK,
+                                   _ROWS_PER_HALF_CHUNK + 1, 2 * _ROWS_PER_HALF_CHUNK + 6,
+                                   _ROWS_PER_CHUNK - 1, _ROWS_PER_CHUNK,
                                    _ROWS_PER_CHUNK + 1, 2 * _ROWS_PER_CHUNK + 6])
     def test_prefix_equals_fewer_rows(self, k):
         full = substream_normals(11, 2 * _ROWS_PER_CHUNK + 7, 11)
