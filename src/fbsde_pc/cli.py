@@ -73,7 +73,8 @@ def _checked(kind, accept, expected):
 
 # seeds key the Philox substreams, whose key words are unsigned 64-bit
 _seed = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
-# every simulated array holds M * N * d elements within the allocation budget
+# every simulated array, the coarse M * N * d increments and the start-up's
+# bridge-refined ones, is held to the allocation budget
 _dim = _checked(int, lambda v: 1 <= v <= DEFAULT_MAX_ELEMENTS,
                 f"an integer in [1, {DEFAULT_MAX_ELEMENTS}]")
 _tol = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")

@@ -55,11 +55,34 @@ class PolynomialBasis:
     def size(self) -> int:
         return len(self.exponents)
 
+    @functools.cached_property
+    def _recipe(self) -> tuple:
+        """(row, k) of each x_k and (row, parent, factor) of every monomial
+        of higher degree, whose column design_matrix forms as parent's times
+        factor's: x_k^e as x_k^(e-1) times x_k, any other as its exponents
+        with the last nonzero one zeroed times that power of x_k.  So each
+        monomial is the powers of x_1, x_2, ... multiplied left to right,
+        each power a running product."""
+        row = {e: j for j, e in enumerate(self.exponents)}
+        linear, products = [], []
+        for j, expo in enumerate(self.exponents[1:], 1):
+            k = max(i for i, e in enumerate(expo) if e)
+            head, e, tail = expo[:k], expo[k], expo[k + 1:]
+            if any(head):
+                products.append((j, row[head + (0,) + tail], row[(0,) * k + (e,) + tail]))
+            elif e > 1:
+                products.append((j, row[head + (e - 1,) + tail], row[head + (1,) + tail]))
+            else:
+                linear.append((j, k))
+        return tuple(linear), tuple(products)
+
     def design_matrix(self, x: np.ndarray) -> np.ndarray:
         """Evaluate every monomial at the rows of x: (M, d) -> (M, K).
 
         The design is Fortran-ordered: each monomial's column is contiguous,
         as the column statistics and BLAS calls of DesignSolver read it.
+        Each column above degree one is one multiply of two earlier ones
+        (see _recipe).
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
@@ -68,20 +91,13 @@ class PolynomialBasis:
             raise ValidationError(
                 f"basis has dimension {self.d}, points have {x.shape[1]}")
         # one contiguous row per monomial, transposed on return
-        out = np.ones((self.size, x.shape[0]))
-        # cache integer powers per coordinate; degrees are tiny
-        powers = [None] * self.d
-        maxdeg = [max(e[k] for e in self.exponents) for k in range(self.d)]
-        for k in range(self.d):
-            cols = [np.ones(x.shape[0])]
-            for _ in range(maxdeg[k]):
-                cols.append(cols[-1] * x[:, k])
-            powers[k] = cols
-        for j, expo in enumerate(self.exponents):
-            row = out[j]
-            for k, e in enumerate(expo):
-                if e:
-                    row *= powers[k][e]
+        out = np.empty((self.size, x.shape[0]))
+        out[0] = 1.0
+        linear, products = self._recipe
+        for j, k in linear:
+            out[j] = x[:, k]
+        for j, parent, factor in products:
+            np.multiply(out[parent], out[factor], out=out[j])
         return out.T
 
 
@@ -164,15 +180,18 @@ class DesignSolver:
 
     Non-constant columns are shifted to zero mean (when an intercept column is
     present to absorb the shift) and scaled to unit RMS; the transform is
-    folded back into the returned coefficients.  The standardized design A
-    has its Gram matrix A^T A formed and Cholesky-factored once.  When A has
-    at least as many rows as columns, the factorization succeeds and its
-    condition estimate clears CHOLESKY_RCOND_MIN, each solve is A^T b and two
-    triangular solves with the factor.  Any other design is solved by
-    LAPACK's pivoted-QR least squares (gelsy) with rank threshold RANK_TOL
-    relative to the leading R diagonal entry, so rank-deficient systems get
-    the minimum-norm solution in the scaled coordinates.  rank is known from
-    construction on.
+    folded back into the returned coefficients.  Only the shift is applied to
+    the M x K design, in the one copy kept of it: the Gram matrix C^T C of the
+    centered copy C gives each column's RMS on its diagonal, and the scaling
+    D is applied to that K x K matrix, giving the Gram matrix A^T A of the
+    standardized design A = C D^-1, which is Cholesky-factored once.  When A
+    has at least as many rows as columns, the factorization succeeds and its
+    condition estimate clears CHOLESKY_RCOND_MIN, each solve is
+    A^T b = D^-1 C^T b and two triangular solves with the factor.  Any other
+    design is solved by LAPACK's pivoted-QR least squares (gelsy) with rank
+    threshold RANK_TOL relative to the leading R diagonal entry, so
+    rank-deficient systems get the minimum-norm solution in the scaled
+    coordinates.  rank is known from construction on.
     """
 
     def __init__(self, features: np.ndarray):
@@ -186,32 +205,41 @@ class DesignSolver:
         self.shift = np.zeros(k)
         self.intercept = None
         self._intercept_value = 1.0
-        # the one standardized copy, Fortran-ordered so that every column
-        # statistic runs down contiguous memory and BLAS reads it untransposed;
-        # np.array always copies, so the caller's design is never overwritten
-        std = np.array(a, order="F")
-        spread = std.max(axis=0) - std.min(axis=0) if m > 1 else np.zeros(k)
-        constant = spread == 0
-        for j in range(k):
-            if constant[j] and std[0, j] != 0:
-                self.intercept = j
-                self._intercept_value = std[0, j]
-                break
-        # shifting is only well defined with an intercept column to absorb it
-        if self.intercept is not None:
-            self.shift = np.where(constant, 0.0, std.mean(axis=0))
-            std -= self.shift
-        rms = np.sqrt(np.einsum("ij,ij->j", std, std) / m)
+        # a column is constant when every row equals a finite first row (max -
+        # min == 0 given two rows); only columns whose last row matches are read
+        first = a[0]
+        constant = np.zeros(k, dtype=bool)
+        for j in np.flatnonzero((a[-1] == first) & np.isfinite(first)):
+            constant[j] = np.all(a[:, j] == first[j])
+        intercepts = np.flatnonzero(constant & (first != 0))
+        if intercepts.size:
+            self.intercept = int(intercepts[0])
+            self._intercept_value = first[self.intercept]
+        # the one centered copy C, Fortran-ordered so that BLAS reads it
+        # untransposed; np.array and np.subtract always make a new array, so
+        # the caller's design is never overwritten.  Shifting is only well
+        # defined with an intercept column to absorb it, and the mean is
+        # taken down contiguous columns whatever the caller's layout
+        if self.intercept is None:
+            centered = np.array(a, order="F")
+        else:
+            columns = np.asfortranarray(a)
+            self.shift = np.where(constant, 0.0, columns.mean(axis=0))
+            centered = np.subtract(columns, self.shift, order="F")
+        # upper triangle of C^T C, then of A^T A = D^-1 C^T C D^-1
+        gram = blas.dsyrk(1.0, centered, trans=1)
+        rms = np.sqrt(np.diag(gram) / m)
         self.scale = np.where(rms > 0, rms, 1.0)
         if self.intercept is not None:
             self.scale[self.intercept] = 1.0
-        std /= self.scale
-        self._std = self._cholesky = self._features = None
+        gram /= self.scale
+        gram /= self.scale[:, None]
+        self._centered = self._cholesky = self._features = None
         if m >= k:
-            # upper triangles of A^T A and of its factor R, R^T R = A^T A
-            cholesky, info = lapack.dpotrf(blas.dsyrk(1.0, std, trans=1), overwrite_a=True)
+            # upper triangle of the factor R, R^T R = A^T A
+            cholesky, info = lapack.dpotrf(gram, overwrite_a=True)
             if info == 0 and lapack.dtrcon(cholesky)[0] >= CHOLESKY_RCOND_MIN:
-                self._std, self._cholesky = std, cholesky
+                self._centered, self._cholesky = centered, cholesky
                 self.rank = k
                 return
         # gelsy decides the rank; it standardizes the caller's features again
@@ -236,8 +264,9 @@ class DesignSolver:
         if self._cholesky is None:
             std_coef = self._gelsy(b)[0]
         else:
-            std_coef, _ = lapack.dpotrs(
-                self._cholesky, blas.dgemm(1.0, self._std, b, trans_a=True), overwrite_b=True)
+            rhs = blas.dgemm(1.0, self._centered, b, trans_a=True)
+            rhs /= self.scale[:, None]
+            std_coef, _ = lapack.dpotrs(self._cholesky, rhs, overwrite_b=True)
         coef = std_coef / self.scale[:, None]
         if self.intercept is not None:
             coef[self.intercept] -= (self.shift @ coef) / self._intercept_value

@@ -217,6 +217,12 @@ def _level_major(M: int, n: int, d: int) -> np.ndarray:
     return np.empty((n, M, d)).transpose(1, 0, 2)
 
 
+def _check_budget(n_elements: int, what: str) -> None:
+    if n_elements > DEFAULT_MAX_ELEMENTS:
+        raise ValidationError(
+            f"{what}: {n_elements} elements exceed the budget of {DEFAULT_MAX_ELEMENTS}")
+
+
 def brownian_increments(grid: GridSpec, d: int, M: int, seed: int) -> np.ndarray:
     """(M, N, d) increments W_{t_{i+1}} - W_{t_i}, each coordinate N(0, h),
     stored level-major.
@@ -226,10 +232,7 @@ def brownian_increments(grid: GridSpec, d: int, M: int, seed: int) -> np.ndarray
     """
     if M < 1 or d < 1:
         raise ValidationError("need M >= 1 and d >= 1")
-    n_elements = M * grid.N * d
-    if n_elements > DEFAULT_MAX_ELEMENTS:
-        raise ValidationError(
-            f"{n_elements} elements exceed the budget of {DEFAULT_MAX_ELEMENTS}")
+    _check_budget(M * grid.N * d, "Brownian increments")
     z = substream_normals(seed, M, grid.N * d, MAIN_STREAM)
     dW = _level_major(M, grid.N, d)
     np.multiply(z.reshape(M, grid.N, d), np.sqrt(grid.h), out=dW)
@@ -306,7 +309,9 @@ def refine_increments(ensemble: PathEnsemble, first_step: int, substeps: int) ->
     """Brownian-bridge refinement of coarse steps first_step..N-1 into substeps
     pieces each: (M, (N - first_step) * substeps, d) fine increments, stored
     level-major, whose per-coarse-step sums reproduce the stored increments
-    exactly.
+    exactly.  The bridge draws and the fine increments are each held in one
+    array, so M * (N - first_step) * substeps * d is held to the same
+    allocation budget as the coarse increments.
     """
     r = int(substeps)
     if r < 1:
@@ -320,6 +325,7 @@ def refine_increments(ensemble: PathEnsemble, first_step: int, substeps: int) ->
         fine = _level_major(M, k, d)
         fine[...] = coarse
         return fine
+    _check_budget(M * k * r * d, "bridge refinement")
     h_fine = ensemble.grid.h / r
     g = substream_normals(ensemble.seed, M, k * r * d, BRIDGE_STREAM).reshape(M, k, r, d)
     g *= np.sqrt(h_fine)

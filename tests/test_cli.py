@@ -273,6 +273,27 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_bridge_over_budget_is_one_line_error(self, capsys, monkeypatch):
+        # N = 4 gives r = 4 substeps on each of the m - 1 = 2 start-up steps:
+        # the coarse 500 * 4 * 2 = 4000 increments fit the budget, the
+        # bridge's 500 * 2 * 4 * 2 = 8000 do not
+        from fbsde_pc import simulation
+        monkeypatch.setattr(simulation, "DEFAULT_MAX_ELEMENTS", 5000)
+        streams = []
+        draw = simulation.substream_normals
+
+        def recording(*args):
+            streams.append(args[3])
+            return draw(*args)
+
+        monkeypatch.setattr(simulation, "substream_normals", recording)
+        code, out, err = run_cli(capsys, "solve", "--problem", "example1", "--steps", "3",
+                                 "--N", "4", "--M", "500", "--dim", "2", "--seed", "1")
+        assert streams == [simulation.MAIN_STREAM]
+        assert code == 2
+        assert out == ""
+        assert err == "error: bridge refinement: 8000 elements exceed the budget of 5000\n"
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--N", "4"],
         ["convergence", "--N", "4,8", "--batches", "2", "--format", "json"],

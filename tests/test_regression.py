@@ -50,26 +50,41 @@ class TestBuildBasis:
         row = basis.design_matrix(x)[0]
         assert row.tolist() == [1.0, 2.0, 3.0, 4.0, 6.0, 9.0]
 
+    @staticmethod
+    def left_to_right_design(basis, x):
+        """Each column as ones times the powers of x_1, x_2, ... taken left to
+        right, each power a running product of its coordinate."""
+        want = np.empty((x.shape[0], basis.size))
+        for j, expo in enumerate(basis.exponents):
+            col = np.ones(x.shape[0])
+            for k, e in enumerate(expo):
+                power = np.ones(x.shape[0])
+                for _ in range(e):
+                    power = power * x[:, k]
+                col = col * power
+            want[:, j] = col
+        return want
+
     def test_design_matrix_is_fortran_ordered(self):
         basis = build_basis(2, 4)
         x = np.random.default_rng(7).standard_normal((50, 2))
         design = basis.design_matrix(x)
         assert design.shape == (50, basis.size)
         assert design.flags.f_contiguous
-        # each column multiplied out in the order design_matrix uses
-        want = np.empty((50, basis.size))
-        for j, expo in enumerate(basis.exponents):
-            col = np.ones(50)
-            for k, e in enumerate(expo):
-                power = np.ones(50)
-                for _ in range(e):
-                    power = power * x[:, k]
-                col = col * power
-            want[:, j] = col
-        assert np.array_equal(design, want)
+        assert np.array_equal(design, self.left_to_right_design(basis, x))
         coef = np.random.default_rng(8).standard_normal((basis.size, 2))
         model = RegressionModel(coef, basis, 1.0)
         assert np.array_equal(model.predict(x), np.clip(design @ coef, -1.0, 1.0))
+
+    @pytest.mark.parametrize("degree", range(7))
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_design_matrix_multiplies_left_to_right(self, d, degree):
+        basis = build_basis(d, degree)
+        x = 3.0 * np.random.default_rng(10 * d + degree).standard_normal((40, d))
+        want = self.left_to_right_design(basis, x)
+        assert np.array_equal(basis.design_matrix(x), want)
+        # a second call reuses the basis's cached recipe
+        assert np.array_equal(basis.design_matrix(x[:7]), want[:7])
 
     def test_design_matrix_dimension_check(self):
         basis = build_basis(2, 2)
@@ -237,10 +252,62 @@ class TestDesignSolver:
         out = model.predict(np.ones((4, 2)))
         assert out[0].tolist() == [3.0, -5.0]
 
+    @staticmethod
+    def max_min_standardization(design):
+        """(intercept, shift, scale) by the full-scan rule: a column is
+        constant when its max - min is 0 (every column of a single row is),
+        the intercept is the first constant column with a nonzero value, and
+        the RMS is taken over the copy centered column by column."""
+        std = np.array(design, dtype=float, order="F")
+        m, k = std.shape
+        spread = std.max(axis=0) - std.min(axis=0) if m > 1 else np.zeros(k)
+        constant = spread == 0
+        intercept = next((j for j in range(k) if constant[j] and std[0, j] != 0), None)
+        shift = np.zeros(k)
+        if intercept is not None:
+            shift = np.where(constant, 0.0, std.mean(axis=0))
+            std -= shift
+        rms = np.sqrt(np.einsum("ij,ij->j", std, std) / m)
+        scale = np.where(rms > 0, rms, 1.0)
+        if intercept is not None:
+            scale[intercept] = 1.0
+        return intercept, shift, scale
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("case", ["constant-at-0", "constant-at-2", "all-zero",
+                                      "ends-match", "single-row", "plus-inf", "none"])
+    def test_standardization_matches_full_scan(self, case, order):
+        rng = np.random.default_rng(53)
+        design = rng.standard_normal((200, 5)) * [1.0, 2.0, 0.5, 3.0, 1.5] + 0.7
+        want_intercept = {"constant-at-0": 0, "constant-at-2": 2, "all-zero": 1,
+                          "ends-match": 0, "single-row": 0, "plus-inf": 0, "none": None}
+        if case == "constant-at-2":
+            design[:, 2] = -3.5
+        elif case == "all-zero":
+            # a zero constant cannot carry the intercept; the next constant does
+            design[:, 0] = 0.0
+            design[:, 1] = 2.0
+        elif case == "single-row":
+            design = np.array([[2.0, 0.0, -3.0, 5.0]])
+        elif case != "none":
+            design[:, 0] = 1.0
+        if case == "ends-match":
+            design[-1, 3] = design[0, 3]
+        elif case == "plus-inf":
+            design[:, 2] = np.inf
+        design = np.asarray(design, order=order)
+        with np.errstate(invalid="ignore"):  # inf - inf in the column of +inf
+            intercept, shift, scale = self.max_min_standardization(design)
+            solver = DesignSolver(design)
+        assert intercept == want_intercept[case]
+        assert solver.intercept == intercept
+        np.testing.assert_allclose(solver.shift, shift, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(solver.scale, scale, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("shape", [(300, 6), (20, 28)], ids=["cholesky", "gelsy"])
     def test_caller_design_never_overwritten(self, shape):
-        # the standardized copy is scaled in place; a Fortran-ordered
-        # design must not be aliased by it
+        # the centered copy is a new array; a Fortran-ordered design must
+        # not be aliased by it
         rng = np.random.default_rng(17)
         m, k = shape
         c_design = build_basis(2, 6).design_matrix(rng.standard_normal((m, 2)))[:, :k]

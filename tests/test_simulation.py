@@ -180,6 +180,20 @@ class TestBridgeRefinement:
         ens = sample_ensemble(problem, grid, 12, seed=3)
         assert np.array_equal(refine_increments(ens, 1, 5), refine_increments(ens, 1, 5))
 
+    def test_allocation_budget(self, monkeypatch):
+        # the coarse 40 * 8 * 2 = 640 increments fit; the bridge over the last
+        # 3 steps in 7 pieces holds 40 * 3 * 7 * 2 = 1680 elements
+        ens = sample_ensemble(brownian_problem(), GridSpec(T=1.0, N=8), 40, seed=9)
+        monkeypatch.setattr(simulation, "DEFAULT_MAX_ELEMENTS", 1680)
+        assert refine_increments(ens, first_step=5, substeps=7).shape == (40, 21, 2)
+        monkeypatch.setattr(simulation, "DEFAULT_MAX_ELEMENTS", 1679)
+        calls = []
+        monkeypatch.setattr(simulation, "substream_normals", lambda *args: calls.append(args))
+        with pytest.raises(ValidationError,
+                           match="bridge refinement: 1680 elements exceed the budget of 1679"):
+            refine_increments(ens, first_step=5, substeps=7)
+        assert calls == []
+
 
 def _levels_contiguous(arr):
     return all(arr[:, i, :].flags.c_contiguous for i in range(arr.shape[1]))

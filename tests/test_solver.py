@@ -236,6 +236,22 @@ class TestStochasticSolver:
         assert a.y0 == b.y0
         assert np.array_equal(a.z0, b.z0)
 
+    @pytest.mark.parametrize("m, N, M, y0, z0", [
+        (1, 20, 12018, 1.5999623936234464, (0.42746356974014155, 0.42549080022780617)),
+        (2, 20, 12018, 1.6001212392105495, (0.42544995308070965, 0.4194332110530845)),
+        (3, 10, 3000, 1.5969292253930476, (0.4358831038740537, 0.38423283534848374)),
+    ], ids=["m1", "m2", "m3"])
+    def test_pinned_estimates(self, m, N, M, y0, z0):
+        # example1 at the acceptance settings, seed 5: speed work on the
+        # simulation and regression layers may move y0/z0 by rounding only,
+        # at the 1e-9 relative tolerance perfbench's gate applies
+        problem = example1(eta=0.6, tau=1.0 / math.sqrt(2.0), d=2)
+        grid = GridSpec(T=problem.T, N=N)
+        sol = solve(problem, SolverConfig(scheme=stable_preset(m), grid=grid, basis_degree=6),
+                    sample_ensemble(problem, grid, M, seed=5))
+        assert sol.y0 == pytest.approx(y0, rel=1e-9)
+        np.testing.assert_allclose(sol.z0, z0, rtol=1e-9, atol=0)
+
     def test_example2_two_step_accuracy_trend(self):
         # single-seed errors are Monte Carlo noise at this M, so the
         # discretization bias is read off the seed-averaged signed error
