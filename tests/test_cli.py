@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -106,6 +108,20 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["y0"] == pytest.approx(0.731, abs=0.05)
         assert len(doc["z0"]) == 1
+
+    def test_overflowing_exponential_is_silent(self):
+        # at T = 800 the example2 coefficients take e^w = inf, their intended
+        # limit; a fresh interpreter shows any RuntimeWarning on stderr
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "fbsde_pc.cli", "solve", "--problem", "example2",
+             "--T", "800", "--N", "4", "--M", "200"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert "y0" in json.loads(done.stdout)
 
     def test_unstable_scheme_needs_override(self, capsys):
         args = ["solve", "--problem", "exponential-ode", "--deterministic",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from fbsde_pc import (
     ValidationError,
@@ -13,7 +14,7 @@ from fbsde_pc import (
     exponential_ode,
     terminal_values,
 )
-from fbsde_pc.problems import FbsdeProblem, constant_problem
+from fbsde_pc.problems import PROBLEM_REGISTRY, FbsdeProblem, constant_problem
 
 
 class TestExample1:
@@ -169,3 +170,99 @@ class TestClosedFormReference:
         assert y == pytest.approx(float(problem.phi(x[None, :])[0]), abs=1e-14)
         tv = terminal_values(problem, x[None, :])
         assert z == pytest.approx(tv.z[0], abs=1e-12)
+
+
+class TestCallablesAgainstPlainForms:
+    """The hot callables against the plain expressions they replace."""
+
+    def test_example2_drift_is_bit_identical(self):
+        problem = example2()
+        x = np.random.default_rng(4).uniform(-30.0, 30.0, size=(2000, 1))
+        for t in (0.0, 0.37, 1.0):
+            assert np.array_equal(problem.b(t, x), 1.0 / (1.0 + 2.0 * np.exp(t + x)))
+
+    def test_example2_sigma_and_driver_within_rounding(self):
+        problem = example2()
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-30.0, 30.0, size=(5000, 1))
+        y = rng.uniform(-1.0, 1.0, size=5000)
+        z = rng.uniform(-1.0, 1.0, size=(5000, 1))
+        for t in (0.0, 0.37, 1.0):
+            sig = expit(t + x)[:, :, None]
+            got = problem.sigma(t, x)
+            assert got.shape == (5000, 1, 1)
+            assert np.all(np.abs(got - sig) <= 1e-15 * np.abs(sig))
+            w, zz = t + x[:, 0], z[:, 0]
+            terms = (-2.0 * y / (1.0 + 2.0 * np.exp(w)), -0.5 * y * zz * expit(-w),
+                     0.5 * y * y * zz)
+            gap = np.abs(problem.f(t, x, y, z) - sum(terms))
+            assert np.all(gap <= 1e-15 * sum(np.abs(term) for term in terms))
+
+    @pytest.mark.filterwarnings("error")
+    def test_example2_limits_at_extreme_states(self):
+        # e^w overflows at w = 800 and underflows at w = -800; both are the
+        # intended limits, reached without a warning
+        problem = example2()
+        x = np.array([[800.0], [-800.0]])
+        y = np.array([0.5, 0.5])
+        z = np.array([[0.25], [0.25]])
+        assert np.array_equal(problem.b(0.0, x), [[0.0], [1.0]])
+        assert np.array_equal(problem.sigma(0.0, x), [[[1.0]], [[0.0]]])
+        # f -> y^2 z/2 as e^w -> inf, and -2y - y z (1 - y)/2 as e^w -> 0
+        assert np.array_equal(problem.f(0.0, x, y, z), [0.03125, -1.03125])
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_example1_row_sums(self, d):
+        eta, tau, T, t = 0.6, 1.0 / math.sqrt(d), 1.0, 0.3
+        problem = example1(eta=eta, tau=tau, d=d, T=T)
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((300, d)) * 2.0
+        x[7] = -0.0
+        y = rng.uniform(0.0, 3.0, size=300)
+        z = rng.standard_normal((300, d))
+        s = tau * x.sum(axis=1)
+        decay = np.exp(-tau * tau * d / 2.0 * (T - t))
+        arg = y - eta - 1.0 - np.sin(s) * decay
+        plain = {
+            "phi": (problem.phi(x), 1.0 + eta + np.sin(s)),
+            "grad_phi": (problem.grad_phi(x), np.repeat((tau * np.cos(s))[:, None], d, axis=1)),
+            "f": (problem.f(t, x, y, z), np.minimum(1.0, arg * arg)),
+            "u": (problem.closed_form_y(t, x), 1.0 + eta + np.sin(s) * decay),
+            "zeta": (problem.closed_form_z(t, x),
+                     np.repeat((tau * np.cos(s) * decay)[:, None], d, axis=1)),
+        }
+        # numpy adds rows this short one column after another; longer rows
+        # it sums in eight lanes, so the sums differ in their last bits, and
+        # sin/cos carry that as an absolute error of up to |derivative| <= 10
+        # times it (not a relative one near a zero)
+        spread = 1e-15 * 10.0 * tau * np.abs(x).sum(axis=1)
+        for name, (got, want) in plain.items():
+            if d <= 7:
+                assert np.array_equal(got, want), name
+            else:
+                bound = 1e-15 * np.abs(want) + (spread if want.ndim == 1 else spread[:, None])
+                assert np.all(np.abs(got - want) <= bound), name
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_REGISTRY))
+def test_callables_leave_their_arguments_alone(name):
+    # the solver keeps x, y and z after each call, so the callables must
+    # return new arrays and never write into their arguments
+    problem = PROBLEM_REGISTRY[name]()
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((64, problem.d))
+    y = rng.standard_normal(64)
+    z = rng.standard_normal((64, problem.d))
+    calls = {
+        "b": (problem.b, (0.5, x)),
+        "sigma": (problem.sigma, (0.5, x)),
+        "f": (problem.f, (0.5, x, y, z)),
+        "phi": (problem.phi, (x,)),
+        "grad_phi": (problem.grad_phi, (x,)),
+    }
+    for label, (fn, args) in calls.items():
+        before = [np.copy(a) for a in args]
+        out = np.asarray(fn(*args))
+        for a, kept in zip(args, before):
+            assert np.asarray(a).tobytes() == np.asarray(kept).tobytes(), label
+            assert not np.shares_memory(out, a), label

@@ -252,6 +252,16 @@ class TestStochasticSolver:
         assert sol.y0 == pytest.approx(y0, rel=1e-9)
         np.testing.assert_allclose(sol.z0, z0, rtol=1e-9, atol=0)
 
+    def test_pinned_example2_estimate(self):
+        # example2 at the solve-paths settings with 20000 paths, seed 5, held
+        # to the same 1e-9 as the example1 pins
+        problem = example2()
+        grid = GridSpec(T=problem.T, N=50)
+        sol = solve(problem, SolverConfig(scheme=stable_preset(2), grid=grid, basis_degree=2),
+                    sample_ensemble(problem, grid, 20000, seed=5))
+        assert sol.y0 == pytest.approx(0.7309945601728149, rel=1e-9)
+        np.testing.assert_allclose(sol.z0, (0.1434699158167255,), rtol=1e-9, atol=0)
+
     def test_example2_two_step_accuracy_trend(self):
         # single-seed errors are Monte Carlo noise at this M, so the
         # discretization bias is read off the seed-averaged signed error
