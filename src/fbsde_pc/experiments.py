@@ -21,9 +21,6 @@ from .schemes import MultistepScheme
 from .simulation import GridSpec, sample_ensemble
 from .solver import SolverConfig, solve
 
-# batch averages are treated as Gaussian from this many batches on
-RECOMMENDED_MIN_BATCHES = 15
-
 # confidence level of every ladder row's batch interval
 CI_LEVEL = 0.95
 

@@ -7,17 +7,12 @@ bound on the solution (the truncation operator).
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import itertools
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-import scipy
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
@@ -127,52 +122,6 @@ def truncate(x, bound: float):
     if math.isinf(bound):
         return np.asarray(x, dtype=float)
     return np.clip(np.asarray(x, dtype=float), -bound, bound)
-
-
-@functools.cache
-def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS bundled with numpy
-    (ILP64, symbols suffixed 64_) or scipy and loaded in this process; empty
-    when neither wheel bundles one.  Looked up on first use, not at import."""
-    controls = []
-    for module in (np, scipy):
-        libs = Path(module.__file__).resolve().parent.parent / f"{module.__name__}.libs"
-        for path in sorted(libs.glob("*openblas*")):
-            try:
-                lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
-            except OSError:
-                continue  # bundled but not loaded
-            for suffix in ("64_", ""):
-                get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-                set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-                if get_threads is not None and set_threads is not None:
-                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                    controls.append((get_threads, set_threads))
-                    break
-    return tuple(controls)
-
-
-@contextmanager
-def single_blas_thread():
-    """Run the block with every loaded OpenBLAS on one thread and give each
-    copy back its previous thread count on exit, also on an exception.
-
-    numpy and scipy each bundle an OpenBLAS with its own thread pool.  The
-    solver alternates between them on tall, narrow designs, where the two
-    pools mostly compete for the same cores; one thread each is faster and
-    gives the same results.  The count is process-wide, so solves running in
-    concurrent threads of one process would see each other's setting.
-    """
-    controls = _openblas_thread_controls()
-    previous = [get_threads() for get_threads, _ in controls]
-    for _, set_threads in controls:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (_, set_threads), count in zip(controls, previous):
-            set_threads(count)
 
 
 class DesignSolver:

@@ -29,7 +29,6 @@ from .regression import (
     RegressionModel,
     build_basis,
     constant_model,
-    single_blas_thread,
     truncate,
 )
 from .schemes import MultistepScheme, milne_factor, scheme_to_dict, stable_preset
@@ -113,6 +112,11 @@ def _float_arrays(scheme: MultistepScheme):
         np.array([float(v) for v in pred.gamma_tilde]),
         np.array([float(v) for v in scheme.zweights.lambda_h[1:]]),
     )
+
+
+def _require_steps(m: int, N: int) -> None:
+    if N < m:
+        raise ValidationError(f"a scheme of m = {m} steps needs N >= {m} time steps, got N = {N}")
 
 
 def _require_stable(scheme: MultistepScheme, allow_unstable: bool, tol: float) -> None:
@@ -297,19 +301,17 @@ def solve(problem: FbsdeProblem, config: SolverConfig,
         raise ValidationError("ensemble grid does not match solver grid")
     if ensemble.d != problem.d:
         raise ValidationError("ensemble dimension does not match problem")
-    if N < m:
-        raise ValidationError(f"need N >= {m} for an {m}-step scheme")
+    _require_steps(m, N)
     _require_stable(config.scheme, config.allow_unstable, config.stability_tol)
 
     y_models: list = [None] * (N + 1)
     z_models: list = [None] * (N + 1)
     y_models[N] = _TerminalY(problem)
     z_models[N] = _TerminalZ(problem)
-    with single_blas_thread():
-        if m >= 2:
-            _bootstrap(problem, config, ensemble, y_models, z_models)
-        milne = _backward(problem, config, grid.times, grid.h, ensemble.X, ensemble.dW,
-                          y_models, z_models)
+    if m >= 2:
+        _bootstrap(problem, config, ensemble, y_models, z_models)
+    milne = _backward(problem, config, grid.times, grid.h, ensemble.X, ensemble.dW,
+                      y_models, z_models)
 
     x0 = ensemble.X[0:1, 0, :]
     y0 = float(np.asarray(y_models[0].predict(x0)).reshape(-1)[0])
@@ -407,8 +409,7 @@ def deterministic_solve(problem: FbsdeProblem, config: SolverConfig,
     scheme = config.scheme
     m, grid = scheme.m, config.grid
     N, h = grid.N, grid.h
-    if N < m:
-        raise ValidationError(f"need N >= {m} for an {m}-step scheme")
+    _require_steps(m, N)
     _require_stable(scheme, config.allow_unstable, config.stability_tol)
     times = grid.times
     xpath = _ode_path(problem, times, h, problem.x0)
@@ -457,8 +458,7 @@ def milne_local_ratios(problem: FbsdeProblem, scheme: MultistepScheme,
         raise ValidationError("local Milne check needs a closed-form solution")
     m = scheme.m
     N, h = grid.N, grid.h
-    if N < m:
-        raise ValidationError(f"need N >= {m}")
+    _require_steps(m, N)
     coeffs = _float_arrays(scheme)
     times = grid.times
     xpath = _ode_path(problem, times, h, problem.x0)

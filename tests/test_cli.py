@@ -272,9 +272,10 @@ class TestExitCodes:
 
     def test_validation_error_is_2(self, capsys):
         # N < m is a precondition violation
-        code, _, _ = run_cli(capsys, "solve", "--problem", "exponential-ode",
-                             "--deterministic", "--steps", "3", "--N", "2")
+        code, _, err = run_cli(capsys, "solve", "--problem", "exponential-ode",
+                               "--deterministic", "--steps", "3", "--N", "2")
         assert code == 2
+        assert "a scheme of m = 3 steps needs N >= 3 time steps, got N = 2" in err
 
     @pytest.mark.parametrize("flag, value", [
         ("--N", "0"), ("--M", "0"), ("--basis-degree", "-1"), ("--eta", "-1"),
