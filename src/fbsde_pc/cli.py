@@ -195,11 +195,8 @@ def cmd_solve(args) -> int:
         allow_unstable=args.allow_unstable, stability_tol=args.tol,
     )
     start = time.perf_counter()
-    if args.deterministic:
-        solution = solve(problem, config)
-    else:
-        ensemble = sample_ensemble(problem, config.grid, M, args.seed)
-        solution = solve(problem, config, ensemble)
+    ensemble = None if args.deterministic else sample_ensemble(problem, config.grid, M, args.seed)
+    solution = solve(problem, config, ensemble)
     runtime = time.perf_counter() - start
     _emit_json(result_to_dict(solution, runtime), args.out)
     return EXIT_OK

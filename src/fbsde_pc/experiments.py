@@ -116,11 +116,8 @@ def run_trial(problem: FbsdeProblem, scheme: MultistepScheme, N: int, M: int,
     config = SolverConfig(scheme=scheme, grid=grid, basis_degree=basis_degree,
                           deterministic=deterministic, allow_unstable=allow_unstable)
     start = time.perf_counter()
-    if deterministic:
-        solution = solve(problem, config)
-    else:
-        ensemble = sample_ensemble(problem, grid, M, seed)
-        solution = solve(problem, config, ensemble)
+    ensemble = None if deterministic else sample_ensemble(problem, grid, M, seed)
+    solution = solve(problem, config, ensemble)
     runtime = time.perf_counter() - start
     y_ref, z_ref = closed_form_reference(problem, 0.0, problem.x0)
     err_y = abs(solution.y0 - y_ref)

@@ -9,9 +9,10 @@ kernel on the coarse grid; its top levels N-1..N-m+1 come from the same kernel
 run with the one-step trapezoidal pair on a bridge-refined fine grid.  A first
 node at t = 0 is a point mass, so its regressions collapse to sample means.
 
-For sigma = 0 problems one scalar predictor-corrector step serves the
-deterministic recursion, its refined-grid start-up and the Milne local-error
-check.
+A sigma = 0 problem runs the same kernel, start-up included, on one path of
+zero increments with the constant basis: each regression then has one row
+and fits its response exactly, so the kernel runs the scheme's scalar
+recursion.  The Milne local-error check runs it one step at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .regression import (
     truncate,
 )
 from .schemes import MultistepScheme, milne_factor, scheme_to_dict, stable_preset
-from .simulation import GridSpec, PathEnsemble, euler_states, refine_increments
+from .simulation import GridSpec, PathEnsemble, euler_paths, euler_states, refine_increments
 from .stability import scheme_verdict
 
 BOOTSTRAP_SUBSTEP_CAP = 64
@@ -79,27 +80,20 @@ class BackwardSolution:
 class DeterministicSolution:
     times: np.ndarray
     y: np.ndarray
-    y_tilde: np.ndarray
     milne: np.ndarray
     y0: float
     z0: np.ndarray
     config: SolverConfig
 
 
-class _TerminalY:
-    def __init__(self, problem: FbsdeProblem):
-        self._problem = problem
+class _Terminal:
+    """A terminal rule in a model slot: predict evaluates it at the rows of x."""
+
+    def __init__(self, rule):
+        self._rule = rule
 
     def predict(self, x):
-        return np.asarray(self._problem.phi(np.asarray(x, dtype=float)))
-
-
-class _TerminalZ:
-    def __init__(self, problem: FbsdeProblem):
-        self._problem = problem
-
-    def predict(self, x):
-        return terminal_values(self._problem, np.asarray(x, dtype=float)).z
+        return np.asarray(self._rule(np.asarray(x, dtype=float)))
 
 
 def _float_arrays(scheme: MultistepScheme):
@@ -112,6 +106,17 @@ def _float_arrays(scheme: MultistepScheme):
         np.array([float(v) for v in pred.gamma_tilde]),
         np.array([float(v) for v in scheme.zweights.lambda_h[1:]]),
     )
+
+
+def _terminal_slots(problem: FbsdeProblem, N: int) -> tuple[list, list]:
+    """y and z model lists with one slot per node, the terminal rules in slot N."""
+    z_rule = _Terminal(lambda x: terminal_values(problem, x).z)
+    return [None] * N + [_Terminal(problem.phi)], [None] * N + [z_rule]
+
+
+def _value(model, x: np.ndarray) -> float:
+    """A y model's prediction at the one state x."""
+    return float(np.asarray(model.predict(x[None, :])).reshape(-1)[0])
 
 
 def _require_steps(m: int, N: int) -> None:
@@ -143,25 +148,16 @@ def _milne_scale(scheme: MultistepScheme) -> float:
         return float("nan")
 
 
-def _fine_times(grid: GridSpec, start: int, r: int):
-    """Nodes t_start, t_start + h/r, ..., T of the start-up grid, and h/r.
-
-    The last node is T exactly, because the terminal driver is evaluated there.
-    """
-    h_f = grid.h / r
-    times = grid.times[start] + h_f * np.arange((grid.N - start) * r + 1)
-    times[-1] = grid.T
-    return times, h_f
-
-
 def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h: float,
-              X: np.ndarray, dW: np.ndarray, y_models: list, z_models: list) -> np.ndarray:
+              X: np.ndarray, dW: np.ndarray, y_models: list, z_models: list,
+              perturb_y: float = 0.0) -> np.ndarray:
     """Run config.scheme backward over the nodes of times, step h.
 
     X (M, n+1, d) holds the states and dW (M, n, d) the increments between
     them.  y_models and z_models have one slot per node; the top m slots hold
-    the starting models, and every lower slot is filled in place.  Returns the
-    Milne indicator of each step i = 0..n-m.
+    the starting models, and every lower slot is filled in place.  perturb_y
+    is added to every corrector response.  Returns the Milne indicator of
+    each step i = 0..n-m.
     """
     scheme = config.scheme
     m, n = scheme.m, len(times) - 1
@@ -244,6 +240,8 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
             s_corr = s_corr + alpha[j - 1] * (yj - control) + h * gamma[j - 1] * fj
             if j < m:
                 control = control + zdw_j
+        if perturb_y:
+            s_corr = s_corr + perturb_y
         _check_finite(s_corr, "corrector response", i)
 
         if point_mass:
@@ -269,16 +267,23 @@ def _bootstrap(problem: FbsdeProblem, config: SolverConfig, ensemble: PathEnsemb
 
     Runs the one-step trapezoidal pair on a Brownian-bridge refined grid
     (auto_substeps pieces per coarse step) from T down to t_{N-m+1} and keeps
-    the models at the coarse nodes.
+    the models at the coarse nodes.  A deterministic solve has no noise to
+    refine: its fine increments are zero.
     """
     grid = config.grid
     N = grid.N
     r = config.bootstrap_substeps or auto_substeps(config.scheme.m, grid.h)
     start = N - config.scheme.m + 1
-    times, h_f = _fine_times(grid, start, r)
-    fine_dw = refine_increments(ensemble, start, r)
+    # fine nodes t_start, t_start + h/r, ..., T; the last is T exactly,
+    # because the terminal driver is evaluated there
+    n_fine, h_f = (N - start) * r, grid.h / r
+    times = grid.times[start] + h_f * np.arange(n_fine + 1)
+    times[-1] = grid.T
+    if config.deterministic:
+        fine_dw = np.zeros((ensemble.M, n_fine, ensemble.d))
+    else:
+        fine_dw = refine_increments(ensemble, start, r)
     fine_x = euler_states(problem, times, h_f, fine_dw, ensemble.X[:, start, :])
-    n_fine = len(times) - 1
     fine_y = [None] * n_fine + [y_models[N]]
     fine_z = [None] * n_fine + [z_models[N]]
     trapezoid = replace(config, scheme=stable_preset(1))
@@ -304,18 +309,15 @@ def solve(problem: FbsdeProblem, config: SolverConfig,
     _require_steps(m, N)
     _require_stable(config.scheme, config.allow_unstable, config.stability_tol)
 
-    y_models: list = [None] * (N + 1)
-    z_models: list = [None] * (N + 1)
-    y_models[N] = _TerminalY(problem)
-    z_models[N] = _TerminalZ(problem)
+    y_models, z_models = _terminal_slots(problem, N)
     if m >= 2:
         _bootstrap(problem, config, ensemble, y_models, z_models)
     milne = _backward(problem, config, grid.times, grid.h, ensemble.X, ensemble.dW,
                       y_models, z_models)
 
-    x0 = ensemble.X[0:1, 0, :]
-    y0 = float(np.asarray(y_models[0].predict(x0)).reshape(-1)[0])
-    z0 = np.asarray(z_models[0].predict(x0), dtype=float).reshape(problem.d)
+    x0 = ensemble.X[0, 0]
+    y0 = _value(y_models[0], x0)
+    z0 = np.asarray(z_models[0].predict(x0[None, :]), dtype=float).reshape(problem.d)
     return BackwardSolution(y0=y0, z0=z0, y_models=y_models, z_models=z_models,
                             milne=milne, config=config)
 
@@ -340,138 +342,92 @@ def _probe_deterministic(problem: FbsdeProblem) -> None:
                 "deterministic solve needs a driver free of z, but the driver depends on z")
 
 
-def _ode_path(problem: FbsdeProblem, times: np.ndarray, h: float, x_start) -> np.ndarray:
-    """The sigma = 0 forward path (n+1, d): Euler steps with zero increments."""
-    zero_dw = np.zeros((1, len(times) - 1, problem.d))
-    return euler_states(problem, times, h, zero_dw, x_start)[0]
+def _one_path(problem: FbsdeProblem, grid: GridSpec) -> PathEnsemble:
+    """The sigma = 0 path: Euler steps from x0 with zero increments."""
+    return euler_paths(problem, grid, np.zeros((1, grid.N, problem.d)))
 
 
-def _ode_driver(problem: FbsdeProblem, times: np.ndarray, path: np.ndarray):
-    """f(t_i, x_i, y, 0) along a sigma = 0 path, as a function of (i, y)."""
-    zeros_z = np.zeros((1, problem.d))
-
-    def fval(i: int, y: float) -> float:
-        out = problem.f(times[i], path[i][None, :], np.array([y]), zeros_z)
-        return float(np.asarray(out).reshape(-1)[0])
-
-    return fval
-
-
-def _ode_terminal(problem: FbsdeProblem, x: np.ndarray) -> float:
-    return float(np.asarray(problem.phi(x[None, :])).reshape(-1)[0])
-
-
-def _ode_step(coeffs: tuple, h: float, fval, i: int, y_fut: np.ndarray,
-              f_fut: np.ndarray) -> tuple[float, float]:
-    """One scalar predictor-corrector step to node i from Y_{i+1..i+m} and
-    their drivers; returns (predictor, corrector)."""
-    alpha, gamma0, gamma, alpha_t, gamma_t, _ = coeffs
-    pred = float(alpha_t @ y_fut + h * (gamma_t @ f_fut))
-    corr = float(alpha @ y_fut + h * gamma0 * fval(i, pred) + h * (gamma @ f_fut))
-    return pred, corr
-
-
-def _ode_recursion(scheme: MultistepScheme, h: float, fval, y: np.ndarray,
-                   perturb_y: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Fill y[0..n-m] from its top m entries by the scheme's recursion, adding
-    perturb_y to every corrector; returns (predictor values, Milne indicators)."""
-    m, n = scheme.m, len(y) - 1
-    coeffs = _float_arrays(scheme)
-    f_at = np.empty(n + 1)
-    for lvl in range(n - m + 1, n + 1):
-        f_at[lvl] = fval(lvl, y[lvl])
-    y_tilde = np.full(n + 1, np.nan)
-    factor = _milne_scale(scheme)
-    milne = np.zeros(n - m + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - m, -1, -1):
-            pred, corr = _ode_step(coeffs, h, fval, i, y[i + 1:i + m + 1], f_at[i + 1:i + m + 1])
-            corr += perturb_y
-            y[i] = corr
-            y_tilde[i] = pred
-            f_at[i] = fval(i, corr)
-            milne[i] = factor * abs(pred - corr)
-    return y_tilde, milne
+def _exact_models(problem: FbsdeProblem, times: np.ndarray, x: np.ndarray):
+    """Constant models of the closed-form Y and Z at each node (times[i], x[i])."""
+    basis = build_basis(problem.d, 0)
+    exact = [closed_form_reference(problem, t, xi) for t, xi in zip(times, x)]
+    return ([constant_model(y, basis) for y, _ in exact],
+            [constant_model(z, basis) for _, z in exact])
 
 
 def deterministic_solve(problem: FbsdeProblem, config: SolverConfig,
                         seed_levels: str = "auto", *,
                         _perturb_y: float = 0.0) -> DeterministicSolution:
-    """Scalar scheme recursion for sigma = 0 problems (no regression).
+    """The backward kernel on the one sigma = 0 path, with the constant basis.
 
     seed_levels picks how Y_{N-1}..Y_{N-m+1} are produced: "closed-form"
-    (requires the problem's exact solution), "bootstrap" (the one-step
-    trapezoidal recursion on a refined grid), or "auto" (closed form when
-    available).  _perturb_y is added to every corrector of the main
-    recursion, for deterministic_perturbation_deviation.
+    (requires the problem's exact solution), "bootstrap" (the stochastic
+    solve's start-up, run on the same path), or "auto" (closed form when
+    available).  _perturb_y is added to every corrector of the main pass, for
+    deterministic_perturbation_deviation.
     """
     _probe_deterministic(problem)
     scheme = config.scheme
     m, grid = scheme.m, config.grid
-    N, h = grid.N, grid.h
+    N = grid.N
     _require_steps(m, N)
     _require_stable(scheme, config.allow_unstable, config.stability_tol)
-    times = grid.times
-    xpath = _ode_path(problem, times, h, problem.x0)
-
-    y = np.empty(N + 1)
-    y[N] = _ode_terminal(problem, xpath[N])
-
     if seed_levels not in ("auto", "closed-form", "bootstrap"):
         raise ValidationError(f"unknown seed_levels mode {seed_levels!r}")
     use_cf = seed_levels == "closed-form" or (
         seed_levels == "auto" and problem.has_closed_form)
     if use_cf and not problem.has_closed_form:
         raise ValidationError("closed-form seeding requested but unavailable")
-    if m >= 2:
-        start = N - m + 1
-        if use_cf:
-            for lvl in range(start, N):
-                y[lvl], _ = closed_form_reference(problem, times[lvl], xpath[lvl])
-        else:
-            r = config.bootstrap_substeps or auto_substeps(m, h)
-            fine_times, h_f = _fine_times(grid, start, r)
-            fine_x = _ode_path(problem, fine_times, h_f, xpath[start])
-            v = np.empty(len(fine_times))
-            v[-1] = _ode_terminal(problem, fine_x[-1])
-            _ode_recursion(stable_preset(1), h_f, _ode_driver(problem, fine_times, fine_x), v)
-            y[start:N] = v[:-1:r]
 
-    y_tilde, milne = _ode_recursion(scheme, h, _ode_driver(problem, times, xpath), y,
-                                    _perturb_y)
-    if not math.isfinite(y[0]):
-        raise NumericalError(f"non-finite y0 ({y[0]}) from the sigma = 0 recursion")
-    return DeterministicSolution(times=times, y=y, y_tilde=y_tilde, milne=milne,
-                                 y0=float(y[0]), z0=np.zeros(problem.d), config=config)
+    path = _one_path(problem, grid)
+    kernel = replace(config, basis_degree=0, deterministic=True)
+    y_models, z_models = _terminal_slots(problem, N)
+    start = N - m + 1
+    if use_cf:
+        y_models[start:N], z_models[start:N] = _exact_models(
+            problem, grid.times[start:N], path.X[0, start:N])
+    try:
+        # an unstable scheme or a long horizon may overflow; that is reported
+        # once, as a non-finite result
+        with np.errstate(over="ignore", invalid="ignore"):
+            if m >= 2 and not use_cf:
+                _bootstrap(problem, kernel, path, y_models, z_models)
+            milne = _backward(problem, kernel, grid.times, grid.h, path.X, path.dW,
+                              y_models, z_models, _perturb_y)
+    except NumericalError as err:
+        raise NumericalError(f"non-finite y0 from the sigma = 0 recursion: {err}") from None
+    y = np.array([_value(y_models[i], path.X[0, i]) for i in range(N + 1)])
+    return DeterministicSolution(times=grid.times, y=y, milne=milne, y0=float(y[0]),
+                                 z0=np.zeros(problem.d), config=config)
 
 
 def milne_local_ratios(problem: FbsdeProblem, scheme: MultistepScheme,
                        grid: GridSpec) -> np.ndarray:
     """Local-error check of the Milne device on a sigma = 0 problem.
 
-    Each step is seeded with exact future values, so |u - Y| is the local
-    error; the returned ratios |u - Y| / (factor * |Ytilde - Y|) tend to 1 as
-    h -> 0.
+    The kernel runs one step from each window of m + 1 nodes whose top m
+    slots hold the exact solution, so |u - Y| is the local error; the
+    returned ratios |u - Y| / (factor * |Ytilde - Y|) tend to 1 as h -> 0.
     """
     _probe_deterministic(problem)
     if not problem.has_closed_form:
         raise ValidationError("local Milne check needs a closed-form solution")
-    m = scheme.m
-    N, h = grid.N, grid.h
+    m, N = scheme.m, grid.N
     _require_steps(m, N)
-    coeffs = _float_arrays(scheme)
-    times = grid.times
-    xpath = _ode_path(problem, times, h, problem.x0)
-    fval = _ode_driver(problem, times, xpath)
-    u = np.array([closed_form_reference(problem, times[i], xpath[i])[0]
-                  for i in range(N + 1)])
-    f_exact = np.array([fval(i, u[i]) for i in range(N + 1)])
-    factor = float(milne_factor(scheme))
+    milne_factor(scheme)  # raises DegenerateIndicator when the factor is undefined
+    path, times = _one_path(problem, grid), grid.times
+    x = path.X[0]
+    config = SolverConfig(scheme=scheme, grid=grid, basis_degree=0, deterministic=True)
+    exact_y, exact_z = _exact_models(problem, times, x)
     ratios = np.empty(N - m + 1)
-    for i in range(N - m, -1, -1):
-        pred, corr = _ode_step(coeffs, h, fval, i, u[i + 1:i + m + 1], f_exact[i + 1:i + m + 1])
-        gap = factor * abs(pred - corr)
-        ratios[i] = abs(u[i] - corr) / gap if gap > 0 else np.inf
+    for i in range(N - m + 1):
+        nodes = slice(i, i + m + 1)
+        y_models = [None] + exact_y[i + 1:i + m + 1]
+        z_models = [None] + exact_z[i + 1:i + m + 1]
+        gap = _backward(problem, config, times[nodes], grid.h, path.X[:, nodes],
+                        path.dW[:, i:i + m], y_models, z_models)[0]
+        error = abs(_value(exact_y[i], x[i]) - _value(y_models[0], x[i]))
+        ratios[i] = error / gap if gap > 0 else np.inf
     return ratios
 
 

@@ -111,17 +111,30 @@ class TestSolve:
 
     def test_overflowing_exponential_is_silent(self):
         # at T = 800 the example2 coefficients take e^w = inf, their intended
-        # limit; a fresh interpreter shows any RuntimeWarning on stderr
+        # limit; the unstable sigma = 0 ladder overflows at N = 2000 and the
+        # sigma = 0 solve at T = 1e308.  A fresh interpreter shows any
+        # RuntimeWarning on stderr
         env = dict(os.environ)
         src = str(Path(cli.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "fbsde_pc.cli", "solve", "--problem", "example2",
-             "--T", "800", "--N", "4", "--M", "200"],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 0
-        assert done.stderr == ""
-        assert "y0" in json.loads(done.stdout)
+        cases = [
+            (["solve", "--problem", "example2", "--T", "800", "--N", "4", "--M", "200"], 0),
+            (["stability-demo", "--problem", "exponential-ode", "--deterministic",
+              "--steps", "2", "--family", "unstable", "--N", "10,2000", "--M", "1"], 0),
+            (["solve", "--problem", "exponential-ode", "--deterministic", "--T", "1e308"], 3),
+        ]
+        for argv, code in cases:
+            done = subprocess.run([sys.executable, "-m", "fbsde_pc.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == code, argv
+            if code == 0:
+                assert done.stderr == ""
+                doc = strict_json(done.stdout)
+                assert "y0" in doc or doc["rows"][1]["err_y"] is None
+            else:
+                assert done.stdout == ""
+                assert done.stderr.startswith("numerical failure: non-finite y0")
+                assert done.stderr.count("\n") == 1
 
     def test_unstable_scheme_needs_override(self, capsys):
         args = ["solve", "--problem", "exponential-ode", "--deterministic",

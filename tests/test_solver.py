@@ -33,6 +33,29 @@ from fbsde_pc.solver import (
 )
 
 
+# y0 of deterministic_solve(exponential_ode(), ...) at N = 8, 40 and 200, by
+# (family, m, seed_levels), recorded from the scalar recursion that the
+# one-path kernel replaced
+DETERMINISTIC_Y0 = {
+    ("adams", 1, "auto"): (0.3958758906890161, 0.3726634637735021, 0.36880644855768735),
+    ("adams", 1, "bootstrap"): (0.3958758906890161, 0.3726634637735021, 0.36880644855768735),
+    ("adams", 2, "auto"): (0.3672805044230375, 0.36785932164201407, 0.36787866708976386),
+    ("adams", 2, "bootstrap"): (0.3672942799955588, 0.36785934124802355, 0.36787866712383527),
+    ("adams", 3, "auto"): (0.3679170251146098, 0.36787969537076964, 0.36787944311160564),
+    ("adams", 3, "bootstrap"): (0.36792078554029695, 0.3678796965675551, 0.3678794431153476),
+    ("adams", 4, "auto"): (0.3678765477461846, 0.367879437103614, 0.3678794411652822),
+    ("adams", 4, "bootstrap"): (0.3678772274210136, 0.36787943780500704, 0.3678794411708946),
+    ("stable", 1, "auto"): (0.36893324408072026, 0.3679184897168603, 0.36788097976527695),
+    ("stable", 1, "bootstrap"): (0.36893324408072026, 0.3679184897168603, 0.36788097976527695),
+    ("stable", 2, "auto"): (0.3666169177303374, 0.36783365319849115, 0.3678776443279503),
+    ("stable", 2, "bootstrap"): (0.36662588028329207, 0.3678336662156309, 0.36787764435064646),
+    ("stable", 3, "auto"): (0.3680554064553522, 0.3678808124367019, 0.3678794520516324),
+    ("stable", 3, "bootstrap"): (0.3680579244688151, 0.36788081322553357, 0.3678794520541215),
+    ("stable", 4, "auto"): (0.3678708582140857, 0.36787942763735926, 0.36787944114968535),
+    ("stable", 4, "bootstrap"): (0.36787120284450964, 0.3678794280989015, 0.3678794411534175),
+}
+
+
 def config_for(scheme, N, T=1.0, **kw):
     return SolverConfig(scheme=scheme, grid=GridSpec(T=T, N=N), **kw)
 
@@ -140,6 +163,25 @@ class TestDeterministicSolve:
         assert abs(bs.y0 - cf.y0) < 1e-5
         assert abs(bs.y0 - exact) < 2 * abs(cf.y0 - exact) + 1e-6
 
+    @pytest.mark.parametrize("m, seed_levels, y0", [
+        (2, "closed-form", 0.7341829392170706),
+        (2, "bootstrap", 0.73418806841862),
+        (3, "closed-form", 0.7359402599291344),
+        (3, "bootstrap", 0.7359417856279983),
+    ], ids=["m2-closed-form", "m2-bootstrap", "m3-closed-form", "m3-bootstrap"])
+    def test_drifting_path_pinned(self, m, seed_levels, y0):
+        # b = 1 and phi(x) = 1 + x, so Y_t = e^{t-1} (2 + X_t - t): phi differs
+        # between neighbouring states, where noise in the start-up's fine
+        # increments would reach y0 through the z fit of its top step.  The
+        # values were recorded from the scalar recursion, which had no noise
+        # to leak; the zero-noise start-up has to reproduce them
+        problem = dataclasses.replace(
+            exponential_ode(), b=lambda t, x: np.ones_like(x), phi=lambda x: 1.0 + x[:, 0],
+            closed_form_y=lambda t, x: np.exp(t - 1.0) * (2.0 + x[:, 0] - t))
+        sol = deterministic_solve(problem, config_for(stable_preset(m), 10),
+                                  seed_levels=seed_levels)
+        assert sol.y0 == pytest.approx(y0, rel=1e-14)
+
     def test_bootstrap_seeding_is_one_step_scheme(self):
         # with one substep the start-up grid is the coarse grid, so level N-1
         # is the one-step trapezoidal value
@@ -152,13 +194,20 @@ class TestDeterministicSolve:
 
 
 class TestObservedOrder:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_adams_pairs_hit_their_order(self, m):
+    # "bootstrap" runs the stochastic solve's start-up.  m = 4 is left out
+    # there: auto_substeps wants 90-716 substeps at these N and is capped at
+    # BOOTSTRAP_SUBSTEP_CAP = 64, and the observed orders are 4.23 and 4.41
+    @pytest.mark.parametrize("m, seed_levels", [
+        *(pytest.param(m, "auto", id=str(m)) for m in (1, 2, 3, 4)),
+        *(pytest.param(m, "bootstrap", id=f"{m}-bootstrap") for m in (1, 2, 3)),
+    ])
+    def test_adams_pairs_hit_their_order(self, m, seed_levels):
         problem = exponential_ode()
         exact = math.exp(-1.0)
         errors = []
         for N in (20, 40, 80):
-            sol = deterministic_solve(problem, config_for(adams_pair(m), N))
+            sol = deterministic_solve(problem, config_for(adams_pair(m), N),
+                                      seed_levels=seed_levels)
             errors.append(abs(sol.y0 - exact))
         observed = math.log2(errors[0] / errors[1])
         assert observed == pytest.approx(m, abs=0.35)
@@ -272,6 +321,41 @@ class TestStochasticSolver:
                     sample_ensemble(problem, grid, 20000, seed=5))
         assert sol.y0 == pytest.approx(0.7309945601728149, rel=1e-9)
         np.testing.assert_allclose(sol.z0, (0.1434699158167255,), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("family, m, seed_levels", DETERMINISTIC_Y0)
+    def test_pinned_deterministic_estimates(self, family, m, seed_levels):
+        # only the order of the sums differs from the scalar recursion, so the
+        # values agree to rounding
+        scheme = {"adams": adams_pair, "stable": stable_preset}[family](m)
+        for N, y0 in zip((8, 40, 200), DETERMINISTIC_Y0[family, m, seed_levels]):
+            sol = deterministic_solve(exponential_ode(), config_for(scheme, N),
+                                      seed_levels=seed_levels)
+            assert sol.y0 == pytest.approx(y0, rel=1e-14), N
+
+    @pytest.mark.parametrize("scheme, N, y0, rel", [
+        (stable_preset(3), 80, 0.3678796117031056, 1e-14),
+        (adams_pair(2), 16, 0.36774468697932833, 1e-14),
+        # the root 2 of the unstable pair amplifies each step's rounding up
+        # to 2^N = 4096 times, so a change in the order of the sums moves y0
+        # by about 1e-12 relative
+        (unstable_two_step(), 12, -0.34711829177774056, 1e-11),
+    ], ids=["readme-stable3", "cli-adams2", "cli-unstable2"])
+    def test_pinned_deterministic_cli_estimates(self, scheme, N, y0, rel):
+        # the exponential-ode --deterministic solves of README.md and
+        # test_cli.py that DETERMINISTIC_Y0 does not already hold
+        sol = deterministic_solve(exponential_ode(),
+                                  config_for(scheme, N, allow_unstable=True))
+        assert sol.y0 == pytest.approx(y0, rel=rel)
+
+    def test_pinned_milne_local_ratios(self):
+        # the Milne gap |Ytilde - Y| of each ratio is the difference of two
+        # O(1) values, so the ratio's rounding is near 1e-9 relative
+        ratios = milne_local_ratios(exponential_ode(), adams_pair(2), GridSpec(T=1.0, N=160))
+        pinned = (1.009880828052473, 1.0098808228915654, 1.0098808183125139,
+                  1.0098808241726218, 1.009880825862191, 1.0098808199334228,
+                  1.009880818476215, 1.0098808213788588)
+        np.testing.assert_allclose(ratios[::20], pinned, rtol=1e-6, atol=0)
+        assert ratios.mean() == pytest.approx(1.0098808235726646, rel=1e-6)
 
     def test_example2_two_step_accuracy_trend(self):
         # single-seed errors are Monte Carlo noise at this M, so the
