@@ -34,7 +34,6 @@ from .regression import (
 )
 from .schemes import (
     CorrectorCoefficients,
-    DerivativeWeights,
     MultistepScheme,
     PredictorCoefficients,
     adams_pair,

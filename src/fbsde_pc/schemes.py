@@ -15,7 +15,7 @@ Fractions and stay Fractions until a solver converts them to floats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence, Union
@@ -94,38 +94,27 @@ class PredictorCoefficients:
 
 
 @dataclass(frozen=True)
-class DerivativeWeights:
-    """Weights lambda_{m,0..m} stored premultiplied by h, so they are
-    grid-independent: (1/h) * sum_n lambda_h[n] * g(t + n*h) estimates g'(t)."""
-
-    lambda_h: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambda_h", _fraction_tuple(self.lambda_h))
-        if len(self.lambda_h) < 2:
-            raise ValidationError("lambda_h needs at least two nodes")
-
-    @property
-    def m(self) -> int:
-        return len(self.lambda_h) - 1
-
-
-@dataclass(frozen=True)
 class MultistepScheme:
-    """A complete predictor-corrector scheme, ready for the backward solver."""
+    """A complete predictor-corrector scheme, ready for the backward solver.
+
+    Only the two coefficient sets and the name are chosen.  The derivative
+    weights lambda_h and the error constants Ctilde and C are derived from
+    them once, at construction, so they cannot disagree with the weights.
+    """
 
     predictor: PredictorCoefficients
     corrector: CorrectorCoefficients
-    zweights: DerivativeWeights
-    error_constant_pred: Fraction
-    error_constant_corr: Fraction
     name: str = ""
+    lambda_h: tuple[Fraction, ...] = field(init=False)
+    error_constant_pred: Fraction = field(init=False)
+    error_constant_corr: Fraction = field(init=False)
 
     def __post_init__(self):
-        if not (self.predictor.m == self.corrector.m == self.zweights.m):
-            raise ValidationError("predictor, corrector and z-weights disagree on step count")
-        object.__setattr__(self, "error_constant_pred", as_fraction(self.error_constant_pred))
-        object.__setattr__(self, "error_constant_corr", as_fraction(self.error_constant_corr))
+        if self.predictor.m != self.corrector.m:
+            raise ValidationError("predictor and corrector disagree on step count")
+        object.__setattr__(self, "lambda_h", derivative_weights(self.m))
+        object.__setattr__(self, "error_constant_pred", error_constant(self.predictor))
+        object.__setattr__(self, "error_constant_corr", error_constant(self.corrector))
 
     @property
     def m(self) -> int:
@@ -333,11 +322,12 @@ def solve_predictor_conditions(
 
 # -- derivative weights -------------------------------------------------------
 
-def derivative_weights(m: int) -> DerivativeWeights:
+def derivative_weights(m: int) -> tuple[Fraction, ...]:
     """Solve the (m+1)-point moment system sum_n n^j u_n = [j == 1] exactly.
 
-    The solution u = h*lambda turns future solution levels into a first
-    derivative estimate of order m.
+    The solution u = h*lambda_{m,0..m} is grid-independent and turns future
+    solution levels into a first derivative estimate of order m:
+    (1/h) * sum_n u[n] * g(t + n*h) estimates g'(t).
     """
     if m < 1:
         raise ValidationError("need m >= 1")
@@ -345,7 +335,7 @@ def derivative_weights(m: int) -> DerivativeWeights:
         raise ValidationError(f"derivative weights unsupported past m = {MAX_STEP_COUNT}")
     rows = [[Fraction(n**j) for n in range(m + 1)] for j in range(m + 1)]
     rhs = [Fraction(1) if j == 1 else Fraction(0) for j in range(m + 1)]
-    return DerivativeWeights(lambda_h=tuple(_solve_exact(rows, rhs)))
+    return tuple(_solve_exact(rows, rhs))
 
 
 # -- Milne local-error indicator ----------------------------------------------
@@ -359,21 +349,6 @@ def milne_factor(scheme: MultistepScheme) -> Fraction:
 
 
 # -- ready-made schemes -------------------------------------------------------
-
-def build_scheme(predictor: PredictorCoefficients, corrector: CorrectorCoefficients,
-                 name: str = "") -> MultistepScheme:
-    """Bundle predictor/corrector with matching z-weights and error constants."""
-    if predictor.m != corrector.m:
-        raise ValueError("predictor and corrector step counts differ")
-    return MultistepScheme(
-        predictor=predictor,
-        corrector=corrector,
-        zweights=derivative_weights(corrector.m),
-        error_constant_pred=error_constant(predictor),
-        error_constant_corr=error_constant(corrector),
-        name=name,
-    )
-
 
 def adams_pair(order: int) -> MultistepScheme:
     """Adams-Bashforth predictor with the matching Adams-Moulton corrector.
@@ -390,7 +365,7 @@ def adams_pair(order: int) -> MultistepScheme:
     gamma_pins: list[Optional[Fraction]] = [None] * order
     gamma_pins[-1] = Fraction(0)
     corrector = solve_order_conditions(order, alpha=nearest, gamma=gamma_pins)
-    return build_scheme(predictor, corrector, name=f"adams-{order}")
+    return MultistepScheme(predictor, corrector, name=f"adams-{order}")
 
 
 # Free corrector parameter of the uniform-average family.  The one- and
@@ -416,7 +391,7 @@ def stable_preset(m: int) -> MultistepScheme:
     uniform = (Fraction(1, m),) * m
     predictor = solve_predictor_conditions(m, alpha_tilde=uniform)
     corrector = solve_order_conditions(m, alpha=uniform, gamma0=_UNIFORM_GAMMA0[m])
-    return build_scheme(predictor, corrector, name=f"uniform-{m}")
+    return MultistepScheme(predictor, corrector, name=f"uniform-{m}")
 
 
 def unstable_two_step() -> MultistepScheme:
@@ -425,14 +400,14 @@ def unstable_two_step() -> MultistepScheme:
         alpha_tilde=(3, -2), gamma_tilde=(Fraction(1, 2), Fraction(-3, 2)))
     corrector = CorrectorCoefficients(
         alpha=(3, -2), gamma0=1, gamma=(Fraction(-3, 2), Fraction(-1, 2)))
-    return build_scheme(predictor, corrector, name="unstable-2")
+    return MultistepScheme(predictor, corrector, name="unstable-2")
 
 
 def unstable_three_step() -> MultistepScheme:
     """Order-3 scheme with characteristic roots {-2, 1, 3}; unstable."""
     predictor = PredictorCoefficients(alpha_tilde=(2, 5, -6), gamma_tilde=(2, -6, -2))
     corrector = CorrectorCoefficients(alpha=(2, 5, -6), gamma0=-3, gamma=(11, -15, 1))
-    return build_scheme(predictor, corrector, name="unstable-3")
+    return MultistepScheme(predictor, corrector, name="unstable-3")
 
 
 _FAMILIES = {
@@ -467,7 +442,7 @@ def scheme_to_dict(scheme: MultistepScheme) -> dict:
         "gamma": [s(v) for v in scheme.corrector.gamma],
         "alpha_tilde": [s(v) for v in scheme.predictor.alpha_tilde],
         "gamma_tilde": [s(v) for v in scheme.predictor.gamma_tilde],
-        "lambda_h": [s(v) for v in scheme.zweights.lambda_h],
+        "lambda_h": [s(v) for v in scheme.lambda_h],
         "C_pred": s(scheme.error_constant_pred),
         "C_corr": s(scheme.error_constant_corr),
         "name": scheme.name,
@@ -475,8 +450,10 @@ def scheme_to_dict(scheme: MultistepScheme) -> dict:
 
 
 def scheme_from_dict(data: dict) -> MultistepScheme:
-    """Inverse of scheme_to_dict; lambda_h, C_pred and C_corr are derived when
-    absent.  A missing or malformed field raises ValidationError naming it."""
+    """Inverse of scheme_to_dict.  The scheme is built from its weights alone;
+    lambda_h, C_pred and C_corr may be omitted, and when present must equal
+    the values derived from the weights.  A missing, malformed or disagreeing
+    field raises ValidationError naming it."""
     if not isinstance(data, dict):
         raise ValidationError("a scheme must be a JSON object")
 
@@ -495,20 +472,14 @@ def scheme_from_dict(data: dict) -> MultistepScheme:
         alpha_tilde=read("alpha_tilde"), gamma_tilde=read("gamma_tilde"))
     if corrector.m != m:
         raise ValidationError("declared step count m disagrees with coefficient lengths")
-    if "lambda_h" in data:
-        zweights = DerivativeWeights(lambda_h=read("lambda_h"))
-    else:
-        zweights = derivative_weights(m)
-    c_pred = read("C_pred", as_fraction) if "C_pred" in data else error_constant(predictor)
-    c_corr = read("C_corr", as_fraction) if "C_corr" in data else error_constant(corrector)
-    return MultistepScheme(
-        predictor=predictor,
-        corrector=corrector,
-        zweights=zweights,
-        error_constant_pred=c_pred,
-        error_constant_corr=c_corr,
-        name=data.get("name", ""),
-    )
+    scheme = MultistepScheme(predictor, corrector, name=data.get("name", ""))
+    derived = scheme_to_dict(scheme)
+    for key, convert in (("lambda_h", _fraction_tuple), ("C_pred", as_fraction),
+                         ("C_corr", as_fraction)):
+        if key in data and read(key, convert) != convert(derived[key]):
+            raise ValidationError(f"scheme field {key!r} is {json.dumps(data[key])}, "
+                                  f"but the weights give {json.dumps(derived[key])}")
+    return scheme
 
 
 def scheme_to_json(scheme: MultistepScheme, indent: int = 2) -> str:

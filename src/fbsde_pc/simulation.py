@@ -251,11 +251,17 @@ class PathEnsemble:
     """
 
     grid: GridSpec
-    d: int
-    M: int
     seed: int
     dW: np.ndarray  # (M, N, d)
     X: np.ndarray   # (M, N+1, d)
+
+    @property
+    def M(self) -> int:
+        return self.dW.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.dW.shape[2]
 
 
 def _apply_sigma(sigma_val: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -291,12 +297,12 @@ def euler_paths(problem, grid: GridSpec, increments: np.ndarray,
     dW = np.asarray(increments, dtype=float)
     if dW.ndim != 3:
         raise ValidationError("increments must have shape (M, N, d)")
-    M, N, d = dW.shape
+    _, N, d = dW.shape
     if N != grid.N or d != problem.d:
         raise ValidationError("increments disagree with the grid or problem dimension")
     start = np.asarray(problem.x0 if x0 is None else x0, dtype=float).reshape(d)
     X = euler_states(problem, grid.times, grid.h, dW, start)
-    return PathEnsemble(grid=grid, d=d, M=M, seed=seed, dW=dW, X=X)
+    return PathEnsemble(grid=grid, seed=seed, dW=dW, X=X)
 
 
 def sample_ensemble(problem, grid: GridSpec, M: int, seed: int) -> PathEnsemble:

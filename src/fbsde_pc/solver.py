@@ -54,7 +54,6 @@ class SolverConfig:
     grid: GridSpec
     basis_degree: int = 2
     y_bound: Optional[float] = None   # None -> problem-supplied bound
-    bootstrap_substeps: Optional[int] = None  # None -> auto
     allow_unstable: bool = False
     deterministic: bool = False
     stability_tol: float = 1e-8
@@ -104,7 +103,7 @@ def _float_arrays(scheme: MultistepScheme):
         np.array([float(v) for v in corr.gamma]),
         np.array([float(v) for v in pred.alpha_tilde]),
         np.array([float(v) for v in pred.gamma_tilde]),
-        np.array([float(v) for v in scheme.zweights.lambda_h[1:]]),
+        np.array([float(v) for v in scheme.lambda_h[1:]]),
     )
 
 
@@ -272,7 +271,7 @@ def _bootstrap(problem: FbsdeProblem, config: SolverConfig, ensemble: PathEnsemb
     """
     grid = config.grid
     N = grid.N
-    r = config.bootstrap_substeps or auto_substeps(config.scheme.m, grid.h)
+    r = auto_substeps(config.scheme.m, grid.h)
     start = N - config.scheme.m + 1
     # fine nodes t_start, t_start + h/r, ..., T; the last is T exactly,
     # because the terminal driver is evaluated there
@@ -398,7 +397,7 @@ def deterministic_solve(problem: FbsdeProblem, config: SolverConfig,
         raise NumericalError(f"non-finite y0 from the sigma = 0 recursion: {err}") from None
     y = np.array([_value(y_models[i], path.X[0, i]) for i in range(N + 1)])
     return DeterministicSolution(times=grid.times, y=y, milne=milne, y0=float(y[0]),
-                                 z0=np.zeros(problem.d), config=config)
+                                 z0=np.zeros(problem.d), config=kernel)
 
 
 def milne_local_ratios(problem: FbsdeProblem, scheme: MultistepScheme,

@@ -96,9 +96,9 @@ def test_order_condition_fixtures():
 def test_derivative_weight_fixtures():
     with criterion("derivative weights: m = 1, 2, 3 exact values"):
         with runtime_budget(1.0):
-            assert derivative_weights(1).lambda_h == (Fr(-1), Fr(1))
-            assert derivative_weights(2).lambda_h == (Fr(-3, 2), Fr(2), Fr(-1, 2))
-            assert derivative_weights(3).lambda_h == (
+            assert derivative_weights(1) == (Fr(-1), Fr(1))
+            assert derivative_weights(2) == (Fr(-3, 2), Fr(2), Fr(-1, 2))
+            assert derivative_weights(3) == (
                 Fr(-11, 6), Fr(3), Fr(-3, 2), Fr(1, 3))
 
 

@@ -46,6 +46,21 @@ def scheme_json(key, value):
     return json.dumps({k: v for k, v in doc.items() if v is not None})
 
 
+def adams2_with_stable2_constants():
+    """adams_pair(2)'s weights carrying stable_preset(2)'s error constants."""
+    stable = scheme_to_dict(stable_preset(2))
+    return json.dumps({**scheme_to_dict(adams_pair(2)),
+                       "C_pred": stable["C_pred"], "C_corr": stable["C_corr"]})
+
+
+def thirteen_step_json():
+    """A 13-step scheme file (one past MAX_STEP_COUNT) carrying its own lambda_h."""
+    nearest = ["1"] + ["0"] * 12
+    return json.dumps({"m": 13, "alpha": nearest, "gamma0": "1", "gamma": ["0"] * 13,
+                       "alpha_tilde": nearest, "gamma_tilde": nearest,
+                       "lambda_h": ["-1", "1"] + ["0"] * 12})
+
+
 class TestCoeffs:
     def test_prints_adams_scheme(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--steps", "2", "--family", "adams")
@@ -88,6 +103,19 @@ class TestStability:
         assert code == 0
         assert json.loads(out)["status"] == "stable"
 
+    @pytest.mark.parametrize("family, m", [("stable", m) for m in range(1, 5)]
+                             + [("adams", k) for k in range(1, 7)]
+                             + [("unstable", 2), ("unstable", 3)])
+    def test_coeffs_file_gives_the_preset_verdict(self, tmp_path, capsys, family, m):
+        # the custom-scheme workflow: a coeffs file loads back as the same scheme
+        path = tmp_path / "scheme.json"
+        preset = ["--family", family, "--steps", str(m)]
+        assert run_cli(capsys, "coeffs", *preset, "--out", str(path))[0] == 0
+        from_file = run_cli(capsys, "stability", "--scheme-file", str(path))
+        from_flags = run_cli(capsys, "stability", *preset)
+        assert from_file[0] == from_flags[0] == 0
+        assert from_file[1] == from_flags[1]
+
 
 class TestSolve:
     def test_deterministic_solve(self, capsys):
@@ -98,6 +126,8 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["y0"] == pytest.approx(0.36788, abs=1e-3)
         assert doc["config"]["grid"]["N"] == 16
+        # the config that ran: the sigma = 0 kernel uses the constant basis
+        assert doc["config"]["basis_degree"] == 0
         assert "runtime_sec" in doc
 
     def test_small_monte_carlo_solve(self, capsys):
@@ -166,15 +196,19 @@ class TestSolve:
         assert config["stability_tol"] == 1e-6
 
     def test_undefined_milne_indicator_is_null(self, tmp_path, capsys):
-        # equal predictor and corrector error constants leave the factor undefined
+        # stable-2's predictor reused as the corrector (gamma0 = 0) gives equal
+        # predictor and corrector error constants, which leave the factor undefined
+        doc = scheme_to_dict(stable_preset(2))
+        doc.update(alpha=doc["alpha_tilde"], gamma0="0", gamma=doc["gamma_tilde"],
+                   C_corr=doc["C_pred"])
         path = tmp_path / "degenerate.json"
-        path.write_text(scheme_json("C_pred", scheme_to_dict(stable_preset(2))["C_corr"]))
+        path.write_text(json.dumps(doc))
         code, out, _ = run_cli(capsys, "solve", "--scheme-file", str(path),
                                "--N", "4", "--M", "50")
         assert code == 0
         doc = strict_json(out)
         assert doc["milne"] is None
-        assert doc["config"]["scheme"]["C_pred"] == doc["config"]["scheme"]["C_corr"]
+        assert doc["config"]["scheme"]["C_pred"] == doc["config"]["scheme"]["C_corr"] == "-3/8"
 
 
 class TestConvergence:
@@ -357,6 +391,14 @@ class TestExitCodes:
         (["stability"], ("--scheme-file", "m = 2\n"), "{file}: not JSON"),
         (["stability"], ("--scheme-file", scheme_json("gamma0", "abc")),
          "{file}: scheme field 'gamma0'"),
+        (["stability"], ("--scheme-file", adams2_with_stable2_constants()),
+         "{file}: scheme field 'C_pred' is \"-3/8\", but the weights give \"-5/12\""),
+        (["solve", "--problem", "example2", "--N", "4", "--M", "50"],
+         ("--scheme-file", scheme_json("lambda_h", ["-1", "1", "0"])),
+         "{file}: scheme field 'lambda_h' is [\"-1\", \"1\", \"0\"], "
+         "but the weights give [\"-3/2\", \"2\", \"-1/2\"]"),
+        (["stability"], ("--scheme-file", thirteen_step_json()),
+         "{file}: derivative weights unsupported past m = 12"),
         (["solve"], ("--config", b"N = 4\xff\n"), "{file}: not UTF-8"),
         (["solve", "--eta", "nan"], None, "finite eta"),
         (["solve", "--tau", "nan"], None, "finite tau"),
@@ -381,7 +423,8 @@ class TestExitCodes:
     ], ids=["config-N", "config-unknown-key", "config-choice", "N", "M", "tau", "eta-example2",
             "coeffs-M", "convergence-tol", "solve-basis", "convergence-basis",
             "stability-demo-basis", "scheme-lengths", "scheme-missing-field",
-            "scheme-not-json", "scheme-bad-coefficient", "config-not-utf8", "eta-nan",
+            "scheme-not-json", "scheme-bad-coefficient", "scheme-C_pred-disagrees",
+            "scheme-lambda_h-disagrees", "scheme-13-steps", "config-not-utf8", "eta-nan",
             "tau-nan", "tau-inf", "T-inf", "solve-N-list", "solve-M-list",
             "stability-demo-M-list", "seed-negative", "seed-2^64", "config-seed-negative",
             "tol-nan", "tol-negative", "tol-inf", "solve-unstable-tol-nan", "dim-0",

@@ -25,7 +25,16 @@ from fbsde_pc import (
     unstable_three_step,
     unstable_two_step,
 )
-from fbsde_pc.schemes import _solve_exact, build_scheme, error_constant
+from fbsde_pc.schemes import (
+    _solve_exact,
+    error_constant,
+    preset_scheme,
+    scheme_from_dict,
+    scheme_to_dict,
+)
+
+PRESETS = ([("stable", m) for m in range(1, 5)] + [("adams", k) for k in range(1, 7)]
+           + [("unstable", 2), ("unstable", 3)])
 
 # Adams-Bashforth/Adams-Moulton table for orders 1..6: predictor driver
 # weights, predictor error constant, corrector (gamma0, *gamma), corrector
@@ -143,13 +152,13 @@ class TestSolvePredictorConditions:
 
 class TestDerivativeWeights:
     def test_fixtures(self):
-        assert derivative_weights(1).lambda_h == (Fr(-1), Fr(1))
-        assert derivative_weights(2).lambda_h == (Fr(-3, 2), Fr(2), Fr(-1, 2))
-        assert derivative_weights(3).lambda_h == (Fr(-11, 6), Fr(3), Fr(-3, 2), Fr(1, 3))
+        assert derivative_weights(1) == (Fr(-1), Fr(1))
+        assert derivative_weights(2) == (Fr(-3, 2), Fr(2), Fr(-1, 2))
+        assert derivative_weights(3) == (Fr(-11, 6), Fr(3), Fr(-3, 2), Fr(1, 3))
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_moment_conditions(self, m):
-        w = derivative_weights(m).lambda_h
+        w = derivative_weights(m)
         for j in range(m + 1):
             total = sum(Fr(n**j) * w[n] for n in range(m + 1))
             assert total == (1 if j == 1 else 0)
@@ -157,7 +166,7 @@ class TestDerivativeWeights:
     def test_h_independence_on_linear_function(self):
         # applying the stored weights with two different h to samples of a
         # linear function gives the same slope
-        w = [float(v) for v in derivative_weights(3).lambda_h]
+        w = [float(v) for v in derivative_weights(3)]
         slope, intercept = 2.75, -0.4
         for h in (0.1, 0.025):
             samples = [slope * (1.0 + n * h) + intercept for n in range(4)]
@@ -189,14 +198,14 @@ class TestMilneFactor:
         assert milne_factor(adams_pair(4)) == Fr(19, 270)
 
     def test_degenerate(self):
-        scheme = adams_pair(2)
-        broken = MultistepScheme(
-            predictor=scheme.predictor, corrector=scheme.corrector,
-            zweights=scheme.zweights,
-            error_constant_pred=Fr(1, 12), error_constant_corr=Fr(1, 12),
-        )
+        # stable-2's predictor reused as the corrector (gamma0 = 0): the two
+        # sides have the same weights, hence equal error constants
+        pred = stable_preset(2).predictor
+        same = CorrectorCoefficients(alpha=pred.alpha_tilde, gamma0=0, gamma=pred.gamma_tilde)
+        degenerate = MultistepScheme(pred, same)
+        assert degenerate.error_constant_pred == degenerate.error_constant_corr == Fr(-3, 8)
         with pytest.raises(DegenerateIndicator):
-            milne_factor(broken)
+            milne_factor(degenerate)
 
 
 class TestPresets:
@@ -229,12 +238,22 @@ class TestPresets:
 
 class TestSchemeJson:
     def test_roundtrip_preserves_rationals(self):
-        scheme = stable_preset(3)
-        again = scheme_from_json(scheme_to_json(scheme))
-        assert again.corrector == scheme.corrector
-        assert again.predictor == scheme.predictor
-        assert again.zweights == scheme.zweights
-        assert again.error_constant_corr == scheme.error_constant_corr
+        # with the derived fields or without them, every preset loads back equal
+        for family, m in PRESETS:
+            scheme = preset_scheme(family, m)
+            assert scheme_from_json(scheme_to_json(scheme)) == scheme
+            weights_only = {k: v for k, v in scheme_to_dict(scheme).items()
+                            if k not in ("lambda_h", "C_pred", "C_corr")}
+            assert scheme_from_dict(weights_only) == scheme
+
+    def test_derived_fields_checked_by_value(self):
+        # a derived field in another notation is accepted; a different value is not
+        doc = {**scheme_to_dict(adams_pair(1)), "C_pred": "0.5", "lambda_h": [-1, 1.0]}
+        assert scheme_from_dict(doc) == adams_pair(1)
+        doc["C_corr"] = "0.5"
+        with pytest.raises(ValidationError, match=re.escape(
+                "scheme field 'C_corr' is \"0.5\", but the weights give \"-1/2\"")):
+            scheme_from_dict(doc)
 
     def test_strings_are_exact_fractions(self):
         text = scheme_to_json(stable_preset(3))
@@ -258,8 +277,16 @@ class TestExactSolver:
         assert _solve_exact(rows, [Fr(4), Fr(5)]) == [Fr(2), Fr(1)]
 
 
-def test_build_scheme_checks_step_counts():
+def test_scheme_checks_step_counts():
     pred = PredictorCoefficients(alpha_tilde=(1, 0), gamma_tilde=(Fr(3, 2), Fr(-1, 2)))
     corr = CorrectorCoefficients(alpha=(1,), gamma0=1, gamma=(0,))
-    with pytest.raises(ValueError):
-        build_scheme(pred, corr)
+    with pytest.raises(ValidationError, match="disagree on step count"):
+        MultistepScheme(pred, corr)
+
+
+def test_derived_fields_are_not_constructor_inputs():
+    scheme = adams_pair(2)
+    assert scheme.lambda_h == derivative_weights(2)
+    with pytest.raises(TypeError):
+        MultistepScheme(scheme.predictor, scheme.corrector, lambda_h=(Fr(-1), Fr(1), Fr(0)))
+

@@ -182,13 +182,14 @@ class TestDeterministicSolve:
                                   seed_levels=seed_levels)
         assert sol.y0 == pytest.approx(y0, rel=1e-14)
 
-    def test_bootstrap_seeding_is_one_step_scheme(self):
+    def test_bootstrap_seeding_is_one_step_scheme(self, monkeypatch):
         # with one substep the start-up grid is the coarse grid, so level N-1
         # is the one-step trapezoidal value
+        monkeypatch.setattr(solver, "auto_substeps", lambda m, h: 1)
         problem = exponential_ode()
         N = 12
         one = deterministic_solve(problem, config_for(stable_preset(1), N))
-        two = deterministic_solve(problem, config_for(stable_preset(2), N, bootstrap_substeps=1),
+        two = deterministic_solve(problem, config_for(stable_preset(2), N),
                                   seed_levels="bootstrap")
         assert two.y[N - 1] == pytest.approx(one.y[N - 1], rel=1e-12, abs=0.0)
 
@@ -374,16 +375,16 @@ class TestStochasticSolver:
         assert biases[1] < biases[0]
         assert biases[1] < 5e-3
 
-    def test_bootstrap_is_one_step_scheme(self):
+    def test_bootstrap_is_one_step_scheme(self, monkeypatch):
         # with one substep the start-up grid is the coarse grid from t_{N-1},
         # so level N-1 must be the one-step fit there, regressed (not a point
         # mass: t_{N-1} > 0)
+        monkeypatch.setattr(solver, "auto_substeps", lambda m, h: 1)
         problem = example2()
         N = 4
         ens = sample_ensemble(problem, GridSpec(T=1.0, N=N), 2000, seed=5)
         one = solve(problem, config_for(stable_preset(1), N, basis_degree=3), ens)
-        two = solve(problem, config_for(stable_preset(2), N, basis_degree=3,
-                                        bootstrap_substeps=1), ens)
+        two = solve(problem, config_for(stable_preset(2), N, basis_degree=3), ens)
         for a, b in ((one.y_models, two.y_models), (one.z_models, two.z_models)):
             assert b[N - 1].coefficients == pytest.approx(a[N - 1].coefficients,
                                                           rel=1e-12, abs=1e-12)
