@@ -141,6 +141,11 @@ class DesignSolver:
     threshold RANK_TOL relative to the leading R diagonal entry, so
     rank-deficient systems get the minimum-norm solution in the scaled
     coordinates.  rank is known from construction on.
+
+    Only C outlives the factorization on the Cholesky path, and fitted gives
+    the fitted values features @ coef from it as C @ coef + shift @ coef, so
+    a caller may drop its design once the solver exists; the gelsy path keeps
+    the caller's features instead of C and multiplies them directly.
     """
 
     def __init__(self, features: np.ndarray):
@@ -220,6 +225,15 @@ class DesignSolver:
         if self.intercept is not None:
             coef[self.intercept] -= (self.shift @ coef) / self._intercept_value
         return coef[:, 0] if vector_input else coef
+
+    def fitted(self, coef: np.ndarray) -> np.ndarray:
+        """features @ coef for coefficients of shape (K,) or (K, r), from the
+        centered copy C on the Cholesky path: features = C + 1 shift^T."""
+        if self._cholesky is None:
+            return self._features @ coef
+        out = self._centered @ coef
+        out += self.shift @ coef
+        return out
 
 
 @dataclass

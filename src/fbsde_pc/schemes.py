@@ -449,6 +449,14 @@ def scheme_to_dict(scheme: MultistepScheme) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """value when it is a JSON integer; a fractional number, a string or a
+    boolean raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{json.dumps(value)} is not an integer")
+    return value
+
+
 def scheme_from_dict(data: dict) -> MultistepScheme:
     """Inverse of scheme_to_dict.  The scheme is built from its weights alone;
     lambda_h, C_pred and C_corr may be omitted, and when present must equal
@@ -465,7 +473,7 @@ def scheme_from_dict(data: dict) -> MultistepScheme:
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ValidationError(f"scheme field {key!r}: {exc}") from None
 
-    m = read("m", int)
+    m = read("m", _json_int)
     corrector = CorrectorCoefficients(
         alpha=read("alpha"), gamma0=read("gamma0", as_fraction), gamma=read("gamma"))
     predictor = PredictorCoefficients(

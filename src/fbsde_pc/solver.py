@@ -181,7 +181,10 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
 
     factor = _milne_scale(scheme)
     milne = np.zeros(n - m + 1)
-    for i in range(n - m, -1, -1):
+
+    def level(i: int) -> None:
+        # one level in a call of its own, so that every array it builds but
+        # the live ones is freed before the next level builds its design
         xi = X[:, i, :]
         s_z = np.zeros((M, d))
         s_pred = np.zeros(M)
@@ -212,6 +215,9 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
             y_pred_here = constant_model(s_pred.mean(), basis, y_bound).predict(xi)
         else:
             solver = DesignSolver(design)
+            # the solver's centered copy gives the fitted values from here on,
+            # so the level keeps one M x K array
+            del design
             # one Fortran-ordered right-hand side, which BLAS reads without a
             # copy.  Dropped right after the solve: held through the rest of
             # the level, it raised the peak resident memory of a 100000-path
@@ -222,8 +228,8 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
             coef = solver.solve(rhs)
             del rhs
             z_model = RegressionModel(coef[:, :d], basis, z_bound)
-            z_here = truncate(design @ coef[:, :d], z_bound)
-            y_pred_here = truncate(design @ coef[:, d], y_bound)
+            z_here = truncate(solver.fitted(coef[:, :d]), z_bound)
+            y_pred_here = truncate(solver.fitted(coef[:, d]), y_bound)
 
         f_pred = np.asarray(problem.f(times[i], xi, y_pred_here, z_here))
         s_corr = h * gamma0 * f_pred
@@ -249,7 +255,7 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
         else:
             y_coef = solver.solve(s_corr)
             y_model = RegressionModel(y_coef, basis, y_bound)
-            y_here = truncate(design @ y_coef, y_bound)
+            y_here = truncate(solver.fitted(y_coef), y_bound)
 
         milne[i] = factor * float(np.mean(np.abs(y_pred_here - y_here)))
         y_models[i] = y_model
@@ -257,6 +263,9 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
         del live[i + m]
         if i > 0:
             live[i] = (y_here, np.asarray(problem.f(times[i], xi, y_here, z_here)), zdw)
+
+    for i in range(n - m, -1, -1):
+        level(i)
     return milne
 
 

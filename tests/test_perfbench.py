@@ -1,0 +1,20 @@
+"""The benchmark harness runs end to end on the package in this checkout."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_short_traced_run_is_correct():
+    # a one-second traced run passes the reference.json gate, the tracer's
+    # self-checks (traced and untraced solves agree, counts repeat) and the
+    # planted degeneracy checks, which the unit tests do not exercise
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "solve-regression",
+         "--seed", "11", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True

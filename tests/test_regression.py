@@ -413,6 +413,16 @@ class TestDesignSolver:
             np.testing.assert_allclose(coef, want, rtol=0, atol=bound * np.abs(want).max())
         else:
             assert np.array_equal(coef, want)
+        self.assert_fitted_values(solver, design, coef)
+        self.assert_fitted_values(solver, design, coef[:, 1])
+
+    @staticmethod
+    def assert_fitted_values(solver, design, coef):
+        """solver.fitted gives design @ coef, on either path, though the
+        Cholesky path keeps only the centered copy of the design."""
+        want = design @ coef
+        np.testing.assert_allclose(solver.fitted(coef), want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
 
     @staticmethod
     def near_collinear_design():
@@ -452,3 +462,4 @@ class TestDesignSolver:
             want, rank = self.gelsy_reference(design, columns)
             assert rank == want_rank
             assert np.array_equal(coef, want.reshape(coef.shape))
+            self.assert_fitted_values(solver, design, coef)

@@ -1,6 +1,7 @@
 """Coefficient machinery: fixtures, order-condition solving, derivative
 weights and the Milne factor."""
 
+import json
 import re
 from fractions import Fraction as Fr
 
@@ -253,6 +254,14 @@ class TestSchemeJson:
         doc["C_corr"] = "0.5"
         with pytest.raises(ValidationError, match=re.escape(
                 "scheme field 'C_corr' is \"0.5\", but the weights give \"-1/2\"")):
+            scheme_from_dict(doc)
+
+    @pytest.mark.parametrize("m", [2.9, "2", True], ids=["fraction", "string", "boolean"])
+    def test_step_count_must_be_an_integer(self, m):
+        # with the weights of the scheme int(m) names, which int() would load
+        doc = {**scheme_to_dict(stable_preset(int(m))), "m": m}
+        with pytest.raises(ValidationError, match=re.escape(
+                f"scheme field 'm': {json.dumps(m)} is not an integer")):
             scheme_from_dict(doc)
 
     def test_strings_are_exact_fractions(self):

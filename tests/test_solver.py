@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,27 @@ class TestStochasticSolver:
         native, other = solve(problem, cfg, ens), solve(problem, cfg, trajectory_major)
         assert native.y0.hex() == other.y0.hex()
         assert [v.hex() for v in native.z0] == [v.hex() for v in other.z0]
+
+    def test_one_design_array_per_level(self):
+        # a level drops its design once its solver exists and frees all its
+        # arrays before the next level: the traced peak of this solve (the
+        # start-up's fine states included) is about 2.95 M K 8 bytes, against
+        # 4.17 when a level held its design, its solver's centered copy and
+        # the previous level's copy at once
+        problem = example1(d=2)
+        grid = GridSpec(T=problem.T, N=8)
+        M, K = 4000, 28
+        ensemble = sample_ensemble(problem, grid, M, seed=5)
+        config = SolverConfig(scheme=stable_preset(2), grid=grid, basis_degree=6)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            solve(problem, config, ensemble)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * M * K * 8
 
     def test_mismatched_grid_rejected(self):
         problem = example1()
