@@ -33,9 +33,8 @@ from .regression import (
     truncate,
 )
 from .schemes import (
-    CorrectorCoefficients,
+    Coefficients,
     MultistepScheme,
-    PredictorCoefficients,
     adams_pair,
     derivative_weights,
     load_scheme,
@@ -43,7 +42,6 @@ from .schemes import (
     scheme_from_json,
     scheme_to_json,
     solve_order_conditions,
-    solve_predictor_conditions,
     stable_preset,
     truncation_residuals,
     unstable_three_step,

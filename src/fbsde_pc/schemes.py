@@ -5,7 +5,7 @@ A corrector step combines m future solution levels with driver values,
     Y_i = sum_j alpha_j Y_{i+j} + h*gamma0*f(t_i, ., Ytilde_i, Z_i)
         + h * sum_j gamma_j f_{i+j},
 
-the (explicit) predictor is the same shape without the gamma0 term, and Z is
+the (explicit) predictor is the same formula with gamma0 = 0, and Z is
 recovered from future levels through derivative weights lambda.  The scheme
 reaches order m when the truncation coefficients C_0..C_m all vanish; C_{m+1}
 is the error constant.  Everything in this module is exact: coefficients are
@@ -30,12 +30,11 @@ MAX_STEP_COUNT = 12
 
 
 def as_fraction(value: NumberLike) -> Fraction:
-    """Coerce to an exact Fraction (floats via their binary expansion)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str, float)):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
+    """Coerce to an exact Fraction (floats via their binary expansion).  A
+    boolean is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, str, float, Fraction)):
+        raise TypeError(f"cannot interpret {value!r} as a rational number")
+    return Fraction(value)
 
 
 def _fraction_tuple(values: Sequence[NumberLike]) -> tuple[Fraction, ...]:
@@ -43,9 +42,11 @@ def _fraction_tuple(values: Sequence[NumberLike]) -> tuple[Fraction, ...]:
 
 
 @dataclass(frozen=True)
-class CorrectorCoefficients:
-    """Weights of the (formally implicit) corrector: m solution weights alpha,
-    the predicted-driver weight gamma0 and m future driver weights gamma."""
+class Coefficients:
+    """Weights of one multi-step formula: m solution weights alpha, the
+    current-driver weight gamma0 and m future driver weights gamma.  A
+    corrector puts gamma0 on the predicted value; a predictor is the explicit
+    member of the family, gamma0 = 0."""
 
     alpha: tuple[Fraction, ...]
     gamma0: Fraction
@@ -64,52 +65,33 @@ class CorrectorCoefficients:
     def m(self) -> int:
         return len(self.alpha)
 
-    def order(self, max_order: Optional[int] = None) -> int:
-        """Largest n with C_0 = ... = C_n = 0 (exact)."""
-        return _formal_order(self, max_order)
-
-
-@dataclass(frozen=True)
-class PredictorCoefficients:
-    """Weights of the explicit predictor.  There is no weight on the current
-    driver value: explicitness is built into the type."""
-
-    alpha_tilde: tuple[Fraction, ...]
-    gamma_tilde: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha_tilde", _fraction_tuple(self.alpha_tilde))
-        object.__setattr__(self, "gamma_tilde", _fraction_tuple(self.gamma_tilde))
-        if len(self.alpha_tilde) != len(self.gamma_tilde):
-            raise ValidationError("alpha_tilde and gamma_tilde must have the same length")
-        if not self.alpha_tilde:
-            raise ValidationError("need at least one step")
-
-    @property
-    def m(self) -> int:
-        return len(self.alpha_tilde)
-
-    def order(self, max_order: Optional[int] = None) -> int:
-        return _formal_order(self, max_order)
+    def order(self) -> int:
+        """Largest n with C_0 = ... = C_n = 0 (exact), looking up to C_{2m+4}."""
+        residuals = truncation_residuals(self, 2 * self.m + 4)
+        return next((j for j, c in enumerate(residuals) if c != 0), len(residuals)) - 1
 
 
 @dataclass(frozen=True)
 class MultistepScheme:
     """A complete predictor-corrector scheme, ready for the backward solver.
 
-    Only the two coefficient sets and the name are chosen.  The derivative
-    weights lambda_h and the error constants Ctilde and C are derived from
-    them once, at construction, so they cannot disagree with the weights.
+    Only the two coefficient sets and the name are chosen; the predictor must
+    be explicit (gamma0 = 0).  The derivative weights lambda_h and the error
+    constants Ctilde and C are derived from the weights once, at
+    construction, so they cannot disagree with them.
     """
 
-    predictor: PredictorCoefficients
-    corrector: CorrectorCoefficients
+    predictor: Coefficients
+    corrector: Coefficients
     name: str = ""
     lambda_h: tuple[Fraction, ...] = field(init=False)
     error_constant_pred: Fraction = field(init=False)
     error_constant_corr: Fraction = field(init=False)
 
     def __post_init__(self):
+        if self.predictor.gamma0 != 0:
+            raise ValidationError("the predictor must be explicit (gamma0 = 0), "
+                                  f"got gamma0 = {self.predictor.gamma0}")
         if self.predictor.m != self.corrector.m:
             raise ValidationError("predictor and corrector disagree on step count")
         object.__setattr__(self, "lambda_h", derivative_weights(self.m))
@@ -122,14 +104,6 @@ class MultistepScheme:
 
 
 # -- truncation residuals -----------------------------------------------------
-
-def _weights_of(coeffs) -> tuple[tuple[Fraction, ...], Fraction, tuple[Fraction, ...]]:
-    if isinstance(coeffs, CorrectorCoefficients):
-        return coeffs.alpha, coeffs.gamma0, coeffs.gamma
-    if isinstance(coeffs, PredictorCoefficients):
-        return coeffs.alpha_tilde, Fraction(0), coeffs.gamma_tilde
-    raise TypeError(f"expected corrector or predictor coefficients, got {type(coeffs)!r}")
-
 
 def _alpha_row_coeff(j: int, l: int) -> Fraction:
     return -Fraction(l**j) / factorial(j)
@@ -144,7 +118,7 @@ def _gamma_row_coeff(j: int, l: int) -> Fraction:
     return Fraction(l ** (j - 1)) / factorial(j - 1)
 
 
-def truncation_residuals(coeffs, up_to: int) -> list[Fraction]:
+def truncation_residuals(coeffs: Coefficients, up_to: int) -> list[Fraction]:
     """Evaluate the truncation coefficients C_0..C_{up_to} exactly.
 
     C_0 = 1 - sum(alpha); for j >= 1,
@@ -153,29 +127,16 @@ def truncation_residuals(coeffs, up_to: int) -> list[Fraction]:
     """
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
-    alpha, gamma0, gamma = _weights_of(coeffs)
     return [Fraction(j == 0)
-            + sum(_alpha_row_coeff(j, l) * a for l, a in enumerate(alpha, 1))
-            + sum(_gamma_row_coeff(j, l) * g for l, g in enumerate((gamma0, *gamma)))
+            + sum(_alpha_row_coeff(j, l) * a for l, a in enumerate(coeffs.alpha, 1))
+            + sum(_gamma_row_coeff(j, l) * g
+                  for l, g in enumerate((coeffs.gamma0, *coeffs.gamma)))
             for j in range(up_to + 1)]
 
 
-def _formal_order(coeffs, max_order: Optional[int] = None) -> int:
-    alpha, _, _ = _weights_of(coeffs)
-    limit = max_order if max_order is not None else 2 * len(alpha) + 4
-    res = truncation_residuals(coeffs, limit)
-    order = -1
-    for c in res:
-        if c != 0:
-            break
-        order += 1
-    return order
-
-
-def error_constant(coeffs) -> Fraction:
+def error_constant(coeffs: Coefficients) -> Fraction:
     """First truncation coefficient past the scheme's step count, C_{m+1}."""
-    alpha, _, _ = _weights_of(coeffs)
-    return truncation_residuals(coeffs, len(alpha) + 1)[-1]
+    return truncation_residuals(coeffs, coeffs.m + 1)[-1]
 
 
 # -- exact linear solves ------------------------------------------------------
@@ -236,88 +197,45 @@ def _normalize_pins(values, m: int, label: str) -> list[Optional[Fraction]]:
     return [None if v is None else as_fraction(v) for v in values]
 
 
-def _solve_conditions(m, alpha_pins, gamma0_pin, gamma_pins, with_gamma0):
-    # unknown layout: alpha_1..alpha_m, [gamma0], gamma_1..gamma_m
-    slots = [("a", l) for l in range(1, m + 1)]
-    if with_gamma0:
-        slots.append(("g", 0))
-    slots += [("g", l) for l in range(1, m + 1)]
-
-    def pin_of(kind, l):
-        if kind == "a":
-            return alpha_pins[l - 1]
-        return gamma0_pin if l == 0 else gamma_pins[l - 1]
-
-    unknowns = [s for s in slots if pin_of(*s) is None]
-    index = {s: k for k, s in enumerate(unknowns)}
-    rows, rhs = [], []
-    for j in range(m + 1):
-        row = [Fraction(0)] * len(unknowns)
-        const = Fraction(1) if j == 0 else Fraction(0)
-        for kind, l in slots:
-            coeff = _alpha_row_coeff(j, l) if kind == "a" else _gamma_row_coeff(j, l)
-            pinned = pin_of(kind, l)
-            if pinned is None:
-                row[index[(kind, l)]] += coeff
-            else:
-                const += coeff * pinned
-        rows.append(row)
-        rhs.append(-const)
-    solution = _solve_exact(rows, rhs)
-
-    def value_of(kind, l):
-        pinned = pin_of(kind, l)
-        return pinned if pinned is not None else solution[index[(kind, l)]]
-
-    alpha = tuple(value_of("a", l) for l in range(1, m + 1))
-    gamma = tuple(value_of("g", l) for l in range(1, m + 1))
-    gamma0 = value_of("g", 0) if with_gamma0 else Fraction(0)
-    return alpha, gamma0, gamma
-
-
 def solve_order_conditions(
     m: int,
     *,
     alpha: Optional[Sequence] = None,
     gamma0: Optional[NumberLike] = None,
     gamma: Optional[Sequence] = None,
-) -> CorrectorCoefficients:
-    """Solve C_0 = ... = C_m = 0 for the unpinned corrector weights.
+) -> Coefficients:
+    """Solve C_0 = ... = C_m = 0 for the unpinned weights.
 
     Each pin argument may be omitted (all entries unknown) or a length-m
-    sequence with None marking unknowns; gamma0 is a scalar pin.  The order
-    conditions leave a family of order-m schemes, so enough pins must be
-    supplied to make the solution unique; pinned values are kept exactly.
+    sequence with None marking unknowns; gamma0 is a scalar pin, and
+    gamma0=0 gives an explicit predictor.  The order conditions leave a
+    family of order-m schemes, so enough pins must be supplied to make the
+    solution unique; pinned values are kept exactly.
     """
     if m < 1:
         raise ValidationError("step count must be >= 1")
-    a, g0, g = _solve_conditions(
-        m,
-        _normalize_pins(alpha, m, "alpha"),
-        None if gamma0 is None else as_fraction(gamma0),
-        _normalize_pins(gamma, m, "gamma"),
-        with_gamma0=True,
-    )
-    return CorrectorCoefficients(alpha=a, gamma0=g0, gamma=g)
-
-
-def solve_predictor_conditions(
-    m: int,
-    *,
-    alpha_tilde: Optional[Sequence] = None,
-    gamma_tilde: Optional[Sequence] = None,
-) -> PredictorCoefficients:
-    """Same as solve_order_conditions with the current-driver weight absent."""
-    if m < 1:
-        raise ValidationError("step count must be >= 1")
-    a, _, g = _solve_conditions(
-        m,
-        _normalize_pins(alpha_tilde, m, "alpha_tilde"),
-        None,
-        _normalize_pins(gamma_tilde, m, "gamma_tilde"),
-        with_gamma0=False,
-    )
-    return PredictorCoefficients(alpha_tilde=a, gamma_tilde=g)
+    # one slot per weight, alpha_1..alpha_m then gamma0..gamma_m (gamma0 is l = 0)
+    slots = [("a", l) for l in range(1, m + 1)] + [("g", l) for l in range(m + 1)]
+    pins = dict(zip(slots, [*_normalize_pins(alpha, m, "alpha"),
+                            None if gamma0 is None else as_fraction(gamma0),
+                            *_normalize_pins(gamma, m, "gamma")]))
+    unknowns = [s for s in slots if pins[s] is None]
+    index = {s: k for k, s in enumerate(unknowns)}
+    rows, rhs = [], []
+    for j in range(m + 1):
+        row = [Fraction(0)] * len(unknowns)
+        const = Fraction(j == 0)
+        for kind, l in slots:
+            coeff = _alpha_row_coeff(j, l) if kind == "a" else _gamma_row_coeff(j, l)
+            if pins[(kind, l)] is None:
+                row[index[(kind, l)]] += coeff
+            else:
+                const += coeff * pins[(kind, l)]
+        rows.append(row)
+        rhs.append(-const)
+    solution = iter(_solve_exact(rows, rhs))
+    values = [next(solution) if pins[s] is None else pins[s] for s in slots]
+    return Coefficients(alpha=values[:m], gamma0=values[m], gamma=values[m + 1:])
 
 
 # -- derivative weights -------------------------------------------------------
@@ -361,7 +279,7 @@ def adams_pair(order: int) -> MultistepScheme:
     if not 1 <= order <= 6:
         raise ValidationError("Adams pairs are provided for orders 1..6")
     nearest = (Fraction(1),) + (Fraction(0),) * (order - 1)
-    predictor = solve_predictor_conditions(order, alpha_tilde=nearest)
+    predictor = solve_order_conditions(order, alpha=nearest, gamma0=0)
     gamma_pins: list[Optional[Fraction]] = [None] * order
     gamma_pins[-1] = Fraction(0)
     corrector = solve_order_conditions(order, alpha=nearest, gamma=gamma_pins)
@@ -389,24 +307,22 @@ def stable_preset(m: int) -> MultistepScheme:
     if m not in _UNIFORM_GAMMA0:
         raise ValidationError("uniform presets cover m = 1..4")
     uniform = (Fraction(1, m),) * m
-    predictor = solve_predictor_conditions(m, alpha_tilde=uniform)
+    predictor = solve_order_conditions(m, alpha=uniform, gamma0=0)
     corrector = solve_order_conditions(m, alpha=uniform, gamma0=_UNIFORM_GAMMA0[m])
     return MultistepScheme(predictor, corrector, name=f"uniform-{m}")
 
 
 def unstable_two_step() -> MultistepScheme:
     """Order-2 scheme whose characteristic root 2 violates the root condition."""
-    predictor = PredictorCoefficients(
-        alpha_tilde=(3, -2), gamma_tilde=(Fraction(1, 2), Fraction(-3, 2)))
-    corrector = CorrectorCoefficients(
-        alpha=(3, -2), gamma0=1, gamma=(Fraction(-3, 2), Fraction(-1, 2)))
+    predictor = Coefficients(alpha=(3, -2), gamma0=0, gamma=(Fraction(1, 2), Fraction(-3, 2)))
+    corrector = Coefficients(alpha=(3, -2), gamma0=1, gamma=(Fraction(-3, 2), Fraction(-1, 2)))
     return MultistepScheme(predictor, corrector, name="unstable-2")
 
 
 def unstable_three_step() -> MultistepScheme:
     """Order-3 scheme with characteristic roots {-2, 1, 3}; unstable."""
-    predictor = PredictorCoefficients(alpha_tilde=(2, 5, -6), gamma_tilde=(2, -6, -2))
-    corrector = CorrectorCoefficients(alpha=(2, 5, -6), gamma0=-3, gamma=(11, -15, 1))
+    predictor = Coefficients(alpha=(2, 5, -6), gamma0=0, gamma=(2, -6, -2))
+    corrector = Coefficients(alpha=(2, 5, -6), gamma0=-3, gamma=(11, -15, 1))
     return MultistepScheme(predictor, corrector, name="unstable-3")
 
 
@@ -433,15 +349,16 @@ def preset_scheme(family: str, m: int) -> MultistepScheme:
 # -- JSON interchange ---------------------------------------------------------
 
 def scheme_to_dict(scheme: MultistepScheme) -> dict:
-    """Plain-dict form with every number as an exact fraction/decimal string."""
+    """Plain-dict form with every number as an exact fraction/decimal string.
+    The predictor's gamma0 is 0 by construction and has no key."""
     s = str
     return {
         "m": scheme.m,
         "alpha": [s(v) for v in scheme.corrector.alpha],
         "gamma0": s(scheme.corrector.gamma0),
         "gamma": [s(v) for v in scheme.corrector.gamma],
-        "alpha_tilde": [s(v) for v in scheme.predictor.alpha_tilde],
-        "gamma_tilde": [s(v) for v in scheme.predictor.gamma_tilde],
+        "alpha_tilde": [s(v) for v in scheme.predictor.alpha],
+        "gamma_tilde": [s(v) for v in scheme.predictor.gamma],
         "lambda_h": [s(v) for v in scheme.lambda_h],
         "C_pred": s(scheme.error_constant_pred),
         "C_corr": s(scheme.error_constant_corr),
@@ -457,15 +374,35 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_weights(value) -> tuple[Fraction, ...]:
+    """value's entries as Fractions when it is a JSON array; anything else
+    (a string would be read one character at a time) raises TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"{json.dumps(value)} is not an array")
+    return _fraction_tuple(value)
+
+
+# the keys scheme_to_dict writes; a scheme file may hold no others
+_FIELDS = ("m", "alpha", "gamma0", "gamma", "alpha_tilde", "gamma_tilde", "lambda_h",
+           "C_pred", "C_corr", "name")
+
+
 def scheme_from_dict(data: dict) -> MultistepScheme:
     """Inverse of scheme_to_dict.  The scheme is built from its weights alone;
     lambda_h, C_pred and C_corr may be omitted, and when present must equal
-    the values derived from the weights.  A missing, malformed or disagreeing
-    field raises ValidationError naming it."""
+    the values derived from the weights.  A missing, malformed, disagreeing
+    or unknown field raises ValidationError naming it; a weight list must be
+    a JSON array, and no weight may be a boolean."""
     if not isinstance(data, dict):
         raise ValidationError("a scheme must be a JSON object")
+    unknown = [key for key in data if key not in _FIELDS]
+    if unknown:
+        raise ValidationError(f"scheme has unknown field {', '.join(map(repr, unknown))}")
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise ValidationError(f"scheme field 'name': {json.dumps(name)} is not a string")
 
-    def read(key, convert=_fraction_tuple):
+    def read(key, convert=_json_weights):
         if key not in data:
             raise ValidationError(f"scheme has no {key!r} field")
         try:
@@ -474,15 +411,14 @@ def scheme_from_dict(data: dict) -> MultistepScheme:
             raise ValidationError(f"scheme field {key!r}: {exc}") from None
 
     m = read("m", _json_int)
-    corrector = CorrectorCoefficients(
+    corrector = Coefficients(
         alpha=read("alpha"), gamma0=read("gamma0", as_fraction), gamma=read("gamma"))
-    predictor = PredictorCoefficients(
-        alpha_tilde=read("alpha_tilde"), gamma_tilde=read("gamma_tilde"))
+    predictor = Coefficients(alpha=read("alpha_tilde"), gamma0=0, gamma=read("gamma_tilde"))
     if corrector.m != m:
         raise ValidationError("declared step count m disagrees with coefficient lengths")
-    scheme = MultistepScheme(predictor, corrector, name=data.get("name", ""))
+    scheme = MultistepScheme(predictor, corrector, name=name)
     derived = scheme_to_dict(scheme)
-    for key, convert in (("lambda_h", _fraction_tuple), ("C_pred", as_fraction),
+    for key, convert in (("lambda_h", _json_weights), ("C_pred", as_fraction),
                          ("C_corr", as_fraction)):
         if key in data and read(key, convert) != convert(derived[key]):
             raise ValidationError(f"scheme field {key!r} is {json.dumps(data[key])}, "
@@ -490,8 +426,8 @@ def scheme_from_dict(data: dict) -> MultistepScheme:
     return scheme
 
 
-def scheme_to_json(scheme: MultistepScheme, indent: int = 2) -> str:
-    return json.dumps(scheme_to_dict(scheme), indent=indent, allow_nan=False)
+def scheme_to_json(scheme: MultistepScheme) -> str:
+    return json.dumps(scheme_to_dict(scheme), indent=2, allow_nan=False)
 
 
 def scheme_from_json(text: str) -> MultistepScheme:

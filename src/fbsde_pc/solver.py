@@ -101,8 +101,8 @@ def _float_arrays(scheme: MultistepScheme):
         np.array([float(v) for v in corr.alpha]),
         float(corr.gamma0),
         np.array([float(v) for v in corr.gamma]),
-        np.array([float(v) for v in pred.alpha_tilde]),
-        np.array([float(v) for v in pred.gamma_tilde]),
+        np.array([float(v) for v in pred.alpha]),
+        np.array([float(v) for v in pred.gamma]),
         np.array([float(v) for v in scheme.lambda_h[1:]]),
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
-from .schemes import CorrectorCoefficients, MultistepScheme
+from .schemes import Coefficients, MultistepScheme
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -64,8 +64,8 @@ def characteristic_polynomial(corrector) -> CharacteristicPolynomial:
     """(1, -alpha_1, ..., -alpha_m) from a corrector or a full scheme."""
     if isinstance(corrector, MultistepScheme):
         corrector = corrector.corrector
-    if not isinstance(corrector, CorrectorCoefficients):
-        raise TypeError("expected CorrectorCoefficients or MultistepScheme")
+    if not isinstance(corrector, Coefficients):
+        raise TypeError("expected Coefficients or MultistepScheme")
     return CharacteristicPolynomial(
         coeffs=(1.0, *(-float(a) for a in corrector.alpha)))
 

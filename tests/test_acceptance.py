@@ -27,7 +27,6 @@ from fbsde_pc import (
     milne_local_ratios,
     polynomial_roots,
     solve_order_conditions,
-    solve_predictor_conditions,
     stable_preset,
     t_quantile,
     truncation_residuals,
@@ -68,7 +67,7 @@ def test_coefficient_fixtures():
         with runtime_budget(1.0):
             for order, (pred_gamma, pred_ec, corr, corr_ec) in ADAMS_TABLE.items():
                 scheme = adams_pair(order)
-                assert scheme.predictor.gamma_tilde == pred_gamma
+                assert scheme.predictor.gamma == pred_gamma
                 assert scheme.corrector.gamma0 == corr[0]
                 assert scheme.corrector.gamma == corr[1:]
                 assert scheme.error_constant_pred == pred_ec
@@ -84,8 +83,8 @@ def test_order_condition_fixtures():
             assert one.alpha == (Fr(1),) and one.gamma == (Fr(1, 2),)
             three = solve_order_conditions(3, alpha=(Fr(1, 3),) * 3, gamma0=Fr(5, 6))
             assert three.gamma == (Fr(-1, 3), Fr(11, 6), Fr(-1, 3))
-            pred = solve_predictor_conditions(3, alpha_tilde=(Fr(1, 3),) * 3)
-            assert pred.gamma_tilde == (Fr(39, 18), Fr(-2, 3), Fr(1, 2))
+            pred = solve_order_conditions(3, alpha=(Fr(1, 3),) * 3, gamma0=0)
+            assert pred.gamma == (Fr(39, 18), Fr(-2, 3), Fr(1, 2))
             for coeffs, order in ((one, 1), (three, 3), (pred, 3)):
                 for residual in truncation_residuals(coeffs, order):
                     assert abs(residual) <= Fr(1, 10**12)
@@ -107,11 +106,10 @@ def test_derivative_weight_fixtures():
 def test_stability_fixtures():
     with criterion("stability fixtures: published stable/unstable verdicts"):
         with runtime_budget(1.0):
-            from fbsde_pc import CorrectorCoefficients
+            from fbsde_pc import Coefficients
 
             def verdict(alpha):
-                corr = CorrectorCoefficients(alpha=alpha, gamma0=0,
-                                             gamma=(0,) * len(alpha))
+                corr = Coefficients(alpha=alpha, gamma0=0, gamma=(0,) * len(alpha))
                 return check_root_condition(
                     polynomial_roots(characteristic_polynomial(corr)))
 

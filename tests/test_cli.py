@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -46,6 +47,14 @@ def scheme_json(key, value):
     return json.dumps({k: v for k, v in doc.items() if v is not None})
 
 
+def weights_json(key, value):
+    """stable_preset(2)'s weights alone, with one field set, so that no derived
+    field can disagree with a misread weight."""
+    doc = {k: v for k, v in scheme_to_dict(stable_preset(2)).items()
+           if k not in ("lambda_h", "C_pred", "C_corr")}
+    return json.dumps({**doc, key: value})
+
+
 def adams2_with_stable2_constants():
     """adams_pair(2)'s weights carrying stable_preset(2)'s error constants."""
     stable = scheme_to_dict(stable_preset(2))
@@ -61,7 +70,32 @@ def thirteen_step_json():
                        "lambda_h": ["-1", "1"] + ["0"] * 12})
 
 
+# sha256 of `fbsde-pc coeffs --family F --steps m` for every preset, recorded
+# when the predictor and corrector became one coefficient type: the scheme
+# file format must not change under a refactor of the types behind it
+COEFFS_SHA256 = {
+    ("stable", 1): "6d578b4d7887c8399c9ffdd07d082bc7f3edb3945b0cd6178c8e2ca31619d1d1",
+    ("stable", 2): "7257d5e49f9077ca80aa037c2d194ffcac37ce24d4c6cec9008d2302872d4338",
+    ("stable", 3): "95eca1645e3057b16f6c36d1c27a52cf91857da2df6af4f03654e38c89970908",
+    ("stable", 4): "d137ea4e5db08979e43be23efd62631d53db256ea36b3c273b06475eaecf6c0a",
+    ("adams", 1): "be4873f47ca97b0bca3bb2f6c492896855513c15b127e43b017fb57c1f880ada",
+    ("adams", 2): "0894353cd7379eaf05ede984032cad255825cd197e8ed3aaf0c87c7d9133e8c4",
+    ("adams", 3): "19fcf24489432a8c2a69a03ae793d4e55eaf9f201dee0367c5236153c5b66bc9",
+    ("adams", 4): "53b134ea174b818677c2267d73a5ede8fa1f45ae63f8ac131fcc8040651716e8",
+    ("adams", 5): "bf6dccfdb0123b3c9fd7a985f2e1121de3825cf9f1ed2f88adba2ba995d3b00e",
+    ("adams", 6): "4f794c2ccf8bcc6ff1ed4aff12d67a3f476a7be7636f0a5b069e488187366834",
+    ("unstable", 2): "b7040c532388dae3698540cea7e6b33029419ef8a1da867494995daf4fe0e48a",
+    ("unstable", 3): "2b2339b5eb1da188435421eac34a1f1f1f9957d3717866bae5147cf1446576e0",
+}
+
+
 class TestCoeffs:
+    @pytest.mark.parametrize("family, m", sorted(COEFFS_SHA256))
+    def test_output_bytes_are_pinned(self, capsys, family, m):
+        code, out, _ = run_cli(capsys, "coeffs", "--family", family, "--steps", str(m))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == COEFFS_SHA256[(family, m)]
+
     def test_prints_adams_scheme(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--steps", "2", "--family", "adams")
         assert code == 0
@@ -399,6 +433,18 @@ class TestExitCodes:
          "but the weights give [\"-3/2\", \"2\", \"-1/2\"]"),
         (["stability"], ("--scheme-file", thirteen_step_json()),
          "{file}: derivative weights unsupported past m = 12"),
+        (["stability"], ("--scheme-file", weights_json("alpha", "12")),
+         "{file}: scheme field 'alpha': \"12\" is not an array"),
+        (["stability"], ("--scheme-file", weights_json("gamma", [True, "1/2"])),
+         "{file}: scheme field 'gamma': cannot interpret True"),
+        (["stability"], ("--scheme-file", weights_json("gamma0", True)),
+         "{file}: scheme field 'gamma0': cannot interpret True"),
+        (["stability"], ("--scheme-file", weights_json("aplha", ["1/2", "1/2"])),
+         "{file}: scheme has unknown field 'aplha'"),
+        (["stability"], ("--scheme-file", weights_json("gamma0_tilde", "0")),
+         "{file}: scheme has unknown field 'gamma0_tilde'"),
+        (["stability"], ("--scheme-file", weights_json("name", 5)),
+         "{file}: scheme field 'name': 5 is not a string"),
         (["solve"], ("--config", b"N = 4\xff\n"), "{file}: not UTF-8"),
         (["solve", "--eta", "nan"], None, "finite eta"),
         (["solve", "--tau", "nan"], None, "finite tau"),
@@ -424,7 +470,9 @@ class TestExitCodes:
             "coeffs-M", "convergence-tol", "solve-basis", "convergence-basis",
             "stability-demo-basis", "scheme-lengths", "scheme-missing-field",
             "scheme-not-json", "scheme-bad-coefficient", "scheme-C_pred-disagrees",
-            "scheme-lambda_h-disagrees", "scheme-13-steps", "config-not-utf8", "eta-nan",
+            "scheme-lambda_h-disagrees", "scheme-13-steps", "scheme-weights-string",
+            "scheme-boolean-weight", "scheme-boolean-gamma0", "scheme-unknown-key",
+            "scheme-made-up-key", "scheme-name-not-string", "config-not-utf8", "eta-nan",
             "tau-nan", "tau-inf", "T-inf", "solve-N-list", "solve-M-list",
             "stability-demo-M-list", "seed-negative", "seed-2^64", "config-seed-negative",
             "tol-nan", "tol-negative", "tol-inf", "solve-unstable-tol-nan", "dim-0",

@@ -5,15 +5,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_short_traced_run_is_correct():
+# ladder-bootstrap runs stable_preset(3) with its stable_preset(1) trapezoid
+# start-up on the bridge-refined grid, which solve-regression does not reach
+@pytest.mark.parametrize("workload", ["solve-regression", "ladder-bootstrap"])
+def test_short_traced_run_is_correct(workload):
     # a one-second traced run passes the reference.json gate, the tracer's
     # self-checks (traced and untraced solves agree, counts repeat) and the
     # planted degeneracy checks, which the unit tests do not exercise
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "solve-regression",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "11", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr

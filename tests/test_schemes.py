@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from fbsde_pc import (
-    CorrectorCoefficients,
+    Coefficients,
     DegenerateIndicator,
     MultistepScheme,
-    PredictorCoefficients,
     ValidationError,
     adams_pair,
     derivative_weights,
@@ -20,7 +19,6 @@ from fbsde_pc import (
     scheme_from_json,
     scheme_to_json,
     solve_order_conditions,
-    solve_predictor_conditions,
     stable_preset,
     truncation_residuals,
     unstable_three_step,
@@ -65,8 +63,9 @@ def test_adams_pair_matches_table(order):
     pred_gamma, pred_ec, corr, corr_ec = ADAMS_TABLE[order]
     scheme = adams_pair(order)
     nearest = (Fr(1),) + (Fr(0),) * (order - 1)
-    assert scheme.predictor.alpha_tilde == nearest
-    assert scheme.predictor.gamma_tilde == pred_gamma
+    assert scheme.predictor.alpha == nearest
+    assert scheme.predictor.gamma0 == 0
+    assert scheme.predictor.gamma == pred_gamma
     assert scheme.corrector.alpha == nearest
     assert scheme.corrector.gamma0 == corr[0]
     assert scheme.corrector.gamma == corr[1:]
@@ -137,17 +136,20 @@ class TestSolveOrderConditions:
 
 
 class TestSolvePredictorConditions:
+    # a predictor is the explicit member of the family: gamma0 pinned to 0
+
     def test_two_step_adams_bashforth(self):
-        pred = solve_predictor_conditions(2, alpha_tilde=(1, 0))
-        assert pred.gamma_tilde == (Fr(3, 2), Fr(-1, 2))
+        pred = solve_order_conditions(2, alpha=(1, 0), gamma0=0)
+        assert pred.gamma == (Fr(3, 2), Fr(-1, 2))
 
     def test_one_step(self):
-        pred = solve_predictor_conditions(1, alpha_tilde=(1,))
-        assert pred.gamma_tilde == (Fr(1),)
+        pred = solve_order_conditions(1, alpha=(1,), gamma0=0)
+        assert pred.gamma0 == 0
+        assert pred.gamma == (Fr(1),)
 
     def test_three_step_uniform(self):
-        pred = solve_predictor_conditions(3, alpha_tilde=(Fr(1, 3),) * 3)
-        assert pred.gamma_tilde == (Fr(39, 18), Fr(-2, 3), Fr(1, 2))
+        pred = solve_order_conditions(3, alpha=(Fr(1, 3),) * 3, gamma0=0)
+        assert pred.gamma == (Fr(39, 18), Fr(-2, 3), Fr(1, 2))
         assert truncation_residuals(pred, 3) == [Fr(0)] * 4
 
 
@@ -183,7 +185,7 @@ class TestDerivativeWeights:
 
 class TestTruncationResiduals:
     def test_trivial_substitution(self):
-        coeffs = CorrectorCoefficients(alpha=(1,), gamma0=0, gamma=(0,))
+        coeffs = Coefficients(alpha=(1,), gamma0=0, gamma=(0,))
         assert truncation_residuals(coeffs, 1) == [Fr(0), Fr(-1)]
 
     def test_order2_pair_through_index_3(self):
@@ -202,8 +204,7 @@ class TestMilneFactor:
         # stable-2's predictor reused as the corrector (gamma0 = 0): the two
         # sides have the same weights, hence equal error constants
         pred = stable_preset(2).predictor
-        same = CorrectorCoefficients(alpha=pred.alpha_tilde, gamma0=0, gamma=pred.gamma_tilde)
-        degenerate = MultistepScheme(pred, same)
+        degenerate = MultistepScheme(pred, pred)
         assert degenerate.error_constant_pred == degenerate.error_constant_corr == Fr(-3, 8)
         with pytest.raises(DegenerateIndicator):
             milne_factor(degenerate)
@@ -221,7 +222,7 @@ class TestPresets:
         scheme = stable_preset(1)
         assert scheme.corrector.gamma0 == Fr(1, 2)
         assert scheme.corrector.gamma == (Fr(1, 2),)
-        assert scheme.predictor.gamma_tilde == (Fr(1),)
+        assert scheme.predictor.gamma == (Fr(1),)
 
     def test_unstable_schemes_satisfy_order_conditions(self):
         two = unstable_two_step()
@@ -287,10 +288,17 @@ class TestExactSolver:
 
 
 def test_scheme_checks_step_counts():
-    pred = PredictorCoefficients(alpha_tilde=(1, 0), gamma_tilde=(Fr(3, 2), Fr(-1, 2)))
-    corr = CorrectorCoefficients(alpha=(1,), gamma0=1, gamma=(0,))
+    pred = Coefficients(alpha=(1, 0), gamma0=0, gamma=(Fr(3, 2), Fr(-1, 2)))
+    corr = Coefficients(alpha=(1,), gamma0=1, gamma=(0,))
     with pytest.raises(ValidationError, match="disagree on step count"):
         MultistepScheme(pred, corr)
+
+
+def test_predictor_must_be_explicit():
+    # the solver never applies a predictor's gamma0, so a nonzero one is refused
+    scheme = stable_preset(2)
+    with pytest.raises(ValidationError, match="predictor must be explicit"):
+        MultistepScheme(scheme.corrector, scheme.corrector)
 
 
 def test_derived_fields_are_not_constructor_inputs():

@@ -9,7 +9,7 @@ import pytest
 
 from fbsde_pc import (
     CharacteristicPolynomial,
-    CorrectorCoefficients,
+    Coefficients,
     ValidationError,
     characteristic_polynomial,
     check_root_condition,
@@ -28,12 +28,11 @@ def roots_of(*coeffs):
 
 class TestCharacteristicPolynomial:
     def test_unstable_two_step_alpha(self):
-        corr = CorrectorCoefficients(alpha=(3, -2), gamma0=1,
-                                     gamma=(Fr(-3, 2), Fr(-1, 2)))
+        corr = Coefficients(alpha=(3, -2), gamma0=1, gamma=(Fr(-3, 2), Fr(-1, 2)))
         assert characteristic_polynomial(corr).coeffs == (1.0, -3.0, 2.0)
 
     def test_one_step(self):
-        corr = CorrectorCoefficients(alpha=(1,), gamma0=1, gamma=(0,))
+        corr = Coefficients(alpha=(1,), gamma0=1, gamma=(0,))
         assert characteristic_polynomial(corr).coeffs == (1.0, -1.0)
 
     def test_uniform_three_step(self):
