@@ -120,6 +120,8 @@ def example1(eta: float = 0.6, tau: Optional[float] = None, d: int = 2,
             raise ValidationError(f"need a finite {name} > 0, got {value}")
     tau = float(tau)
     rate = tau * tau * d / 2.0
+    if math.isinf(rate):
+        raise ValidationError(f"tau = {tau} makes the decay rate tau^2 d / 2 infinite")
 
     def b(t, x):
         return np.zeros_like(x)

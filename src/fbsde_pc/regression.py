@@ -125,27 +125,26 @@ def truncate(x, bound: float):
 
 
 class DesignSolver:
-    """A design matrix factored once and solved against several response sets.
+    """A polynomial design factored once and solved against several response
+    sets.
 
-    Non-constant columns are shifted to zero mean (when an intercept column is
-    present to absorb the shift) and scaled to unit RMS; the transform is
-    folded back into the returned coefficients.  Only the shift is applied to
-    the M x K design, in the one copy kept of it: the Gram matrix C^T C of the
-    centered copy C gives each column's RMS on its diagonal, and the scaling
-    D is applied to that K x K matrix, giving the Gram matrix A^T A of the
-    standardized design A = C D^-1, which is Cholesky-factored once.  When A
-    has at least as many rows as columns, the factorization succeeds and its
-    condition estimate clears CHOLESKY_RCOND_MIN, each solve is
+    The design is one that PolynomialBasis.design_matrix writes: column 0 is
+    the constant 1 and carries the intercept; any other first column is
+    refused.  Every other column is shifted to zero mean and scaled to unit
+    RMS, and the transform is folded back into the returned coefficients.
+    Only the shift is applied to the M x K design, in the one copy C kept of
+    it: the Gram matrix C^T C gives each column's RMS on its diagonal, and
+    the scaling D is applied to that K x K matrix, giving the Gram matrix
+    A^T A of the standardized design A = C D^-1, Cholesky-factored once.
+    When A has at least as many rows as columns, the factorization succeeds
+    and its condition estimate clears CHOLESKY_RCOND_MIN, each solve is
     A^T b = D^-1 C^T b and two triangular solves with the factor.  Any other
-    design is solved by LAPACK's pivoted-QR least squares (gelsy) with rank
-    threshold RANK_TOL relative to the leading R diagonal entry, so
+    design is solved by LAPACK's pivoted-QR least squares (gelsy) on A with
+    rank threshold RANK_TOL relative to the leading R diagonal entry, so
     rank-deficient systems get the minimum-norm solution in the scaled
-    coordinates.  rank is known from construction on.
-
-    Only C outlives the factorization on the Cholesky path, and fitted gives
-    the fitted values features @ coef from it as C @ coef + shift @ coef, so
-    a caller may drop its design once the solver exists; the gelsy path keeps
-    the caller's features instead of C and multiplies them directly.
+    coordinates.  rank is known from construction on.  fitted gives
+    features @ coef from C alone, so a caller may drop its design once the
+    solver exists.
     """
 
     def __init__(self, features: np.ndarray):
@@ -154,57 +153,44 @@ class DesignSolver:
             raise ValueError("features must be a 2-d design matrix")
         if a.shape[0] == 0:
             raise ValidationError("regression needs at least one sample")
+        if a.shape[1] == 0 or not np.all(a[:, 0] == 1.0):
+            raise ValueError("column 0 of the design must be the constant 1")
         m, k = a.shape
-        self.n_samples, self.n_features = m, k
-        self.shift = np.zeros(k)
-        self.intercept = None
-        self._intercept_value = 1.0
-        # a column is constant when every row equals a finite first row (max -
-        # min == 0 given two rows); only columns whose last row matches are read
-        first = a[0]
-        constant = np.zeros(k, dtype=bool)
-        for j in np.flatnonzero((a[-1] == first) & np.isfinite(first)):
-            constant[j] = np.all(a[:, j] == first[j])
-        intercepts = np.flatnonzero(constant & (first != 0))
-        if intercepts.size:
-            self.intercept = int(intercepts[0])
-            self._intercept_value = first[self.intercept]
         # the one centered copy C, Fortran-ordered so that BLAS reads it
-        # untransposed; np.array and np.subtract always make a new array, so
-        # the caller's design is never overwritten.  Shifting is only well
-        # defined with an intercept column to absorb it, and the mean is
-        # taken down contiguous columns whatever the caller's layout
-        if self.intercept is None:
-            centered = np.array(a, order="F")
-        else:
-            columns = np.asfortranarray(a)
-            self.shift = np.where(constant, 0.0, columns.mean(axis=0))
-            centered = np.subtract(columns, self.shift, order="F")
-        # upper triangle of C^T C, then of A^T A = D^-1 C^T C D^-1
+        # untransposed; np.subtract always makes a new array, so the caller's
+        # design is never overwritten.  The mean is taken down contiguous
+        # columns whatever the caller's layout
+        columns = np.asfortranarray(a)
+        self.shift = columns.mean(axis=0)
+        self.shift[0] = 0.0
+        centered = np.subtract(columns, self.shift, order="F")
+        # upper triangle of C^T C, then of A^T A = D^-1 C^T C D^-1.  A
+        # constant column centers to its mean's rounding error, a few ulps of
+        # its value; scaled by 1, not by that RMS, it stays below gelsy's rank
+        # threshold and gets a negligible coefficient
         gram = blas.dsyrk(1.0, centered, trans=1)
         rms = np.sqrt(np.diag(gram) / m)
-        self.scale = np.where(rms > 0, rms, 1.0)
-        if self.intercept is not None:
-            self.scale[self.intercept] = 1.0
+        self.scale = np.where(rms > RANK_TOL * np.abs(self.shift), rms, 1.0)
+        self.scale[0] = 1.0
         gram /= self.scale
         gram /= self.scale[:, None]
-        self._centered = self._cholesky = self._features = None
+        self._centered, self._cholesky = centered, None
         if m >= k:
-            # upper triangle of the factor R, R^T R = A^T A
-            cholesky, info = lapack.dpotrf(gram, overwrite_a=True)
-            if info == 0 and lapack.dtrcon(cholesky)[0] >= CHOLESKY_RCOND_MIN:
-                self._centered, self._cholesky = centered, cholesky
-                self.rank = k
+            # upper triangle of the factor R, R^T R = A^T A, over the Gram matrix
+            gram, info = lapack.dpotrf(gram, overwrite_a=True)
+            if info == 0 and lapack.dtrcon(gram)[0] >= CHOLESKY_RCOND_MIN:
+                self._cholesky, self.rank = gram, k
                 return
-        # gelsy decides the rank; it standardizes the caller's features again
-        # for each solve, so that no second M x K copy is kept
-        self._features = a
+        # gelsy decides the rank, once the K x K matrix is dropped
+        del gram
         self.rank = self._gelsy(np.zeros(m))[1]
 
     def _gelsy(self, b: np.ndarray) -> tuple[np.ndarray, int]:
-        std = (self._features - self.shift) / self.scale
+        # A is formed from C for each solve, so that no second M x K array
+        # outlives it
         std_coef, _, rank, _ = scipy.linalg.lstsq(
-            std, b, cond=RANK_TOL, lapack_driver="gelsy", check_finite=False)
+            self._centered / self.scale, b, cond=RANK_TOL, lapack_driver="gelsy",
+            check_finite=False)
         return std_coef, int(rank)
 
     def solve(self, responses: np.ndarray) -> np.ndarray:
@@ -213,7 +199,7 @@ class DesignSolver:
         vector_input = b.ndim == 1
         if vector_input:
             b = b[:, None]
-        if b.shape[0] != self.n_samples:
+        if b.shape[0] != self._centered.shape[0]:
             raise ValueError("responses and features disagree on sample count")
         if self._cholesky is None:
             std_coef = self._gelsy(b)[0]
@@ -222,15 +208,12 @@ class DesignSolver:
             rhs /= self.scale[:, None]
             std_coef, _ = lapack.dpotrs(self._cholesky, rhs, overwrite_b=True)
         coef = std_coef / self.scale[:, None]
-        if self.intercept is not None:
-            coef[self.intercept] -= (self.shift @ coef) / self._intercept_value
+        coef[0] -= self.shift @ coef
         return coef[:, 0] if vector_input else coef
 
     def fitted(self, coef: np.ndarray) -> np.ndarray:
         """features @ coef for coefficients of shape (K,) or (K, r), from the
-        centered copy C on the Cholesky path: features = C + 1 shift^T."""
-        if self._cholesky is None:
-            return self._features @ coef
+        centered copy C: features = C + 1 shift^T."""
         out = self._centered @ coef
         out += self.shift @ coef
         return out

@@ -15,6 +15,7 @@ Fractions and stay Fractions until a solver converts them to floats.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -28,12 +29,23 @@ NumberLike = Union[int, str, float, Fraction]
 # exercised or tested, so refuse rather than silently extrapolate
 MAX_STEP_COUNT = 12
 
+# Fraction builds 10^|exponent| of a decimal string exactly, in time that grows
+# faster than the exponent; past Python's 4300-digit str limit it cannot be written
+MAX_DECIMAL_EXPONENT = 4300
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?0*(\d+(?:_\d+)*)\s*\Z")
+
 
 def as_fraction(value: NumberLike) -> Fraction:
     """Coerce to an exact Fraction (floats via their binary expansion).  A
-    boolean is not a number here."""
+    boolean is not a number here, and a string's decimal exponent may not
+    exceed MAX_DECIMAL_EXPONENT in magnitude."""
     if isinstance(value, bool) or not isinstance(value, (int, str, float, Fraction)):
         raise TypeError(f"cannot interpret {value!r} as a rational number")
+    if isinstance(value, str):
+        # int() never reads a long exponent: ten characters exceed 10^4
+        exponent = _DECIMAL_EXPONENT.search(value)
+        if exponent and (len(exponent[1]) > 9 or int(exponent[1]) > MAX_DECIMAL_EXPONENT):
+            raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
     return Fraction(value)
 
 
@@ -350,20 +362,21 @@ def preset_scheme(family: str, m: int) -> MultistepScheme:
 
 def scheme_to_dict(scheme: MultistepScheme) -> dict:
     """Plain-dict form with every number as an exact fraction/decimal string.
-    The predictor's gamma0 is 0 by construction and has no key."""
-    s = str
-    return {
-        "m": scheme.m,
-        "alpha": [s(v) for v in scheme.corrector.alpha],
-        "gamma0": s(scheme.corrector.gamma0),
-        "gamma": [s(v) for v in scheme.corrector.gamma],
-        "alpha_tilde": [s(v) for v in scheme.predictor.alpha],
-        "gamma_tilde": [s(v) for v in scheme.predictor.gamma],
-        "lambda_h": [s(v) for v in scheme.lambda_h],
-        "C_pred": s(scheme.error_constant_pred),
-        "C_corr": s(scheme.error_constant_corr),
-        "name": scheme.name,
-    }
+    The predictor's gamma0 is 0 by construction and has no key.  A number
+    with more digits than Python writes as a string raises ValidationError
+    naming its field."""
+    pred, corr = scheme.predictor, scheme.corrector
+    out = {"m": scheme.m}
+    for key, value in (("alpha", corr.alpha), ("gamma0", corr.gamma0), ("gamma", corr.gamma),
+                       ("alpha_tilde", pred.alpha), ("gamma_tilde", pred.gamma),
+                       ("lambda_h", scheme.lambda_h), ("C_pred", scheme.error_constant_pred),
+                       ("C_corr", scheme.error_constant_corr)):
+        try:
+            out[key] = str(value) if isinstance(value, Fraction) else [str(v) for v in value]
+        except ValueError:
+            raise ValidationError(f"scheme field {key!r}: a number too long to write "
+                                  "as a string") from None
+    return {**out, "name": scheme.name}
 
 
 def _json_int(value) -> int:

@@ -466,6 +466,10 @@ class TestExitCodes:
         (["convergence", "--N", "4,4", "--M", "50,50", "--batches", "2"], None, "--N"),
         (["stability-demo", "--N", "10,10", "--M", "50"], None, "--N"),
         (["stability-demo", "--N", "20,10", "--M", "50"], None, "--N"),
+        (["solve", "--tau", "1e200", "--N", "4", "--M", "200"], None,
+         "tau = 1e+200 makes the decay rate"),
+        (["coeffs"], ("--scheme-file", weights_json("gamma0", "1e5000")),
+         "{file}: scheme field 'gamma0': decimal exponent beyond"),
     ], ids=["config-N", "config-unknown-key", "config-choice", "N", "M", "tau", "eta-example2",
             "coeffs-M", "convergence-tol", "solve-basis", "convergence-basis",
             "stability-demo-basis", "scheme-lengths", "scheme-missing-field",
@@ -477,7 +481,7 @@ class TestExitCodes:
             "stability-demo-M-list", "seed-negative", "seed-2^64", "config-seed-negative",
             "tol-nan", "tol-negative", "tol-inf", "solve-unstable-tol-nan", "dim-0",
             "stability-demo-single-N", "convergence-repeated-N", "stability-demo-repeated-N",
-            "stability-demo-decreasing-N"])
+            "stability-demo-decreasing-N", "tau-rate-overflow", "scheme-exponent-1e5000"])
     def test_bad_flag_or_key_exits_2(self, tmp_path, capsys, monkeypatch,
                                      argv, file, named):
         def no_simulation(*args, **kwargs):

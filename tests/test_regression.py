@@ -112,14 +112,15 @@ class TestOlsFit:
         assert np.all(np.abs(coef[1:]) < 1e-12)
 
     def test_duplicated_column_gets_pseudoinverse_solution(self):
-        # A has identical columns; the minimum-norm solution splits the
-        # pinv weight evenly: A+ y = (1/2, 1/2) for y = first column
+        # A has identical columns after its ones column; the minimum-norm
+        # solution splits the pinv weight evenly: A+ y = (0, 1/2, 1/2) for y
+        # = the duplicated column
         col = np.array([1.0, 2.0, 3.0])
-        design = np.column_stack([col, col])
+        design = np.column_stack([np.ones(3), col, col])
         expected = np.linalg.pinv(design) @ col
         coef = DesignSolver(design).solve(col)
         assert coef == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx([0.5, 0.5])
+        assert expected == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
 
     def test_empty_sample(self):
         with pytest.raises(ValidationError, match="at least one sample"):
@@ -231,7 +232,7 @@ class TestPredict:
 class TestDesignSolver:
     def test_factorization_reused_across_responses(self):
         rng = np.random.default_rng(21)
-        design = rng.standard_normal((60, 4))
+        design = np.column_stack([np.ones(60), rng.standard_normal((60, 4))])
         solver = DesignSolver(design)
         y1 = rng.standard_normal(60)
         y2 = rng.standard_normal(60)
@@ -253,56 +254,55 @@ class TestDesignSolver:
         assert out[0].tolist() == [3.0, -5.0]
 
     @staticmethod
-    def max_min_standardization(design):
-        """(intercept, shift, scale) by the full-scan rule: a column is
-        constant when its max - min is 0 (every column of a single row is),
-        the intercept is the first constant column with a nonzero value, and
-        the RMS is taken over the copy centered column by column."""
+    def full_scan_standardization(design):
+        """(shift, scale) by the ones-first rule, with constant columns found
+        by a full scan: column 0 is the intercept, with shift 0 and scale 1;
+        every other column is shifted by its mean and scaled by the RMS of
+        the centered column, or by 1 when the column is constant (max - min
+        is 0, as for every column of a single row) or that RMS is not
+        positive."""
         std = np.array(design, dtype=float, order="F")
-        m, k = std.shape
-        spread = std.max(axis=0) - std.min(axis=0) if m > 1 else np.zeros(k)
-        constant = spread == 0
-        intercept = next((j for j in range(k) if constant[j] and std[0, j] != 0), None)
-        shift = np.zeros(k)
-        if intercept is not None:
-            shift = np.where(constant, 0.0, std.mean(axis=0))
-            std -= shift
-        rms = np.sqrt(np.einsum("ij,ij->j", std, std) / m)
-        scale = np.where(rms > 0, rms, 1.0)
-        if intercept is not None:
-            scale[intercept] = 1.0
-        return intercept, shift, scale
+        constant = std.max(axis=0) - std.min(axis=0) == 0
+        shift = std.mean(axis=0)
+        shift[0] = 0.0
+        std -= shift
+        rms = np.sqrt(np.einsum("ij,ij->j", std, std) / std.shape[0])
+        scale = np.where(constant | ~(rms > 0), 1.0, rms)
+        scale[0] = 1.0
+        return shift, scale
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("case", ["constant-at-0", "constant-at-2", "all-zero",
-                                      "ends-match", "single-row", "plus-inf", "none"])
+                                      "ends-match", "single-row", "plus-inf"])
     def test_standardization_matches_full_scan(self, case, order):
         rng = np.random.default_rng(53)
         design = rng.standard_normal((200, 5)) * [1.0, 2.0, 0.5, 3.0, 1.5] + 0.7
-        want_intercept = {"constant-at-0": 0, "constant-at-2": 2, "all-zero": 1,
-                          "ends-match": 0, "single-row": 0, "plus-inf": 0, "none": None}
+        design[:, 0] = 1.0
         if case == "constant-at-2":
+            # a constant besides the intercept centers to rounding error
             design[:, 2] = -3.5
         elif case == "all-zero":
-            # a zero constant cannot carry the intercept; the next constant does
-            design[:, 0] = 0.0
-            design[:, 1] = 2.0
-        elif case == "single-row":
-            design = np.array([[2.0, 0.0, -3.0, 5.0]])
-        elif case != "none":
-            design[:, 0] = 1.0
-        if case == "ends-match":
+            design[:, 1] = 0.0
+        elif case == "ends-match":
             design[-1, 3] = design[0, 3]
         elif case == "plus-inf":
             design[:, 2] = np.inf
+        elif case == "single-row":
+            design = np.array([[1.0, 0.0, -3.0, 5.0]])
         design = np.asarray(design, order=order)
         with np.errstate(invalid="ignore"):  # inf - inf in the column of +inf
-            intercept, shift, scale = self.max_min_standardization(design)
+            shift, scale = self.full_scan_standardization(design)
             solver = DesignSolver(design)
-        assert intercept == want_intercept[case]
-        assert solver.intercept == intercept
         np.testing.assert_allclose(solver.shift, shift, rtol=1e-14, atol=0)
         np.testing.assert_allclose(solver.scale, scale, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("first", ["zero", "two", "random"])
+    def test_design_without_ones_column_refused(self, first):
+        rng = np.random.default_rng(59)
+        design = build_basis(2, 2).design_matrix(rng.standard_normal((40, 2)))
+        design[:, 0] = {"zero": 0.0, "two": 2.0, "random": rng.standard_normal(40)}[first]
+        with pytest.raises(ValueError, match="column 0 of the design must be the constant 1"):
+            DesignSolver(design)
 
     @pytest.mark.parametrize("shape", [(300, 6), (20, 28)], ids=["cholesky", "gelsy"])
     def test_caller_design_never_overwritten(self, shape):
@@ -335,8 +335,7 @@ class TestDesignSolver:
         std_coef, _, rank, _ = scipy.linalg.lstsq(
             std, b, cond=RANK_TOL, lapack_driver="gelsy", check_finite=False)
         coef = std_coef / solver.scale[:, None]
-        if solver.intercept is not None:
-            coef[solver.intercept] -= (solver.shift @ coef) / design[0, solver.intercept]
+        coef[0] -= solver.shift @ coef
         return coef, rank
 
     @pytest.fixture

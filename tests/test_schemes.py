@@ -3,6 +3,7 @@ weights and the Milne factor."""
 
 import json
 import re
+import time
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -263,6 +264,27 @@ class TestSchemeJson:
         doc = {**scheme_to_dict(stable_preset(int(m))), "m": m}
         with pytest.raises(ValidationError, match=re.escape(
                 f"scheme field 'm': {json.dumps(m)} is not an integer")):
+            scheme_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma0", "1e5000"), ("gamma", ["-1e-5000"]), ("gamma0", "1e999999999"),
+    ], ids=["1e5000", "-1e-5000", "1e999999999"])
+    def test_decimal_exponent_is_bounded(self, key, value):
+        # Fraction would build 10^|exponent| exactly: past 4300 digits it
+        # cannot be written back, and at 1e999999999 it would stall the loader
+        doc = {k: v for k, v in scheme_to_dict(stable_preset(1)).items()
+               if k not in ("lambda_h", "C_pred", "C_corr")}
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=re.escape(
+                f"scheme field {key!r}: decimal exponent beyond +-4300")):
+            scheme_from_dict({**doc, key: value})
+        assert time.perf_counter() - start < 1.0
+
+    def test_weight_too_long_to_write_names_its_field(self):
+        # 10^4300 has 4301 digits, one past what Python writes as a string
+        doc = {**scheme_to_dict(stable_preset(1)), "gamma0": "1e4300"}
+        with pytest.raises(ValidationError, match=re.escape(
+                "scheme field 'gamma0': a number too long to write as a string")):
             scheme_from_dict(doc)
 
     def test_strings_are_exact_fractions(self):

@@ -404,26 +404,41 @@ class TestStochasticSolver:
         assert native.y0.hex() == other.y0.hex()
         assert [v.hex() for v in native.z0] == [v.hex() for v in other.z0]
 
+    @staticmethod
+    def traced_peak(M, degree):
+        """Traced peak bytes of an m = 2 example1 solve (d = 2, N = 8), the
+        start-up's fine states included."""
+        problem = example1(d=2)
+        grid = GridSpec(T=problem.T, N=8)
+        ensemble = sample_ensemble(problem, grid, M, seed=5)
+        config = SolverConfig(scheme=stable_preset(2), grid=grid, basis_degree=degree)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            solve(problem, config, ensemble)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
     def test_one_design_array_per_level(self):
         # a level drops its design once its solver exists and frees all its
         # arrays before the next level: the traced peak of this solve (the
         # start-up's fine states included) is about 2.95 M K 8 bytes, against
         # 4.17 when a level held its design, its solver's centered copy and
         # the previous level's copy at once
-        problem = example1(d=2)
-        grid = GridSpec(T=problem.T, N=8)
         M, K = 4000, 28
-        ensemble = sample_ensemble(problem, grid, M, seed=5)
-        config = SolverConfig(scheme=stable_preset(2), grid=grid, basis_degree=6)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            solve(problem, config, ensemble)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * M * K * 8
+        assert self.traced_peak(M, 6) < 3.5 * M * K * 8
+
+    def test_one_design_array_per_gelsy_level(self):
+        # with M < K every level is solved by gelsy from the centered copy C,
+        # and the K x K Gram matrix is dropped first: at its peak a level holds
+        # its design, C, the standardized design A of the rank solve and
+        # gelsy's copy of A.  The traced peak is about 4.5 M K 8 bytes,
+        # against 5.7 when the solver kept the caller's design and
+        # standardized it afresh beside C and the Gram matrix
+        M, K = 200, 231
+        assert self.traced_peak(M, 20) < 5.0 * M * K * 8
 
     def test_mismatched_grid_rejected(self):
         problem = example1()
