@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
+from scipy.special import stdtrit
 
 from .exceptions import NumericalError, ValidationError
 from .problems import FbsdeProblem, closed_form_reference
@@ -31,31 +31,23 @@ PAPER_LADDER = ((5, 2778), (10, 5996), (15, 8809), (20, 12018))
 # -- statistical infrastructure -------------------------------------------------
 
 def t_quantile(p: float, df: int) -> float:
-    """Student-t inverse CDF via the regularized incomplete beta inverse."""
+    """Student-t inverse CDF."""
     if not 0.0 < p < 1.0:
         raise ValidationError("p must lie strictly between 0 and 1")
     if df < 1:
         raise ValidationError("df must be >= 1")
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -t_quantile(1.0 - p, df)
-    tail = 2.0 * (1.0 - p)
-    x = betaincinv(df / 2.0, 0.5, tail)
-    return math.sqrt(df * (1.0 - x) / x)
+    return float(stdtrit(df, p))
 
 
-def batch_ci(batch_errors: Sequence[float], level: float = CI_LEVEL):
-    """(mean, lower, upper) from batch averages, using the t interval with
-    len-1 degrees of freedom and the unbiased variance."""
+def batch_ci(batch_errors: Sequence[float]):
+    """(mean, lower, upper) from batch averages, using the CI_LEVEL t interval
+    with len-1 degrees of freedom and the unbiased variance."""
     errors = np.asarray(batch_errors, dtype=float)
     if errors.size < 2:
         raise ValidationError("confidence interval needs at least two batches")
-    if not 0.0 < level < 1.0:
-        raise ValidationError("confidence level must be in (0, 1)")
     mean = float(errors.mean())
     var = float(errors.var(ddof=1))
-    half = t_quantile(0.5 + level / 2.0, errors.size - 1) * math.sqrt(var / errors.size)
+    half = t_quantile(0.5 + CI_LEVEL / 2.0, errors.size - 1) * math.sqrt(var / errors.size)
     return mean, mean - half, mean + half
 
 
@@ -166,17 +158,13 @@ class ConvergenceReport:
     pairwise_z: list[float]
     metadata: dict = field(default_factory=dict)
 
-    def to_dict(self, include_runtime: bool = True) -> dict:
-        rows = []
-        for r in self.rows:
-            row = {
-                "N": r.N, "M": r.M,
-                "err_y": r.err_y, "ci_y_lo": r.ci_y[0], "ci_y_hi": r.ci_y[1],
-                "err_z": r.err_z, "ci_z_lo": r.ci_z[0], "ci_z_hi": r.ci_z[1],
-            }
-            if include_runtime:
-                row["runtime_sec"] = r.runtime_sec
-            rows.append(row)
+    def to_dict(self) -> dict:
+        rows = [{
+            "N": r.N, "M": r.M,
+            "err_y": r.err_y, "ci_y_lo": r.ci_y[0], "ci_y_hi": r.ci_y[1],
+            "err_z": r.err_z, "ci_z_lo": r.ci_z[0], "ci_z_hi": r.ci_z[1],
+            "runtime_sec": r.runtime_sec,
+        } for r in self.rows]
         return {
             "rows": rows,
             "rate_y": self.rate_y,
@@ -284,13 +272,12 @@ CSV_COLUMNS = ["N", "M", "err_y", "ci_y_lo", "ci_y_hi",
                "err_z", "ci_z_lo", "ci_z_hi", "runtime_sec"]
 
 
-def report_csv(report: ConvergenceReport, include_runtime: bool = True) -> str:
+def report_csv(report: ConvergenceReport) -> str:
     buf = io.StringIO()
-    cols = CSV_COLUMNS if include_runtime else CSV_COLUMNS[:-1]
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    for row in report.to_dict(include_runtime)["rows"]:
-        writer.writerow([repr(row[c]) for c in cols])
+    writer.writerow(CSV_COLUMNS)
+    for row in report.to_dict()["rows"]:
+        writer.writerow([repr(row[c]) for c in CSV_COLUMNS])
     if report.rate_y is not None:
         buf.write(f"# rate_y={report.rate_y!r}\n")
     if report.rate_z is not None:
@@ -308,8 +295,8 @@ def plot_data(report: ConvergenceReport, which: str = "y") -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def emit_report(report: ConvergenceReport, basepath, formats: Sequence[str] = ("csv", "json"),
-                include_runtime: bool = True) -> list[Path]:
+def emit_report(report: ConvergenceReport, basepath,
+                formats: Sequence[str] = ("csv", "json")) -> list[Path]:
     """Write the report next to basepath: .csv / .json mirrors plus
     _y.dat/_z.dat plot-data files."""
     base = Path(basepath)
@@ -317,13 +304,12 @@ def emit_report(report: ConvergenceReport, basepath, formats: Sequence[str] = ("
     written = []
     if "csv" in formats:
         path = base.with_suffix(".csv")
-        path.write_text(report_csv(report, include_runtime=include_runtime),
-                        encoding="utf-8")
+        path.write_text(report_csv(report), encoding="utf-8")
         written.append(path)
     if "json" in formats:
         path = base.with_suffix(".json")
-        path.write_text(json.dumps(report.to_dict(include_runtime=include_runtime),
-                                   indent=2, allow_nan=False) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n",
+                        encoding="utf-8")
         written.append(path)
     for which in ("y", "z"):
         path = base.parent / (base.stem + f"_{which}.dat")

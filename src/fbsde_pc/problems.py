@@ -31,6 +31,11 @@ class FbsdeProblem:
     b, sigma and f run on all M paths: f twice per backward level, b and
     sigma once per Euler step.  Every callable returns a new array and never
     writes into its x, y or z, which the solver keeps after the call.
+
+    Shapes returned, for states x of shape (M, d): b (M, d), sigma (d, d) or
+    (M, d, d), f (M,), phi (M,) and grad_phi (M, d).  b and f may also return
+    a 0-d value, such as the float 0.0, which stands for every path.  Any
+    other shape raises ValidationError.
     """
 
     name: str
@@ -55,6 +60,16 @@ class FbsdeProblem:
         return self.closed_form_y is not None and self.closed_form_z is not None
 
 
+def require_shape(value: np.ndarray, name: str, *shapes: tuple) -> np.ndarray:
+    """value, once its shape is one of shapes; otherwise a ValidationError
+    naming the callable that returned it."""
+    if value.shape not in shapes:
+        expected = " or ".join(str(shape) for shape in shapes)
+        raise ValidationError(
+            f"problem callable {name} returned shape {value.shape}, expected {expected}")
+    return value
+
+
 @dataclass(frozen=True)
 class TerminalValues:
     """Terminal backward data: y = phi(X_N) and z = grad(phi)(X_N) . sigma."""
@@ -68,9 +83,11 @@ def terminal_values(problem: FbsdeProblem, x_terminal: np.ndarray) -> TerminalVa
     x = np.asarray(x_terminal, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
-    y = np.asarray(problem.phi(x), dtype=float)
-    grad = np.asarray(problem.grad_phi(x), dtype=float)
-    sig = np.asarray(problem.sigma(problem.T, x), dtype=float)
+    M, d = x.shape
+    y = require_shape(np.asarray(problem.phi(x), dtype=float), "phi", (M,))
+    grad = require_shape(np.asarray(problem.grad_phi(x), dtype=float), "grad_phi", (M, d))
+    sig = require_shape(np.asarray(problem.sigma(problem.T, x), dtype=float), "sigma",
+                        (d, d), (M, d, d))
     if sig.ndim == 2:
         z = grad @ sig
     else:
@@ -162,7 +179,7 @@ def example1(eta: float = 0.6, tau: Optional[float] = None, d: int = 2,
 
 # -- benchmark problem 2: scalar logistic FBSDE --------------------------------
 
-def example2(T: float = 1.0, x0: float = 1.0) -> FbsdeProblem:
+def example2(T: float = 1.0) -> FbsdeProblem:
     """Scalar decoupled FBSDE with logistic closed form.
 
         dX = dt / (1 + 2 e^w) + (e^w / (1 + e^w)) dW,       w = t + X_t,
@@ -224,7 +241,7 @@ def example2(T: float = 1.0, x0: float = 1.0) -> FbsdeProblem:
         return (s * s * expit(-(t + x[:, 0])))[:, None]
 
     return FbsdeProblem(
-        name="example2", d=1, T=T, x0=np.array([x0]),
+        name="example2", d=1, T=T, x0=np.array([1.0]),
         b=b, sigma=sigma, f=f, phi=phi, grad_phi=grad_phi,
         y_bound=1.0, z_bound=1.0,
         closed_form_y=u, closed_form_z=zeta,
@@ -233,14 +250,12 @@ def example2(T: float = 1.0, x0: float = 1.0) -> FbsdeProblem:
 
 # -- regression-free test problems ---------------------------------------------
 
-def exponential_ode(T: float = 1.0, coefficient: float = -1.0) -> FbsdeProblem:
-    """Noise-free reduction with driver f = coefficient * y and phi = 1.
+def exponential_ode(T: float = 1.0) -> FbsdeProblem:
+    """Noise-free reduction with driver f = -y and phi = 1.
 
     With sigma = 0 the backward equation is the ODE dY/dt = -f, so
-    Y_t = exp(coefficient * (T - t)); the default coefficient -1 gives the
-    decaying solution Y_t = e^{-(T-t)}.  Used for exact order measurement.
+    Y_t = e^{-(T-t)}.  Used for exact order measurement.
     """
-    c = float(coefficient)
 
     def b(t, x):
         return np.zeros_like(x)
@@ -252,10 +267,10 @@ def exponential_ode(T: float = 1.0, coefficient: float = -1.0) -> FbsdeProblem:
         return np.ones(x.shape[0])
 
     def f(t, x, y, z):
-        return c * y
+        return -y
 
     def u(t, x):
-        return np.full(x.shape[0], math.exp(c * (T - t)))
+        return np.full(x.shape[0], math.exp(-(T - t)))
 
     def zeta(t, x):
         return np.zeros((x.shape[0], 1))
@@ -268,9 +283,9 @@ def exponential_ode(T: float = 1.0, coefficient: float = -1.0) -> FbsdeProblem:
     )
 
 
-def constant_problem(value: float = 1.0, d: int = 1, T: float = 1.0,
-                     diffusion: float = 1.0) -> FbsdeProblem:
-    """Zero driver with constant terminal payoff; Y = value and Z = 0."""
+def constant_problem(value: float = 1.0, d: int = 1, T: float = 1.0) -> FbsdeProblem:
+    """Brownian state (b = 0, sigma = I), zero driver and constant terminal
+    payoff; Y = value and Z = 0."""
     if d < 1:
         raise ValidationError("need d >= 1")
 
@@ -278,7 +293,7 @@ def constant_problem(value: float = 1.0, d: int = 1, T: float = 1.0,
         return np.zeros_like(x)
 
     def sigma(t, x):
-        return diffusion * np.eye(d)
+        return np.eye(d)
 
     def phi(x):
         return np.full(x.shape[0], float(value))

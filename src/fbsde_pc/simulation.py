@@ -23,12 +23,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
 
 from .exceptions import NumericalError, ValidationError
+from .problems import require_shape
 
 # trajectory substream tags; packed into the high bits of the Philox key word
 MAIN_STREAM = 0
@@ -280,8 +280,9 @@ def euler_states(problem, times: np.ndarray, h: float, dW: np.ndarray,
     X[:, 0, :] = start
     for i in range(n):
         xi = X[:, i, :]
-        drift = np.asarray(problem.b(times[i], xi), dtype=float)
-        diffusion = np.asarray(problem.sigma(times[i], xi), dtype=float)
+        drift = require_shape(np.asarray(problem.b(times[i], xi), dtype=float), "b", (M, d), ())
+        diffusion = require_shape(np.asarray(problem.sigma(times[i], xi), dtype=float), "sigma",
+                                  (d, d), (M, d, d))
         nxt = xi + h * drift + _apply_sigma(diffusion, dW[:, i, :])
         if not np.all(np.isfinite(nxt)):
             bad = np.argwhere(~np.isfinite(nxt))[0]
@@ -291,17 +292,16 @@ def euler_states(problem, times: np.ndarray, h: float, dW: np.ndarray,
     return X
 
 
-def euler_paths(problem, grid: GridSpec, increments: np.ndarray,
-                x0: Optional[np.ndarray] = None, seed: int = 0) -> PathEnsemble:
-    """Forward Euler over the grid from x0 (default: the problem's)."""
+def euler_paths(problem, grid: GridSpec, increments: np.ndarray, seed: int) -> PathEnsemble:
+    """Forward Euler over the grid from the problem's x0.  seed is the one the
+    increments were drawn with: the start-up's bridge draws are keyed on it."""
     dW = np.asarray(increments, dtype=float)
     if dW.ndim != 3:
         raise ValidationError("increments must have shape (M, N, d)")
     _, N, d = dW.shape
     if N != grid.N or d != problem.d:
         raise ValidationError("increments disagree with the grid or problem dimension")
-    start = np.asarray(problem.x0 if x0 is None else x0, dtype=float).reshape(d)
-    X = euler_states(problem, grid.times, grid.h, dW, start)
+    X = euler_states(problem, grid.times, grid.h, dW, problem.x0)
     return PathEnsemble(grid=grid, seed=seed, dW=dW, X=X)
 
 

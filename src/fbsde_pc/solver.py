@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DegenerateIndicator, NumericalError, ValidationError
-from .problems import FbsdeProblem, closed_form_reference, terminal_values
+from .problems import FbsdeProblem, closed_form_reference, require_shape, terminal_values
 from .regression import (
     DesignSolver,
     RegressionModel,
@@ -77,7 +77,6 @@ class BackwardSolution:
 
 @dataclass
 class DeterministicSolution:
-    times: np.ndarray
     y: np.ndarray
     milne: np.ndarray
     y0: float
@@ -109,8 +108,9 @@ def _float_arrays(scheme: MultistepScheme):
 
 def _terminal_slots(problem: FbsdeProblem, N: int) -> tuple[list, list]:
     """y and z model lists with one slot per node, the terminal rules in slot N."""
+    y_rule = _Terminal(lambda x: require_shape(np.asarray(problem.phi(x)), "phi", (len(x),)))
     z_rule = _Terminal(lambda x: terminal_values(problem, x).z)
-    return [None] * N + [_Terminal(problem.phi)], [None] * N + [z_rule]
+    return [None] * N + [y_rule], [None] * N + [z_rule]
 
 
 def _value(model, x: np.ndarray) -> float:
@@ -170,6 +170,9 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
     # z_j(X_j) . dW_j (None at the last node), stored as each level is fitted
     live: dict[int, tuple] = {}
 
+    def driver(t: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return require_shape(np.asarray(problem.f(t, x, y, z)), "f", (M,), ())
+
     def zdw_at(j: int, z: np.ndarray):
         return None if j == n else np.einsum("md,md->m", z, dW[:, j, :])
 
@@ -177,7 +180,7 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
         xj = X[:, j, :]
         y = np.asarray(y_models[j].predict(xj))
         z = np.asarray(z_models[j].predict(xj))
-        live[j] = (y, np.asarray(problem.f(times[j], xj, y, z)), zdw_at(j, z))
+        live[j] = (y, driver(times[j], xj, y, z), zdw_at(j, z))
 
     factor = _milne_scale(scheme)
     milne = np.zeros(n - m + 1)
@@ -231,7 +234,7 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
             z_here = truncate(solver.fitted(coef[:, :d]), z_bound)
             y_pred_here = truncate(solver.fitted(coef[:, d]), y_bound)
 
-        f_pred = np.asarray(problem.f(times[i], xi, y_pred_here, z_here))
+        f_pred = driver(times[i], xi, y_pred_here, z_here)
         s_corr = h * gamma0 * f_pred
         # subtract the martingale increments sum_k z_k(X_k) dW_k from the
         # corrector responses: zero conditional mean, so every fitted
@@ -262,7 +265,7 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
         z_models[i] = z_model
         del live[i + m]
         if i > 0:
-            live[i] = (y_here, np.asarray(problem.f(times[i], xi, y_here, z_here)), zdw)
+            live[i] = (y_here, driver(times[i], xi, y_here, z_here), zdw)
 
     for i in range(n - m, -1, -1):
         level(i)
@@ -351,8 +354,9 @@ def _probe_deterministic(problem: FbsdeProblem) -> None:
 
 
 def _one_path(problem: FbsdeProblem, grid: GridSpec) -> PathEnsemble:
-    """The sigma = 0 path: Euler steps from x0 with zero increments."""
-    return euler_paths(problem, grid, np.zeros((1, grid.N, problem.d)))
+    """The sigma = 0 path: Euler steps from x0 with zero increments.  Its seed
+    keys no draw, because sigma = 0 never refines its increments."""
+    return euler_paths(problem, grid, np.zeros((1, grid.N, problem.d)), seed=0)
 
 
 def _exact_models(problem: FbsdeProblem, times: np.ndarray, x: np.ndarray):
@@ -363,15 +367,13 @@ def _exact_models(problem: FbsdeProblem, times: np.ndarray, x: np.ndarray):
             [constant_model(z, basis) for _, z in exact])
 
 
-def deterministic_solve(problem: FbsdeProblem, config: SolverConfig,
-                        seed_levels: str = "auto", *,
+def deterministic_solve(problem: FbsdeProblem, config: SolverConfig, *,
                         _perturb_y: float = 0.0) -> DeterministicSolution:
     """The backward kernel on the one sigma = 0 path, with the constant basis.
 
-    seed_levels picks how Y_{N-1}..Y_{N-m+1} are produced: "closed-form"
-    (requires the problem's exact solution), "bootstrap" (the stochastic
-    solve's start-up, run on the same path), or "auto" (closed form when
-    available).  _perturb_y is added to every corrector of the main pass, for
+    Y_{N-1}..Y_{N-m+1} come from the problem's closed form when it has one,
+    and otherwise from the stochastic solve's start-up, run on the same path.
+    _perturb_y is added to every corrector of the main pass, for
     deterministic_perturbation_deviation.
     """
     _probe_deterministic(problem)
@@ -380,33 +382,27 @@ def deterministic_solve(problem: FbsdeProblem, config: SolverConfig,
     N = grid.N
     _require_steps(m, N)
     _require_stable(scheme, config.allow_unstable, config.stability_tol)
-    if seed_levels not in ("auto", "closed-form", "bootstrap"):
-        raise ValidationError(f"unknown seed_levels mode {seed_levels!r}")
-    use_cf = seed_levels == "closed-form" or (
-        seed_levels == "auto" and problem.has_closed_form)
-    if use_cf and not problem.has_closed_form:
-        raise ValidationError("closed-form seeding requested but unavailable")
 
     path = _one_path(problem, grid)
     kernel = replace(config, basis_degree=0, deterministic=True)
     y_models, z_models = _terminal_slots(problem, N)
     start = N - m + 1
-    if use_cf:
+    if problem.has_closed_form:
         y_models[start:N], z_models[start:N] = _exact_models(
             problem, grid.times[start:N], path.X[0, start:N])
     try:
         # an unstable scheme or a long horizon may overflow; that is reported
         # once, as a non-finite result
         with np.errstate(over="ignore", invalid="ignore"):
-            if m >= 2 and not use_cf:
+            if m >= 2 and not problem.has_closed_form:
                 _bootstrap(problem, kernel, path, y_models, z_models)
             milne = _backward(problem, kernel, grid.times, grid.h, path.X, path.dW,
                               y_models, z_models, _perturb_y)
     except NumericalError as err:
         raise NumericalError(f"non-finite y0 from the sigma = 0 recursion: {err}") from None
     y = np.array([_value(y_models[i], path.X[0, i]) for i in range(N + 1)])
-    return DeterministicSolution(times=grid.times, y=y, milne=milne, y0=float(y[0]),
-                                 z0=np.zeros(problem.d), config=kernel)
+    return DeterministicSolution(y=y, milne=milne, y0=float(y[0]), z0=np.zeros(problem.d),
+                                 config=kernel)
 
 
 def milne_local_ratios(problem: FbsdeProblem, scheme: MultistepScheme,
@@ -451,16 +447,15 @@ def deterministic_perturbation_deviation(problem: FbsdeProblem, scheme: Multiste
     return abs(noisy.y0 - clean.y0)
 
 
-def result_to_dict(solution, runtime_sec: Optional[float] = None) -> dict:
-    """Result document for the CLI: estimates, indicators and the config.
-    The Milne indicators are null when the scheme leaves them undefined."""
+def result_to_dict(solution, runtime_sec: float) -> dict:
+    """Result document for the CLI: estimates, indicators, the config and the
+    runtime.  The Milne indicators are null when the scheme leaves them
+    undefined."""
     undefined = math.isnan(_milne_scale(solution.config.scheme))
-    out = {
+    return {
         "y0": solution.y0,
         "z0": np.asarray(solution.z0, dtype=float).tolist(),
         "milne": None if undefined else np.asarray(solution.milne, dtype=float).tolist(),
         "config": solution.config.to_dict(),
+        "runtime_sec": runtime_sec,
     }
-    if runtime_sec is not None:
-        out["runtime_sec"] = runtime_sec
-    return out

@@ -40,12 +40,6 @@ class CharacteristicPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, z):
-        out = np.zeros_like(np.asarray(z, dtype=complex))
-        for c in self.coeffs:
-            out = out * z + c
-        return out
-
 
 @dataclass
 class StabilityVerdict:

@@ -288,6 +288,6 @@ def test_statistical_infrastructure():
             mu, sigma, reps = 0.5, 0.1, 2000
             covered = 0
             for _ in range(reps):
-                _, lo, hi = batch_ci(rng.normal(mu, sigma, 21), level=0.95)
+                _, lo, hi = batch_ci(rng.normal(mu, sigma, 21))
                 covered += lo <= mu <= hi
             assert covered / reps == pytest.approx(0.95, abs=0.03)

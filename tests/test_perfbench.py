@@ -11,8 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 # ladder-bootstrap runs stable_preset(3) with its stable_preset(1) trapezoid
-# start-up on the bridge-refined grid, which solve-regression does not reach
-@pytest.mark.parametrize("workload", ["solve-regression", "ladder-bootstrap"])
+# start-up on the bridge-refined grid, which solve-regression does not reach;
+# solve-paths runs example2 on 1e5 paths, whose normals are drawn by threads
+@pytest.mark.parametrize("workload", ["solve-regression", "solve-paths", "ladder-bootstrap"])
 def test_short_traced_run_is_correct(workload):
     # a one-second traced run passes the reference.json gate, the tracer's
     # self-checks (traced and untraced solves agree, counts repeat) and the

@@ -34,7 +34,7 @@ from fbsde_pc.simulation import (
 
 
 def brownian_problem(d=2):
-    return constant_problem(value=1.0, d=d, diffusion=1.0)
+    return constant_problem(value=1.0, d=d)
 
 
 class TestGridSpec:
@@ -97,10 +97,11 @@ class TestBrownianIncrements:
 
 class TestEulerPaths:
     def test_degenerate_dynamics_constant(self):
-        problem = constant_problem(d=2, diffusion=0.0)
+        problem = dataclasses.replace(constant_problem(d=2), x0=np.array([2.0, -1.0]),
+                                      sigma=lambda t, x: np.zeros((2, 2)))
         grid = GridSpec(T=1.0, N=5)
         dw = brownian_increments(grid, 2, 16, seed=0)
-        ens = euler_paths(problem, grid, dw, x0=np.array([2.0, -1.0]))
+        ens = euler_paths(problem, grid, dw, seed=0)
         assert np.all(ens.X == np.array([2.0, -1.0]))
 
     def test_pure_drift_tracks_time(self):
@@ -114,7 +115,7 @@ class TestEulerPaths:
         )
         grid = GridSpec(T=1.0, N=4)
         dw = brownian_increments(grid, 2, 8, seed=0)
-        ens = euler_paths(problem, grid, dw)
+        ens = euler_paths(problem, grid, dw, seed=0)
         for i, t in enumerate(grid.times):
             assert ens.X[:, i, :] == pytest.approx(np.full((8, 2), t))
 
@@ -122,7 +123,7 @@ class TestEulerPaths:
         problem = brownian_problem(d=2)
         grid = GridSpec(T=1.0, N=6)
         dw = brownian_increments(grid, 2, 32, seed=1)
-        ens = euler_paths(problem, grid, dw, x0=np.zeros(2))
+        ens = euler_paths(problem, grid, dw, seed=1)
         assert ens.X[:, 1:, :] == pytest.approx(np.cumsum(dw, axis=1))
 
     def test_state_dependent_sigma_shape(self):
@@ -144,7 +145,7 @@ class TestEulerPaths:
         grid = GridSpec(T=1.0, N=4)
         dw = brownian_increments(grid, 1, 4, seed=0)
         with pytest.raises(NumericalError, match="non-finite state at trajectory .*, step"):
-            euler_paths(problem, grid, dw)
+            euler_paths(problem, grid, dw, seed=0)
 
 
 class TestBridgeRefinement:
@@ -217,8 +218,8 @@ class TestLevelMajorStorage:
         problem = example2()
         grid = GridSpec(T=1.0, N=5)
         dw = brownian_increments(grid, 1, 29, seed=6)
-        native = euler_paths(problem, grid, dw)
-        trajectory_major = euler_paths(problem, grid, np.ascontiguousarray(dw))
+        native = euler_paths(problem, grid, dw, seed=6)
+        trajectory_major = euler_paths(problem, grid, np.ascontiguousarray(dw), seed=6)
         assert _levels_contiguous(trajectory_major.X)
         assert np.array_equal(native.X, trajectory_major.X)
 

@@ -35,8 +35,9 @@ from fbsde_pc.solver import (
 
 
 # y0 of deterministic_solve(exponential_ode(), ...) at N = 8, 40 and 200, by
-# (family, m, seed_levels), recorded from the scalar recursion that the
-# one-path kernel replaced
+# (family, m, seeding), recorded from the scalar recursion that the one-path
+# kernel replaced.  "auto" rows take the top levels from the closed form, and
+# "bootstrap" rows from the start-up (see seeded)
 DETERMINISTIC_Y0 = {
     ("adams", 1, "auto"): (0.3958758906890161, 0.3726634637735021, 0.36880644855768735),
     ("adams", 1, "bootstrap"): (0.3958758906890161, 0.3726634637735021, 0.36880644855768735),
@@ -59,6 +60,18 @@ DETERMINISTIC_Y0 = {
 
 def config_for(scheme, N, T=1.0, **kw):
     return SolverConfig(scheme=scheme, grid=GridSpec(T=T, N=N), **kw)
+
+
+def without_closed_form(problem):
+    """problem without its closed form, so that deterministic_solve seeds its
+    top levels from the start-up."""
+    return dataclasses.replace(problem, closed_form_y=None, closed_form_z=None)
+
+
+def seeded(problem, seeding):
+    """problem for a test row labelled seeding: "bootstrap" rows drop the
+    closed form to reach the start-up, "auto" and "closed-form" rows keep it."""
+    return without_closed_form(problem) if seeding == "bootstrap" else problem
 
 
 class TestAutoSubsteps:
@@ -158,19 +171,19 @@ class TestDeterministicSolve:
     def test_bootstrap_seeding_close_to_closed_form(self):
         problem = exponential_ode()
         cfg = config_for(adams_pair(3), 32)
-        cf = deterministic_solve(problem, cfg, seed_levels="closed-form")
-        bs = deterministic_solve(problem, cfg, seed_levels="bootstrap")
+        cf = deterministic_solve(problem, cfg)
+        bs = deterministic_solve(without_closed_form(problem), cfg)
         exact = math.exp(-1.0)
         assert abs(bs.y0 - cf.y0) < 1e-5
         assert abs(bs.y0 - exact) < 2 * abs(cf.y0 - exact) + 1e-6
 
-    @pytest.mark.parametrize("m, seed_levels, y0", [
+    @pytest.mark.parametrize("m, seeding, y0", [
         (2, "closed-form", 0.7341829392170706),
         (2, "bootstrap", 0.73418806841862),
         (3, "closed-form", 0.7359402599291344),
         (3, "bootstrap", 0.7359417856279983),
     ], ids=["m2-closed-form", "m2-bootstrap", "m3-closed-form", "m3-bootstrap"])
-    def test_drifting_path_pinned(self, m, seed_levels, y0):
+    def test_drifting_path_pinned(self, m, seeding, y0):
         # b = 1 and phi(x) = 1 + x, so Y_t = e^{t-1} (2 + X_t - t): phi differs
         # between neighbouring states, where noise in the start-up's fine
         # increments would reach y0 through the z fit of its top step.  The
@@ -179,8 +192,7 @@ class TestDeterministicSolve:
         problem = dataclasses.replace(
             exponential_ode(), b=lambda t, x: np.ones_like(x), phi=lambda x: 1.0 + x[:, 0],
             closed_form_y=lambda t, x: np.exp(t - 1.0) * (2.0 + x[:, 0] - t))
-        sol = deterministic_solve(problem, config_for(stable_preset(m), 10),
-                                  seed_levels=seed_levels)
+        sol = deterministic_solve(seeded(problem, seeding), config_for(stable_preset(m), 10))
         assert sol.y0 == pytest.approx(y0, rel=1e-14)
 
     def test_bootstrap_seeding_is_one_step_scheme(self, monkeypatch):
@@ -190,8 +202,7 @@ class TestDeterministicSolve:
         problem = exponential_ode()
         N = 12
         one = deterministic_solve(problem, config_for(stable_preset(1), N))
-        two = deterministic_solve(problem, config_for(stable_preset(2), N),
-                                  seed_levels="bootstrap")
+        two = deterministic_solve(without_closed_form(problem), config_for(stable_preset(2), N))
         assert two.y[N - 1] == pytest.approx(one.y[N - 1], rel=1e-12, abs=0.0)
 
 
@@ -199,17 +210,16 @@ class TestObservedOrder:
     # "bootstrap" runs the stochastic solve's start-up.  m = 4 is left out
     # there: auto_substeps wants 90-716 substeps at these N and is capped at
     # BOOTSTRAP_SUBSTEP_CAP = 64, and the observed orders are 4.23 and 4.41
-    @pytest.mark.parametrize("m, seed_levels", [
+    @pytest.mark.parametrize("m, seeding", [
         *(pytest.param(m, "auto", id=str(m)) for m in (1, 2, 3, 4)),
         *(pytest.param(m, "bootstrap", id=f"{m}-bootstrap") for m in (1, 2, 3)),
     ])
-    def test_adams_pairs_hit_their_order(self, m, seed_levels):
-        problem = exponential_ode()
+    def test_adams_pairs_hit_their_order(self, m, seeding):
+        problem = seeded(exponential_ode(), seeding)
         exact = math.exp(-1.0)
         errors = []
         for N in (20, 40, 80):
-            sol = deterministic_solve(problem, config_for(adams_pair(m), N),
-                                      seed_levels=seed_levels)
+            sol = deterministic_solve(problem, config_for(adams_pair(m), N))
             errors.append(abs(sol.y0 - exact))
         observed = math.log2(errors[0] / errors[1])
         assert observed == pytest.approx(m, abs=0.35)
@@ -324,14 +334,14 @@ class TestStochasticSolver:
         assert sol.y0 == pytest.approx(0.7309945601728149, rel=1e-9)
         np.testing.assert_allclose(sol.z0, (0.1434699158167255,), rtol=1e-9, atol=0)
 
-    @pytest.mark.parametrize("family, m, seed_levels", DETERMINISTIC_Y0)
-    def test_pinned_deterministic_estimates(self, family, m, seed_levels):
+    @pytest.mark.parametrize("family, m, seeding", DETERMINISTIC_Y0)
+    def test_pinned_deterministic_estimates(self, family, m, seeding):
         # only the order of the sums differs from the scalar recursion, so the
         # values agree to rounding
         scheme = {"adams": adams_pair, "stable": stable_preset}[family](m)
-        for N, y0 in zip((8, 40, 200), DETERMINISTIC_Y0[family, m, seed_levels]):
-            sol = deterministic_solve(exponential_ode(), config_for(scheme, N),
-                                      seed_levels=seed_levels)
+        problem = seeded(exponential_ode(), seeding)
+        for N, y0 in zip((8, 40, 200), DETERMINISTIC_Y0[family, m, seeding]):
+            sol = deterministic_solve(problem, config_for(scheme, N))
             assert sol.y0 == pytest.approx(y0, rel=1e-14), N
 
     @pytest.mark.parametrize("scheme, N, y0, rel", [
@@ -458,6 +468,56 @@ class TestStochasticSolver:
         assert set(doc["config"]) == {f.name for f in dataclasses.fields(SolverConfig)}
         assert doc["config"]["grid"] == {"T": 1.0, "N": 10}
         assert len(doc["milne"]) == 10 - 2 + 1
+
+
+class TestCallableShapes:
+    """A problem callable that returns a wrong shape is named before numpy
+    broadcasts it: a driver of shape (M, 1) used to build an M x M array."""
+
+    M = 2000
+
+    def traced_solve(self, problem):
+        """The traced peak bytes of sampling and solving example2's grid with
+        M paths and stable_preset(2), and the ValidationError raised, if any."""
+        grid = GridSpec(T=problem.T, N=8)
+        config = SolverConfig(scheme=stable_preset(2), grid=grid)
+        tracemalloc.start()
+        try:
+            try:
+                solve(problem, config, sample_ensemble(problem, grid, self.M, seed=7))
+            except ValidationError as err:
+                return tracemalloc.get_traced_memory()[1], err
+            return tracemalloc.get_traced_memory()[1], None
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("name, wrong, expected", [
+        ("b", lambda b: lambda t, x: b(t, x)[:, 0], "(2000, 1) or ()"),
+        ("sigma", lambda s: lambda t, x: s(t, x)[:, :, 0], "(1, 1) or (2000, 1, 1)"),
+        ("f", lambda f: lambda t, x, y, z: f(t, x, y, z)[:, None], "(2000,) or ()"),
+        ("phi", lambda phi: lambda x: phi(x)[:, None], "(2000,)"),
+        ("grad_phi", lambda g: lambda x: g(x)[:, 0], "(2000, 1)"),
+    ], ids=["b", "sigma", "f", "phi", "grad_phi"])
+    def test_wrong_shape_named_before_it_broadcasts(self, name, wrong, expected):
+        problem = example2()
+        good_peak, err = self.traced_solve(problem)
+        assert err is None
+        planted = dataclasses.replace(problem, **{name: wrong(getattr(problem, name))})
+        peak, err = self.traced_solve(planted)
+        assert err is not None
+        assert str(err).startswith(f"problem callable {name} returned shape (")
+        assert str(err).endswith(f"expected {expected}")
+        assert peak < good_peak
+
+    def test_zero_dimensional_drift_and_driver_accepted(self):
+        # b and f may return one value for every path
+        problem = constant_problem(value=2.0, d=2)
+        scalar = dataclasses.replace(problem, b=lambda t, x: 0.0, f=lambda t, x, y, z: 0.0)
+        grid = GridSpec(T=1.0, N=6)
+        config = config_for(stable_preset(2), 6)
+        a = solve(problem, config, sample_ensemble(problem, grid, 200, seed=4))
+        b = solve(scalar, config, sample_ensemble(scalar, grid, 200, seed=4))
+        assert a.y0 == b.y0 == pytest.approx(2.0)
 
 
 def test_results_independent_of_blas_threads():

@@ -61,7 +61,7 @@ class TestPolynomialRoots:
         coeffs = (1.0, -1 / 3, -1 / 3, -1 / 3)
         poly = CharacteristicPolynomial(coeffs=coeffs)
         for r in polynomial_roots(poly):
-            assert abs(poly(r)) <= 1e-9
+            assert abs(np.polyval(poly.coeffs, r)) <= 1e-9
 
     def test_reconstruction_roundtrip(self):
         rng = np.random.default_rng(3)
