@@ -83,16 +83,19 @@ def terminal_values(problem: FbsdeProblem, x_terminal: np.ndarray) -> TerminalVa
     x = np.asarray(x_terminal, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
+    y = require_shape(np.asarray(problem.phi(x), dtype=float), "phi", (len(x),))
+    return TerminalValues(y=y, z=terminal_z(problem, x))
+
+
+def terminal_z(problem: FbsdeProblem, x: np.ndarray) -> np.ndarray:
+    """The terminal Z, grad(phi)(x) . sigma(T, x), at the rows of x (M, d)."""
     M, d = x.shape
-    y = require_shape(np.asarray(problem.phi(x), dtype=float), "phi", (M,))
     grad = require_shape(np.asarray(problem.grad_phi(x), dtype=float), "grad_phi", (M, d))
     sig = require_shape(np.asarray(problem.sigma(problem.T, x), dtype=float), "sigma",
                         (d, d), (M, d, d))
     if sig.ndim == 2:
-        z = grad @ sig
-    else:
-        z = np.einsum("mk,mkl->ml", grad, sig)
-    return TerminalValues(y=y, z=z)
+        return grad @ sig
+    return np.einsum("mk,mkl->ml", grad, sig)
 
 
 def closed_form_reference(problem: FbsdeProblem, t: float, x: np.ndarray):

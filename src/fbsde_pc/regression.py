@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from .exceptions import ValidationError
@@ -183,15 +182,24 @@ class DesignSolver:
                 return
         # gelsy decides the rank, once the K x K matrix is dropped
         del gram
-        self.rank = self._gelsy(np.zeros(m))[1]
+        self.rank = self._gelsy(np.zeros((m, 1)))[1]
 
     def _gelsy(self, b: np.ndarray) -> tuple[np.ndarray, int]:
         # A is formed from C for each solve, so that no second M x K array
-        # outlives it
-        std_coef, _, rank, _ = scipy.linalg.lstsq(
-            self._centered / self.scale, b, cond=RANK_TOL, lapack_driver="gelsy",
-            check_finite=False)
-        return std_coef, int(rank)
+        # outlives it, and gelsy overwrites it in place.  The right-hand side
+        # is copied into K rows at least, the rows of the solution.  The
+        # workspace is the size gelsy asks for, as scipy.linalg.lstsq takes it
+        m, k = self._centered.shape
+        a = np.divide(self._centered, self.scale, order="F")
+        rhs = np.zeros((max(m, k), b.shape[1]), order="F")
+        rhs[:m] = b
+        work, _ = lapack.dgelsy_lwork(m, k, b.shape[1], RANK_TOL)
+        _, x, _, rank, info = lapack.dgelsy(
+            a, rhs, np.zeros(k, dtype=np.int32), RANK_TOL, int(work),
+            overwrite_a=True, overwrite_b=True)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of gelsy")
+        return x[:k], int(rank)
 
     def solve(self, responses: np.ndarray) -> np.ndarray:
         """Least-squares coefficients for one or more response columns."""

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DegenerateIndicator, NumericalError, ValidationError
-from .problems import FbsdeProblem, closed_form_reference, require_shape, terminal_values
+from .problems import FbsdeProblem, closed_form_reference, require_shape, terminal_z
 from .regression import (
     DesignSolver,
     RegressionModel,
@@ -109,7 +109,7 @@ def _float_arrays(scheme: MultistepScheme):
 def _terminal_slots(problem: FbsdeProblem, N: int) -> tuple[list, list]:
     """y and z model lists with one slot per node, the terminal rules in slot N."""
     y_rule = _Terminal(lambda x: require_shape(np.asarray(problem.phi(x)), "phi", (len(x),)))
-    z_rule = _Terminal(lambda x: terminal_values(problem, x).z)
+    z_rule = _Terminal(lambda x: terminal_z(problem, x))
     return [None] * N + [y_rule], [None] * N + [z_rule]
 
 
@@ -171,7 +171,7 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
     live: dict[int, tuple] = {}
 
     def driver(t: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return require_shape(np.asarray(problem.f(t, x, y, z)), "f", (M,), ())
+        return require_shape(np.asarray(problem.f(t, x, y, z), dtype=float), "f", (M,), ())
 
     def zdw_at(j: int, z: np.ndarray):
         return None if j == n else np.einsum("md,md->m", z, dW[:, j, :])
@@ -181,16 +181,17 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
         y = np.asarray(y_models[j].predict(xj))
         z = np.asarray(z_models[j].predict(xj))
         live[j] = (y, driver(times[j], xj, y, z), zdw_at(j, z))
+    del y, z
 
     factor = _milne_scale(scheme)
     milne = np.zeros(n - m + 1)
 
     def level(i: int) -> None:
         # one level in a call of its own, so that every array it builds but
-        # the live ones is freed before the next level builds its design
+        # the live ones is freed before the next level builds its design.
+        # Within the level each M-vector is dropped once its last reader is
+        # done: on a small basis these vectors, not the design, set the peak
         xi = X[:, i, :]
-        s_z = np.zeros((M, d))
-        s_pred = np.zeros(M)
         point_mass = i == 0 and times[0] == 0.0
         design = None if point_mass else basis.design_matrix(xi)
         # centering the z responses by any fixed function of the current state
@@ -202,6 +203,10 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
             proxy = truncate(design @ ahead.coefficients, ahead.truncation_bound)
         else:
             proxy = np.asarray(ahead.predict(xi))
+        # the z and predictor responses are summed straight into one
+        # Fortran-ordered right-hand side, which BLAS reads without a copy
+        rhs = np.zeros((M, d + 1), order="F")
+        s_z, s_pred = rhs[:, :d], rhs[:, d]
         dw = dW[:, i, :]  # W_{i+j} - W_i, as a running sum over j
         for j in range(1, m + 1):
             yj, fj, _ = live[i + j]
@@ -209,33 +214,35 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
             s_pred += alpha_t[j - 1] * yj + h * gamma_t[j - 1] * fj
             if j < m:
                 dw = dw + dW[:, i + j, :]
+        del proxy, dw
         s_z /= h
         _check_finite(s_pred, "predictor response", i)
 
         if point_mass:
-            z_model = constant_model(s_z.mean(axis=0), basis, z_bound)
+            # the mean of a C-ordered copy adds the rows one after another;
+            # a Fortran-ordered column is summed pairwise, which rounds z0
+            # differently
+            z_model = constant_model(np.ascontiguousarray(s_z).mean(axis=0), basis, z_bound)
             z_here = z_model.predict(xi)
             y_pred_here = constant_model(s_pred.mean(), basis, y_bound).predict(xi)
+            del rhs, s_z, s_pred
         else:
             solver = DesignSolver(design)
             # the solver's centered copy gives the fitted values from here on,
             # so the level keeps one M x K array
             del design
-            # one Fortran-ordered right-hand side, which BLAS reads without a
-            # copy.  Dropped right after the solve: held through the rest of
-            # the level, it raised the peak resident memory of a 100000-path
-            # solve by about 3 MB.
-            rhs = np.empty((M, d + 1), order="F")
-            rhs[:, :d] = s_z
-            rhs[:, d] = s_pred
             coef = solver.solve(rhs)
-            del rhs
+            del rhs, s_z, s_pred
             z_model = RegressionModel(coef[:, :d], basis, z_bound)
             z_here = truncate(solver.fitted(coef[:, :d]), z_bound)
             y_pred_here = truncate(solver.fitted(coef[:, d]), y_bound)
 
+        # the corrector response is built in place on the driver's new
+        # float array
         f_pred = driver(times[i], xi, y_pred_here, z_here)
-        s_corr = h * gamma0 * f_pred
+        s_corr = f_pred if f_pred.ndim else np.full(M, f_pred)
+        del f_pred
+        s_corr *= h * gamma0
         # subtract the martingale increments sum_k z_k(X_k) dW_k from the
         # corrector responses: zero conditional mean, so every fitted
         # conditional expectation is unchanged while the terminal noise no
@@ -245,22 +252,32 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
         control = zdw
         for j in range(1, m + 1):
             yj, fj, zdw_j = live[i + j]
-            s_corr = s_corr + alpha[j - 1] * (yj - control) + h * gamma[j - 1] * fj
+            s_corr += alpha[j - 1] * (yj - control)
+            s_corr += h * gamma[j - 1] * fj
             if j < m:
                 control = control + zdw_j
+        del control
+        if m == 1:
+            zdw = None  # no later level reads it
         if perturb_y:
-            s_corr = s_corr + perturb_y
+            s_corr += perturb_y
         _check_finite(s_corr, "corrector response", i)
 
         if point_mass:
             y_model = constant_model(s_corr.mean(), basis, y_bound)
+            del s_corr
             y_here = y_model.predict(xi)
         else:
             y_coef = solver.solve(s_corr)
+            del s_corr
             y_model = RegressionModel(y_coef, basis, y_bound)
             y_here = truncate(solver.fitted(y_coef), y_bound)
+            del solver
 
-        milne[i] = factor * float(np.mean(np.abs(y_pred_here - y_here)))
+        gap = y_pred_here - y_here
+        del y_pred_here
+        milne[i] = factor * float(np.mean(np.abs(gap, out=gap)))
+        del gap
         y_models[i] = y_model
         z_models[i] = z_model
         del live[i + m]

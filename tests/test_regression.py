@@ -341,13 +341,13 @@ class TestDesignSolver:
     @pytest.fixture
     def gelsy_calls(self, monkeypatch):
         calls = []
-        lstsq = scipy.linalg.lstsq
+        dgelsy = lapack.dgelsy
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("lapack_driver"))
-            return lstsq(*args, **kwargs)
+            calls.append("gelsy")
+            return dgelsy(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "lstsq", counting)
+        monkeypatch.setattr(lapack, "dgelsy", counting)
         return calls
 
     @staticmethod

@@ -333,6 +333,14 @@ class TestStochasticSolver:
                     sample_ensemble(problem, grid, 20000, seed=5))
         assert sol.y0 == pytest.approx(0.7309945601728149, rel=1e-9)
         np.testing.assert_allclose(sol.z0, (0.1434699158167255,), rtol=1e-9, atol=0)
+        # every eighth Milne indicator and their mean: each is the mean gap
+        # between two fits of the same level, so a change in how the
+        # corrector response is summed shows here first
+        pinned = (1.7687703839419644e-05, 0.00011297868282037566, 3.0999353174000996e-05,
+                  5.5700623091882105e-05, 9.270770442567161e-05, 5.079839167332599e-05,
+                  7.451696437842293e-05)
+        np.testing.assert_allclose(sol.milne[::8], pinned, rtol=1e-9, atol=0)
+        assert sol.milne.mean() == pytest.approx(7.002746516256111e-05, rel=1e-9)
 
     @pytest.mark.parametrize("family, m, seeding", DETERMINISTIC_Y0)
     def test_pinned_deterministic_estimates(self, family, m, seeding):
@@ -415,10 +423,9 @@ class TestStochasticSolver:
         assert [v.hex() for v in native.z0] == [v.hex() for v in other.z0]
 
     @staticmethod
-    def traced_peak(M, degree):
-        """Traced peak bytes of an m = 2 example1 solve (d = 2, N = 8), the
+    def traced_peak(problem, M, degree):
+        """Traced peak bytes of an m = 2 solve of problem (N = 8), the
         start-up's fine states included."""
-        problem = example1(d=2)
         grid = GridSpec(T=problem.T, N=8)
         ensemble = sample_ensemble(problem, grid, M, seed=5)
         config = SolverConfig(scheme=stable_preset(2), grid=grid, basis_degree=degree)
@@ -438,17 +445,44 @@ class TestStochasticSolver:
         # 4.17 when a level held its design, its solver's centered copy and
         # the previous level's copy at once
         M, K = 4000, 28
-        assert self.traced_peak(M, 6) < 3.5 * M * K * 8
+        assert self.traced_peak(example1(d=2), M, 6) < 3.5 * M * K * 8
 
     def test_one_design_array_per_gelsy_level(self):
         # with M < K every level is solved by gelsy from the centered copy C,
         # and the K x K Gram matrix is dropped first: at its peak a level holds
-        # its design, C, the standardized design A of the rank solve and
-        # gelsy's copy of A.  The traced peak is about 4.5 M K 8 bytes,
-        # against 5.7 when the solver kept the caller's design and
-        # standardized it afresh beside C and the Gram matrix
+        # its design, C and the standardized design A of the rank solve, which
+        # gelsy overwrites in place.  The traced peak is about 3.6 M K 8
+        # bytes, against 4.5 when scipy.linalg.lstsq copied A for gelsy
         M, K = 200, 231
-        assert self.traced_peak(M, 20) < 5.0 * M * K * 8
+        assert self.traced_peak(example1(d=2), M, 20) < 4.0 * M * K * 8
+
+    def test_path_vectors_freed_after_last_read(self):
+        # on a small basis the M-vectors of a level, not its design, set the
+        # peak, which falls in the start-up's fine pass.  Each vector is
+        # dropped once its last reader is done: the traced peak of this solve
+        # is about 18.1 M 8 bytes, the fine states included, against 26.1
+        # when a level kept its responses, its predictions and the seeding
+        # loop's y and z to its end
+        M = 20000
+        assert self.traced_peak(example2(), M, 2) < 22 * M * 8
+
+    @pytest.mark.parametrize("m, calls", [(1, 2), (2, 3), (3, 3)])
+    def test_phi_called_once_per_backward_run(self, m, calls):
+        # phi gives the terminal y of each backward run (the main pass and
+        # the start-up's fine pass) and the proxy of the level below the
+        # terminal node; the terminal z rule evaluates grad_phi alone
+        problem = example2()
+        count = []
+
+        def phi(x):
+            count.append(len(x))
+            return problem.phi(x)
+
+        counted = dataclasses.replace(problem, phi=phi)
+        grid = GridSpec(T=problem.T, N=8)
+        solve(counted, config_for(stable_preset(m), 8),
+              sample_ensemble(counted, grid, 500, seed=5))
+        assert len(count) == calls
 
     def test_mismatched_grid_rejected(self):
         problem = example1()
