@@ -24,7 +24,6 @@ from .problems import (
     example1,
     example2,
     exponential_ode,
-    terminal_values,
 )
 from .regression import (
     PolynomialBasis,
@@ -62,7 +61,6 @@ from .solver import (
     solve,
 )
 from .stability import (
-    CharacteristicPolynomial,
     StabilityVerdict,
     characteristic_polynomial,
     check_root_condition,

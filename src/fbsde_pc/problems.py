@@ -70,23 +70,6 @@ def require_shape(value: np.ndarray, name: str, *shapes: tuple) -> np.ndarray:
     return value
 
 
-@dataclass(frozen=True)
-class TerminalValues:
-    """Terminal backward data: y = phi(X_N) and z = grad(phi)(X_N) . sigma."""
-
-    y: np.ndarray  # (M,)
-    z: np.ndarray  # (M, d)
-
-
-def terminal_values(problem: FbsdeProblem, x_terminal: np.ndarray) -> TerminalValues:
-    """Evaluate the terminal rule at the given states (M, d)."""
-    x = np.asarray(x_terminal, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    y = require_shape(np.asarray(problem.phi(x), dtype=float), "phi", (len(x),))
-    return TerminalValues(y=y, z=terminal_z(problem, x))
-
-
 def terminal_z(problem: FbsdeProblem, x: np.ndarray) -> np.ndarray:
     """The terminal Z, grad(phi)(x) . sigma(T, x), at the rows of x (M, d)."""
     M, d = x.shape

@@ -141,7 +141,9 @@ class DesignSolver:
     design is solved by LAPACK's pivoted-QR least squares (gelsy) on A with
     rank threshold RANK_TOL relative to the leading R diagonal entry, so
     rank-deficient systems get the minimum-norm solution in the scaled
-    coordinates.  rank is known from construction on.  fitted gives
+    coordinates.  rank is known from construction on the Cholesky path;
+    on the gelsy path it is None until the first solve sets it, since gelsy
+    reads it off the factorization of A alone.  fitted gives
     features @ coef from C alone, so a caller may drop its design once the
     solver exists.
     """
@@ -180,9 +182,9 @@ class DesignSolver:
             if info == 0 and lapack.dtrcon(gram)[0] >= CHOLESKY_RCOND_MIN:
                 self._cholesky, self.rank = gram, k
                 return
-        # gelsy decides the rank, once the K x K matrix is dropped
+        # gelsy decides the rank at each solve, once the K x K matrix is dropped
         del gram
-        self.rank = self._gelsy(np.zeros((m, 1)))[1]
+        self.rank = None
 
     def _gelsy(self, b: np.ndarray) -> tuple[np.ndarray, int]:
         # A is formed from C for each solve, so that no second M x K array
@@ -210,7 +212,7 @@ class DesignSolver:
         if b.shape[0] != self._centered.shape[0]:
             raise ValueError("responses and features disagree on sample count")
         if self._cholesky is None:
-            std_coef = self._gelsy(b)[0]
+            std_coef, self.rank = self._gelsy(b)
         else:
             rhs = blas.dgemm(1.0, self._centered, b, trans_a=True)
             rhs /= self.scale[:, None]

@@ -438,7 +438,7 @@ def milne_local_ratios(problem: FbsdeProblem, scheme: MultistepScheme,
     milne_factor(scheme)  # raises DegenerateIndicator when the factor is undefined
     path, times = _one_path(problem, grid), grid.times
     x = path.X[0]
-    config = SolverConfig(scheme=scheme, grid=grid, basis_degree=0, deterministic=True)
+    config = SolverConfig(scheme=scheme, grid=grid, basis_degree=0)
     exact_y, exact_z = _exact_models(problem, times, x)
     ratios = np.empty(N - m + 1)
     for i in range(N - m + 1):
@@ -457,8 +457,7 @@ def deterministic_perturbation_deviation(problem: FbsdeProblem, scheme: Multiste
                                          allow_unstable: bool = False) -> float:
     """|Y_0 shift| caused by injecting a constant perturbation of size delta
     into every corrector step of the deterministic recursion."""
-    base = SolverConfig(scheme=scheme, grid=grid, deterministic=True,
-                        allow_unstable=allow_unstable)
+    base = SolverConfig(scheme=scheme, grid=grid, allow_unstable=allow_unstable)
     clean = deterministic_solve(problem, base)
     noisy = deterministic_solve(problem, base, _perturb_y=delta)
     return abs(noisy.y0 - clean.y0)

@@ -14,31 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
-from .schemes import Coefficients, MultistepScheme
+from .schemes import MultistepScheme
 
 STABLE = "stable"
 UNSTABLE = "unstable"
 MARGINAL = "marginal"
 
 DEFAULT_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CharacteristicPolynomial:
-    """Monic real polynomial, coefficients highest degree first."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if len(self.coeffs) < 2:
-            raise ValueError("degree must be >= 1")
-        if self.coeffs[0] != 1.0:
-            raise ValueError("polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @dataclass
@@ -54,36 +36,34 @@ class StabilityVerdict:
         return self.status == STABLE
 
 
-def characteristic_polynomial(corrector) -> CharacteristicPolynomial:
-    """(1, -alpha_1, ..., -alpha_m) from a corrector or a full scheme."""
-    if isinstance(corrector, MultistepScheme):
-        corrector = corrector.corrector
-    if not isinstance(corrector, Coefficients):
-        raise TypeError("expected Coefficients or MultistepScheme")
-    return CharacteristicPolynomial(
-        coeffs=(1.0, *(-float(a) for a in corrector.alpha)))
+def characteristic_polynomial(scheme: MultistepScheme) -> tuple[float, ...]:
+    """(1, -alpha_1, ..., -alpha_m), the coefficients of the scheme's
+    corrector polynomial, highest degree first."""
+    if not isinstance(scheme, MultistepScheme):
+        raise TypeError("expected a MultistepScheme")
+    return (1.0, *(-float(a) for a in scheme.corrector.alpha))
 
 
-def polynomial_roots(poly: CharacteristicPolynomial) -> list[complex]:
-    """All roots via companion-matrix eigenvalues plus one Newton polish each.
+def polynomial_roots(coeffs) -> list[complex]:
+    """All roots of a monic polynomial of degree >= 1, coefficients highest
+    degree first: companion-matrix eigenvalues plus one Newton polish each.
 
     Each returned root r satisfies |P(r)| <= 1e-9 * max|coeff|; anything
     worse raises NumericalError.
     """
-    coeffs = np.asarray(poly.coeffs, dtype=float)
-    n = poly.degree
-    companion = np.zeros((n, n))
-    companion[0, :] = -coeffs[1:]
-    companion[np.arange(1, n), np.arange(0, n - 1)] = 1.0
+    coeffs = np.asarray(coeffs, dtype=float)
+    if len(coeffs) < 2 or coeffs[0] != 1.0:
+        raise ValueError(f"need a monic polynomial of degree >= 1, got {coeffs.tolist()}")
+    companion = np.eye(len(coeffs) - 1, k=-1)
+    companion[0] = -coeffs[1:]
     try:
         roots = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
-    deriv = np.polyder(coeffs)
-    p = np.polyval(coeffs, roots)
-    dp = np.polyval(deriv, roots)
+    dp = np.polyval(np.polyder(coeffs), roots)
     safe = np.abs(dp) > np.finfo(float).tiny
-    roots = np.where(safe, roots - np.where(safe, p, 0) / np.where(safe, dp, 1), roots)
+    roots = roots - np.divide(np.polyval(coeffs, roots), dp, out=np.zeros_like(roots),
+                              where=safe)
     residual = np.abs(np.polyval(coeffs, roots))
     bound = 1e-9 * np.max(np.abs(coeffs))
     if np.any(residual > bound):
@@ -94,42 +74,27 @@ def polynomial_roots(poly: CharacteristicPolynomial) -> list[complex]:
     return sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
 
 
-def _cluster(roots: list[complex], tol: float):
-    """Group roots closer than tol (transitively) into multiplicity clusters."""
-    n = len(roots)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) < tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(roots[i])
-    clusters = []
-    for members in groups.values():
-        centroid = sum(members) / len(members)
-        clusters.append((centroid, members))
-    return clusters
-
-
 def _violations(roots: list[complex], tol: float):
-    """Offending roots: modulus beyond 1 + tol, or multiple on the unit band."""
-    offending = []
-    reps, mults = [], []
-    for centroid, members in _cluster(roots, tol):
-        modulus = abs(centroid)
+    """Offending roots (modulus beyond 1 + tol, or multiple on the unit band),
+    cluster centroids and multiplicities.  Roots closer than tol, transitively,
+    share a label and form one cluster; clusters keep the order of their first
+    roots, and their members the order of roots."""
+    label = list(range(len(roots)))
+    for j, r in enumerate(roots):
+        for i in range(j):
+            if label[i] != label[j] and abs(roots[i] - r) < tol:
+                merged = label[j]
+                label = [label[i] if k == merged else k for k in label]
+    clusters: dict[int, list[complex]] = {}
+    for r, k in zip(roots, label):
+        clusters.setdefault(k, []).append(r)
+    offending, reps, mults = [], [], []
+    for members in clusters.values():
+        centroid = sum(members) / len(members)
         reps.append(centroid)
         mults.append(len(members))
-        if modulus > 1.0 + tol:
-            offending.extend(members)
-        elif abs(modulus - 1.0) <= tol and len(members) >= 2:
+        modulus = abs(centroid)
+        if modulus > 1.0 + tol or (abs(modulus - 1.0) <= tol and len(members) >= 2):
             offending.extend(members)
     return offending, reps, mults
 
@@ -146,16 +111,10 @@ def check_root_condition(roots, tol: float = DEFAULT_TOL) -> StabilityVerdict:
         raise ValidationError(f"tol must be finite and > 0, got {tol}")
     roots = [complex(r) for r in roots]
     offending, reps, mults = _violations(roots, tol)
-    if offending:
-        status = UNSTABLE
-    else:
-        status = STABLE
-        near_unit = any(abs(abs(r) - 1.0) <= tol for r in roots)
-        if near_unit:
-            for other_tol in (tol / 10.0, tol * 10.0):
-                if _violations(roots, other_tol)[0]:
-                    status = MARGINAL
-                    break
+    status = UNSTABLE if offending else STABLE
+    if (status == STABLE and any(abs(abs(r) - 1.0) <= tol for r in roots)
+            and any(_violations(roots, t)[0] for t in (tol / 10.0, tol * 10.0))):
+        status = MARGINAL
     return StabilityVerdict(
         status=status, roots=reps, multiplicities=mults,
         offending=sorted(offending, key=lambda z: (z.real, z.imag)), tol=tol,
@@ -164,8 +123,7 @@ def check_root_condition(roots, tol: float = DEFAULT_TOL) -> StabilityVerdict:
 
 def scheme_verdict(scheme, tol: float = DEFAULT_TOL) -> StabilityVerdict:
     """Characteristic polynomial -> roots -> root condition, in one call."""
-    poly = characteristic_polynomial(scheme)
-    return check_root_condition(polynomial_roots(poly), tol=tol)
+    return check_root_condition(polynomial_roots(characteristic_polynomial(scheme)), tol=tol)
 
 
 def verdict_to_dict(verdict: StabilityVerdict) -> dict:

@@ -106,19 +106,18 @@ def test_derivative_weight_fixtures():
 def test_stability_fixtures():
     with criterion("stability fixtures: published stable/unstable verdicts"):
         with runtime_budget(1.0):
-            from fbsde_pc import Coefficients
+            def verdict(scheme, alpha):
+                # the scheme's corrector carries the published solution weights
+                poly = characteristic_polynomial(scheme)
+                assert poly == (1.0, *(-float(a) for a in alpha))
+                return check_root_condition(polynomial_roots(poly))
 
-            def verdict(alpha):
-                corr = Coefficients(alpha=alpha, gamma0=0, gamma=(0,) * len(alpha))
-                return check_root_condition(
-                    polynomial_roots(characteristic_polynomial(corr)))
-
-            assert verdict((1,)).status == "stable"
-            assert verdict((Fr(1, 3),) * 3).status == "stable"
-            two = verdict((3, -2))
+            assert verdict(stable_preset(1), (1,)).status == "stable"
+            assert verdict(stable_preset(3), (Fr(1, 3),) * 3).status == "stable"
+            two = verdict(unstable_two_step(), (3, -2))
             assert two.status == "unstable"
             assert [round(r.real) for r in two.offending] == [2]
-            three = verdict((2, 5, -6))
+            three = verdict(unstable_three_step(), (2, 5, -6))
             assert three.status == "unstable"
             assert sorted(round(r.real) for r in three.offending) == [-2, 3]
 

@@ -268,6 +268,28 @@ class TestConvergence:
         assert code == 0
         assert "rows" in json.loads(out)
 
+    def test_stdout_csv(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "convergence", "--problem", "exponential-ode",
+            "--deterministic", "--steps", "1", "--N", "8,16", "--M", "1",
+            "--batches", "2")
+        assert code == 0
+        assert out.startswith("N,M,err_y")
+        assert "# rate_y=" in out
+
+    def test_paper_ladder(self):
+        # the published (N, M) pairs take the place of any --N list
+        args = build_parser().parse_args(["convergence", "--paper-ladder", "--N", "8"])
+        assert cli._ladder_pairs(args) == experiments.PAPER_LADDER
+
+    def test_unpaired_N_and_M_lists(self, capsys):
+        code, out, err = run_cli(
+            capsys, "convergence", "--problem", "exponential-ode", "--deterministic",
+            "--N", "8,16,32", "--M", "1,2", "--batches", "2")
+        assert code == 2
+        assert out == ""
+        assert "--N and --M lists must pair up" in err
+
 
 class TestStabilityDemo:
     def test_unstable_classification(self, capsys):

@@ -12,9 +12,8 @@ from fbsde_pc import (
     example1,
     example2,
     exponential_ode,
-    terminal_values,
 )
-from fbsde_pc.problems import PROBLEM_REGISTRY, FbsdeProblem, constant_problem
+from fbsde_pc.problems import PROBLEM_REGISTRY, FbsdeProblem, constant_problem, terminal_z
 
 
 class TestExample1:
@@ -118,8 +117,9 @@ class TestExample2:
 
     def test_terminal_values_at_zero_state(self):
         problem = example2()
-        tv = terminal_values(problem, np.zeros((1, 1)))
-        assert tv.y[0] == pytest.approx(math.e / (1 + math.e), abs=1e-12)
+        y = problem.phi(np.zeros((1, 1)))
+        assert y.shape == (1,)
+        assert y[0] == pytest.approx(math.e / (1 + math.e), abs=1e-12)
 
 
 class TestTerminalValues:
@@ -129,17 +129,17 @@ class TestTerminalValues:
 
     def test_constant_payoff_zero_z(self):
         problem = constant_problem(value=2.0, d=3)
-        tv = terminal_values(problem, np.random.default_rng(0).standard_normal((20, 3)))
-        assert tv.y == pytest.approx(np.full(20, 2.0))
-        assert tv.z == pytest.approx(np.zeros((20, 3)), abs=1e-12)
+        x = np.random.default_rng(0).standard_normal((20, 3))
+        assert problem.phi(x) == pytest.approx(np.full(20, 2.0))
+        assert terminal_z(problem, x) == pytest.approx(np.zeros((20, 3)), abs=1e-12)
 
     def test_example1_z_formula(self):
         problem = example1(eta=0.6, tau=0.5, d=2)
         x = np.random.default_rng(3).standard_normal((50, 2))
-        tv = terminal_values(problem, x)
+        z = terminal_z(problem, x)
         want = 0.5 * np.cos(0.5 * x.sum(axis=1))
         for k in range(2):
-            assert tv.z[:, k] == pytest.approx(want, rel=1e-12)
+            assert z[:, k] == pytest.approx(want, rel=1e-12)
 
 
 class TestClosedFormReference:
@@ -168,8 +168,7 @@ class TestClosedFormReference:
         x = np.array([0.3, -0.2])
         y, z = closed_form_reference(problem, problem.T, x)
         assert y == pytest.approx(float(problem.phi(x[None, :])[0]), abs=1e-14)
-        tv = terminal_values(problem, x[None, :])
-        assert z == pytest.approx(tv.z[0], abs=1e-12)
+        assert z == pytest.approx(terminal_z(problem, x[None, :])[0], abs=1e-12)
 
 
 class TestCallablesAgainstPlainForms:

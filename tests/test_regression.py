@@ -230,6 +230,21 @@ class TestPredict:
 
 
 class TestDesignSolver:
+    @pytest.mark.parametrize("shape", [(40,), (2, 40, 3)], ids=["1-d", "3-d"])
+    def test_design_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match="features must be a 2-d design matrix"):
+            DesignSolver(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(300, 6), (20, 28)], ids=["cholesky", "gelsy"])
+    def test_response_rows_must_match_design(self, shape):
+        m, k = shape
+        design = build_basis(2, 6).design_matrix(
+            np.random.default_rng(7).standard_normal((m, 2)))[:, :k]
+        solver = DesignSolver(design)
+        for responses in (np.zeros(m + 1), np.zeros((m - 1, 2))):
+            with pytest.raises(ValueError, match="responses and features disagree"):
+                solver.solve(responses)
+
     def test_factorization_reused_across_responses(self):
         rng = np.random.default_rng(21)
         design = np.column_stack([np.ones(60), rng.standard_normal((60, 4))])
@@ -399,7 +414,7 @@ class TestDesignSolver:
         b = np.random.default_rng(47).standard_normal((m, 3))
         solver = DesignSolver(design)
         coef = solver.solve(b)
-        assert gelsy_calls == ([] if cholesky else ["gelsy", "gelsy"])
+        assert gelsy_calls == ([] if cholesky else ["gelsy"])
         assert solver.rank == k
         std = (design - solver.shift) / solver.scale
         ratio = lapack.dtrcon(np.linalg.cholesky(std.T @ std).T)[0] / CHOLESKY_RCOND_MIN
@@ -450,14 +465,18 @@ class TestDesignSolver:
             design = self.near_collinear_design()
         m, k = design.shape
         solver = DesignSolver(design)
+        # gelsy's rank depends on the design alone: no solve is spent on it
+        # before the first response arrives
+        assert gelsy_calls == []
+        assert solver.rank is None
         want_rank = self.gelsy_reference(design, np.zeros((m, 1)))[1]
         assert want_rank < k
-        assert solver.rank == want_rank
         b = rng.standard_normal((m, 3))
         for given, columns in ((b, b), (b[:, 1], b[:, 1:2])):
             gelsy_calls.clear()
             coef = solver.solve(given)
             assert gelsy_calls == ["gelsy"]
+            assert solver.rank == want_rank
             want, rank = self.gelsy_reference(design, columns)
             assert rank == want_rank
             assert np.array_equal(coef, want.reshape(coef.shape))

@@ -233,6 +233,15 @@ class TestPresets:
         assert truncation_residuals(three.corrector, 3) == [Fr(0)] * 4
         assert truncation_residuals(three.predictor, 3) == [Fr(0)] * 4
 
+    @pytest.mark.parametrize("family, m, match", [
+        ("unstable", 1, "unstable presets exist for m = 2 and m = 3"),
+        ("unstable", 4, "unstable presets exist for m = 2 and m = 3"),
+        ("implicit", 2, "unknown scheme family 'implicit'"),
+    ])
+    def test_preset_lookup_refuses_what_it_lacks(self, family, m, match):
+        with pytest.raises(ValidationError, match=match):
+            preset_scheme(family, m)
+
     def test_error_constant_helper_matches_scheme_fields(self):
         for scheme in (adams_pair(3), stable_preset(2), unstable_two_step()):
             assert error_constant(scheme.corrector) == scheme.error_constant_corr
@@ -256,6 +265,18 @@ class TestSchemeJson:
         doc["C_corr"] = "0.5"
         with pytest.raises(ValidationError, match=re.escape(
                 "scheme field 'C_corr' is \"0.5\", but the weights give \"-1/2\"")):
+            scheme_from_dict(doc)
+
+    @pytest.mark.parametrize("data", [[], "stable", None], ids=["array", "string", "null"])
+    def test_scheme_must_be_an_object(self, data):
+        with pytest.raises(ValidationError, match="a scheme must be a JSON object"):
+            scheme_from_dict(data)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_step_count_must_match_the_weights(self, m):
+        doc = {**scheme_to_dict(stable_preset(2)), "m": m}
+        with pytest.raises(ValidationError,
+                           match="declared step count m disagrees with coefficient lengths"):
             scheme_from_dict(doc)
 
     @pytest.mark.parametrize("m", [2.9, "2", True], ids=["fraction", "string", "boolean"])

@@ -147,6 +147,15 @@ class TestEulerPaths:
         with pytest.raises(NumericalError, match="non-finite state at trajectory .*, step"):
             euler_paths(problem, grid, dw, seed=0)
 
+    @pytest.mark.parametrize("shape, match", [
+        ((4, 4), "increments must have shape"),
+        ((4, 5, 2), "increments disagree with the grid"),
+        ((4, 4, 1), "increments disagree with the grid"),
+    ], ids=["2-d", "wrong-N", "wrong-d"])
+    def test_increment_shape_checked(self, shape, match):
+        with pytest.raises(ValidationError, match=match):
+            euler_paths(brownian_problem(d=2), GridSpec(T=1.0, N=4), np.zeros(shape), seed=0)
+
 
 class TestBridgeRefinement:
     def test_fine_sums_reproduce_coarse_increments(self):
@@ -174,6 +183,16 @@ class TestBridgeRefinement:
         h_f = grid.h / r
         # bridge increments have variance h_f (unconditionally)
         assert fine.var() == pytest.approx(h_f, rel=0.02)
+
+    @pytest.mark.parametrize("first_step, substeps, match", [
+        (1, 0, "substeps must be >= 1"),
+        (-1, 2, "first_step outside the grid"),
+        (4, 2, "first_step outside the grid"),
+    ], ids=["no-substep", "negative-step", "past-the-grid"])
+    def test_arguments_checked(self, first_step, substeps, match):
+        ens = sample_ensemble(brownian_problem(), GridSpec(T=1.0, N=4), 10, seed=9)
+        with pytest.raises(ValidationError, match=match):
+            refine_increments(ens, first_step=first_step, substeps=substeps)
 
     def test_deterministic(self):
         problem = brownian_problem()

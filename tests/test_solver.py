@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from fbsde_pc import (
     GridSpec,
@@ -26,7 +27,14 @@ from fbsde_pc import (
     unstable_two_step,
 )
 from fbsde_pc import solver
-from fbsde_pc.problems import constant_problem, example1, example2, exponential_ode
+from fbsde_pc.problems import (
+    constant_problem,
+    example1,
+    example2,
+    exponential_ode,
+    terminal_z,
+)
+from fbsde_pc.regression import DesignSolver
 from fbsde_pc.solver import (
     auto_substeps,
     deterministic_perturbation_deviation,
@@ -124,9 +132,7 @@ class TestTerminalConsistency:
         sol = solve(problem, config_for(stable_preset(1), 5), ens)
         x = np.random.default_rng(1).standard_normal((40, 2))
         assert sol.y_models[5].predict(x) == pytest.approx(problem.phi(x), abs=1e-12)
-        from fbsde_pc import terminal_values
-        assert sol.z_models[5].predict(x) == pytest.approx(
-            terminal_values(problem, x).z, abs=1e-12)
+        assert sol.z_models[5].predict(x) == pytest.approx(terminal_z(problem, x), abs=1e-12)
 
 
 class TestDeterministicSolve:
@@ -250,6 +256,11 @@ class TestMilneLocalRatios:
         coarse = milne_local_ratios(problem, adams_pair(2), GridSpec(T=1.0, N=20))
         fine = milne_local_ratios(problem, adams_pair(2), GridSpec(T=1.0, N=320))
         assert abs(np.median(fine) - 1.0) < abs(np.median(coarse) - 1.0)
+
+    def test_needs_closed_form(self):
+        with pytest.raises(ValidationError, match="local Milne check needs a closed-form"):
+            milne_local_ratios(without_closed_form(exponential_ode()), adams_pair(2),
+                               GridSpec(T=1.0, N=8))
 
 
 class TestStabilityGuard:
@@ -448,13 +459,40 @@ class TestStochasticSolver:
         assert self.traced_peak(example1(d=2), M, 6) < 3.5 * M * K * 8
 
     def test_one_design_array_per_gelsy_level(self):
-        # with M < K every level is solved by gelsy from the centered copy C,
-        # and the K x K Gram matrix is dropped first: at its peak a level holds
-        # its design, C and the standardized design A of the rank solve, which
-        # gelsy overwrites in place.  The traced peak is about 3.6 M K 8
+        # with M < K every level is solved by gelsy from the centered copy C:
+        # a level holds its design, C and the K x K Gram matrix (here 1.16
+        # M K) at once, and each solve forms the standardized design A, which
+        # gelsy overwrites in place.  The traced peak is about 3.7 M K 8
         # bytes, against 4.5 when scipy.linalg.lstsq copied A for gelsy
         M, K = 200, 231
         assert self.traced_peak(example1(d=2), M, 20) < 4.0 * M * K * 8
+
+    def test_two_gelsy_calls_per_gelsy_level(self, monkeypatch):
+        # gelsy's rank depends on the design alone, so a gelsy level reads it
+        # off its two solves (z and predictor responses, then the corrector)
+        # and runs no third, rank-only factorization
+        calls, solvers = [], []
+        dgelsy = lapack.dgelsy
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return dgelsy(*args, **kwargs)
+
+        class Recorded(DesignSolver):
+            def __init__(self, features):
+                super().__init__(features)
+                solvers.append(self)
+
+        monkeypatch.setattr(lapack, "dgelsy", counting)
+        monkeypatch.setattr(solver, "DesignSolver", Recorded)
+        problem, M, K = example1(d=2), 20, 28
+        grid = GridSpec(T=problem.T, N=8)
+        solve(problem, config_for(stable_preset(2), 8, basis_degree=6),
+              sample_ensemble(problem, grid, M, seed=5))
+        # three start-up levels and six main-pass levels above the point mass
+        assert len(solvers) == 9
+        assert all(s.rank is not None and s.rank <= M < K for s in solvers)
+        assert calls == [(M, K)] * (2 * len(solvers))
 
     def test_path_vectors_freed_after_last_read(self):
         # on a small basis the M-vectors of a level, not its design, set the
@@ -489,6 +527,12 @@ class TestStochasticSolver:
         ens = sample_ensemble(problem, GridSpec(T=1.0, N=6), 100, seed=0)
         with pytest.raises(ValidationError):
             solve(problem, config_for(stable_preset(1), 5), ens)
+
+    def test_mismatched_dimension_rejected(self):
+        grid = GridSpec(T=1.0, N=5)
+        ens = sample_ensemble(example1(d=2), grid, 100, seed=0)
+        with pytest.raises(ValidationError, match="ensemble dimension does not match problem"):
+            solve(example1(d=3), config_for(stable_preset(1), 5), ens)
 
     def test_missing_ensemble_rejected(self):
         with pytest.raises(ValidationError):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from fbsde_pc import (
-    CharacteristicPolynomial,
     Coefficients,
     ValidationError,
     characteristic_polynomial,
@@ -23,28 +22,39 @@ from fbsde_pc.stability import MARGINAL, STABLE, UNSTABLE
 
 
 def roots_of(*coeffs):
-    return polynomial_roots(CharacteristicPolynomial(coeffs=coeffs))
+    return polynomial_roots(coeffs)
 
 
 class TestCharacteristicPolynomial:
     def test_unstable_two_step_alpha(self):
-        corr = Coefficients(alpha=(3, -2), gamma0=1, gamma=(Fr(-3, 2), Fr(-1, 2)))
-        assert characteristic_polynomial(corr).coeffs == (1.0, -3.0, 2.0)
+        assert characteristic_polynomial(unstable_two_step()) == (1.0, -3.0, 2.0)
 
     def test_one_step(self):
-        corr = Coefficients(alpha=(1,), gamma0=1, gamma=(0,))
-        assert characteristic_polynomial(corr).coeffs == (1.0, -1.0)
+        assert characteristic_polynomial(stable_preset(1)) == (1.0, -1.0)
 
     def test_uniform_three_step(self):
-        poly = characteristic_polynomial(stable_preset(3))
-        assert poly.coeffs == (1.0, -1 / 3, -1 / 3, -1 / 3)
+        assert characteristic_polynomial(stable_preset(3)) == (1.0, -1 / 3, -1 / 3, -1 / 3)
 
     def test_monic_required(self):
-        with pytest.raises(ValueError):
-            CharacteristicPolynomial(coeffs=(2.0, 1.0))
+        # the characteristic polynomial is monic, and polynomial_roots refuses
+        # any other
+        assert all(characteristic_polynomial(stable_preset(m))[0] == 1.0 for m in (1, 2, 3, 4))
+        with pytest.raises(ValueError, match="monic"):
+            polynomial_roots((2.0, 1.0))
+
+    def test_schemes_only(self):
+        corr = Coefficients(alpha=(3, -2), gamma0=1, gamma=(Fr(-3, 2), Fr(-1, 2)))
+        with pytest.raises(TypeError, match="expected a MultistepScheme"):
+            characteristic_polynomial(corr)
 
 
 class TestPolynomialRoots:
+    @pytest.mark.parametrize("coeffs", [(0.5, -1.0, 0.25), (1.0,), ()],
+                             ids=["leading-half", "degree-0", "empty"])
+    def test_monic_of_degree_one_or_more_required(self, coeffs):
+        with pytest.raises(ValueError, match="need a monic polynomial of degree >= 1"):
+            polynomial_roots(coeffs)
+
     def test_quadratic_with_integer_roots(self):
         roots = roots_of(1.0, -3.0, 2.0)
         assert sorted(r.real for r in roots) == pytest.approx([1.0, 2.0], abs=1e-10)
@@ -59,9 +69,8 @@ class TestPolynomialRoots:
 
     def test_residual_bound(self):
         coeffs = (1.0, -1 / 3, -1 / 3, -1 / 3)
-        poly = CharacteristicPolynomial(coeffs=coeffs)
-        for r in polynomial_roots(poly):
-            assert abs(np.polyval(poly.coeffs, r)) <= 1e-9
+        for r in polynomial_roots(coeffs):
+            assert abs(np.polyval(coeffs, r)) <= 1e-9
 
     def test_reconstruction_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -75,7 +84,7 @@ class TestPolynomialRoots:
                 else:
                     roots.append(complex(rng.uniform(-0.95, 0.95), 0.0))
             coeffs = np.real(np.poly(np.array(roots)))
-            got = polynomial_roots(CharacteristicPolynomial(coeffs=tuple(coeffs)))
+            got = polynomial_roots(coeffs)
             regen = np.real(np.poly(np.array(got)))
             assert np.allclose(regen, coeffs, rtol=1e-8, atol=1e-8)
 
@@ -117,6 +126,17 @@ class TestRootCondition:
         verdict = check_root_condition([1.0 + 0j, 1.0 + 3e-8j, 0.0j], tol=1e-8)
         assert verdict.status == MARGINAL
 
+    def test_clusters_are_transitive_and_keep_root_order(self):
+        # the two upper roots are 1.6 tol apart, each 0.8 tol from the third:
+        # one triple root on the circle, listed after the simple root at -0.5
+        roots = [-0.5 + 0j, 1.0 + 0j, 1.0 + 1.6e-8j, 1.0 + 1e-12 + 0.8e-8j]
+        verdict = check_root_condition(roots, tol=1e-8)
+        assert verdict.status == UNSTABLE
+        assert verdict.multiplicities == [1, 3]
+        assert verdict.roots[0] == -0.5
+        assert verdict.roots[1] == pytest.approx(sum(roots[1:]) / 3, abs=1e-15)
+        assert verdict.offending == roots[1:]
+
     def test_far_from_circle_needs_no_marginal_flag(self):
         verdict = check_root_condition([0.99, -0.5])
         assert verdict.status == STABLE
@@ -145,11 +165,11 @@ class TestRootCondition:
                 else:
                     roots.append(complex(rng.uniform(-0.9, 0.9), 0.0))
             coeffs = tuple(np.real(np.poly(np.array(roots))))
-            found = polynomial_roots(CharacteristicPolynomial(coeffs=coeffs))
+            found = polynomial_roots(coeffs)
             assert check_root_condition(found).status == STABLE
             planted = roots[:-1] + [complex(1.05 * np.sign(rng.standard_normal()) or 1.05, 0.0)]
             coeffs = tuple(np.real(np.poly(np.array(planted))))
-            found = polynomial_roots(CharacteristicPolynomial(coeffs=coeffs))
+            found = polynomial_roots(coeffs)
             assert check_root_condition(found).status == UNSTABLE
             n_checked += 1
 
