@@ -32,6 +32,12 @@ class FbsdeProblem:
     sigma once per Euler step.  Every callable returns a new array and never
     writes into its x, y or z, which the solver keeps after the call.
 
+    b, sigma, f, phi and grad_phi are row-wise: called on a subset of the
+    rows, they return those rows' values (a 0-d value or a constant (d, d)
+    sigma stands for every row).  On a large ensemble the solver calls them
+    on contiguous row ranges, and may call one at the same time on disjoint
+    ranges from several threads.
+
     Shapes returned, for states x of shape (M, d): b (M, d), sigma (d, d) or
     (M, d, d), f (M,), phi (M,) and grad_phi (M, d).  b and f may also return
     a 0-d value, such as the float 0.0, which stands for every path.  Any
@@ -60,13 +66,23 @@ class FbsdeProblem:
         return self.closed_form_y is not None and self.closed_form_z is not None
 
 
-def require_shape(value: np.ndarray, name: str, *shapes: tuple) -> np.ndarray:
+def require_shape(value: np.ndarray, name: str, *shapes: tuple,
+                  rows: tuple | None = None) -> np.ndarray:
     """value, once its shape is one of shapes; otherwise a ValidationError
-    naming the callable that returned it."""
-    if value.shape not in shapes:
+    naming the callable that returned it.  rows = (n, M) marks a call on a
+    range of n of the M rows that shapes are stated for: a leading M there
+    stands for n, and the error states the shapes of the call on all M rows,
+    so that it reads the same for any split."""
+    n, M = rows or (None, None)
+    if n != M:
+        shapes_here = [(n, *shape[1:]) if shape[:1] == (M,) else shape for shape in shapes]
+    else:
+        shapes_here = shapes
+    if value.shape not in shapes_here:
+        got = (M, *value.shape[1:]) if n != M and value.shape[:1] == (n,) else value.shape
         expected = " or ".join(str(shape) for shape in shapes)
         raise ValidationError(
-            f"problem callable {name} returned shape {value.shape}, expected {expected}")
+            f"problem callable {name} returned shape {got}, expected {expected}")
     return value
 
 

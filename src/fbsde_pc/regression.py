@@ -221,10 +221,10 @@ class DesignSolver:
         coef[0] -= self.shift @ coef
         return coef[:, 0] if vector_input else coef
 
-    def fitted(self, coef: np.ndarray) -> np.ndarray:
-        """features @ coef for coefficients of shape (K,) or (K, r), from the
-        centered copy C: features = C + 1 shift^T."""
-        out = self._centered @ coef
+    def fitted(self, coef: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """features @ coef at the given rows, for coefficients of shape (K,)
+        or (K, r), from the centered copy C: features = C + 1 shift^T."""
+        out = self._centered[rows] @ coef
         out += self.shift @ coef
         return out
 

@@ -11,6 +11,13 @@ over the process's cores, with the same values for any split.  Gaussians
 come from the inverse normal CDF applied to strictly-interior uniforms,
 keeping the stream layout transparent.
 
+Work that is row by row (the draws, every Euler step, and the row-wise
+phases of each backward level in the solver) runs on RowWorkers: contiguous
+row ranges, one per core of the process's affinity once each range carries
+_WORKER_MIN_WORK rows (or counter blocks), each on a thread pinned to its
+core.  Every row's value is computed by the same operations whatever the
+split, so results do not depend on the core count.
+
 Increments and states keep their trajectory-first shapes, (M, N, d) and
 (M, N+1, d), but are stored level-major: each is a transposed view of a
 C-ordered (N, M, d) or (N+1, M, d) buffer, so the (M, d) slice at one time
@@ -19,9 +26,12 @@ level, which every Euler step and backward level reads, is contiguous.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +56,15 @@ _LO32 = np.uint64(0xFFFFFFFF)
 # stay in cache, and each numpy call carries enough work to amortize the GIL
 # hand-off between threads
 _CHUNK_BLOCKS = 2**15
-# fewest counter blocks worth a thread of their own: one full tile (measured on
-# two cores, a thread with less work than that does not pay for its start-up)
-_WORKER_MIN_BLOCKS = _CHUNK_BLOCKS
+# fewest rows, or counter blocks, worth a worker thread of their own: one full
+# tile.  Measured on two cores, a thread with fewer blocks does not pay for
+# its start-up, and example2's backward pass on two workers was 27 % slower
+# than on one at 2^14 rows each and 12 % faster at 2^15 rows each
+_WORKER_MIN_WORK = _CHUNK_BLOCKS
+# row ranges start on multiples of this many rows: numpy's matrix-vector
+# products round a row differently depending on where it falls in the
+# kernel's row blocks, and aligned ranges keep every row where it was
+_ROW_ALIGN = 64
 
 
 @dataclass(frozen=True)
@@ -131,6 +147,80 @@ def _cores() -> list:
         return [None] * (os.cpu_count() or 1)
 
 
+class RowWorkers:
+    """Contiguous ranges of n_rows rows, one per worker, for work done row by
+    row.
+
+    A worker is added only while each keeps at least _WORKER_MIN_WORK units
+    of work (work counts them; by default one per row) and align rows, up to
+    one per core of the process's affinity.  Range boundaries fall on
+    multiples of align rows.
+
+    Used as a context manager: inside it, run(fn) calls fn(r0, r1) on every
+    range and returns the results in range order.  With one worker,
+    fn(0, n_rows) runs in the calling thread and no thread starts.  With
+    more, each range has a thread of its own, pinned to its core and kept
+    for the whole with block (left to the scheduler on a two-core machine,
+    two workers often shared one core for a whole call while the other
+    idled).  fn runs in a copy of the caller's context, so np.errstate set
+    around the call applies in the workers.  Every range runs to its end;
+    then the exception of the first range that raised, if any, is raised.
+    The threads exit before the with block does.
+    """
+
+    def __init__(self, n_rows: int, work: int | None = None, align: int = _ROW_ALIGN):
+        cores = _cores()
+        work = n_rows if work is None else work
+        count = max(1, min(len(cores), work // _WORKER_MIN_WORK, n_rows // align))
+        cuts = [n_rows * k // count // align * align for k in range(1, count)]
+        self.bounds = [0, *cuts, n_rows]
+        self._cores = cores[:count]
+        self._threads: list = []
+        self._done: queue.SimpleQueue = queue.SimpleQueue()
+
+    def __enter__(self) -> "RowWorkers":
+        if len(self._cores) > 1:
+            for core in self._cores:
+                tasks = queue.SimpleQueue()
+                thread = threading.Thread(target=self._serve, args=(core, tasks), daemon=True)
+                self._threads.append((thread, tasks))
+                thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for _, tasks in self._threads:
+            tasks.put(None)
+        for thread, _ in self._threads:
+            thread.join()
+        self._threads = []
+
+    def _serve(self, core, tasks: queue.SimpleQueue) -> None:
+        if core is not None:
+            # the pin only places the thread: a core that left the affinity
+            # since _cores() leaves it unpinned rather than lost
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, {core})
+        while (task := tasks.get()) is not None:
+            k, context, fn = task
+            try:
+                self._done.put((k, context.run(fn, self.bounds[k], self.bounds[k + 1]), None))
+            except BaseException as err:  # handed to the caller, which raises it
+                self._done.put((k, None, err))
+
+    def run(self, fn) -> list:
+        if not self._threads:
+            return [fn(0, self.bounds[-1])]
+        for k, (_, tasks) in enumerate(self._threads):
+            tasks.put((k, contextvars.copy_context(), fn))
+        results, errors = [None] * len(self._threads), [None] * len(self._threads)
+        for _ in self._threads:
+            k, results[k], errors[k] = self._done.get()
+        for err in errors:
+            if err is not None:
+                raise err
+        return results
+
+
 def _fill_rows(out: np.ndarray, seed: int, stream: int, r0: int, r1: int,
                buffers: np.ndarray) -> None:
     """Write the normals of rows r0..r1-1 into out, one tile of at most
@@ -156,17 +246,6 @@ def _fill_rows(out: np.ndarray, seed: int, stream: int, r0: int, r1: int,
             ndtri(block, out=block)
 
 
-def _fill_rows_on(core, *args) -> None:
-    """_fill_rows in a worker thread pinned to one core.  Left to the
-    scheduler on a two-core machine, the two workers often shared one core
-    for the whole call while the other idled (each waited on the run queue
-    as long as it ran), which made the call no faster than one thread.  The
-    pin ends with the thread, which exits before the call returns."""
-    if core is not None:
-        os.sched_setaffinity(0, {core})
-    _fill_rows(*args)
-
-
 def substream_normals(seed: int, n_trajectories: int, per_trajectory: int,
                       stream: int = MAIN_STREAM) -> np.ndarray:
     """(n_trajectories, per_trajectory) standard normals, one substream per row.
@@ -178,12 +257,11 @@ def substream_normals(seed: int, n_trajectories: int, per_trajectory: int,
     never rejecting), mapped to the strictly interior uniform
     ((w >> 11) + 0.5) 2^-53 (so ndtri never sees 0 or 1) and then through the
     inverse normal CDF.  Rows are generated in tiles of about _CHUNK_BLOCKS
-    blocks.  A call with at least _WORKER_MIN_BLOCKS blocks per core splits
-    the rows into contiguous ranges, one per core of the process's affinity,
-    each filled by its own thread pinned to that core; every value is a pure
-    function of (seed, row, column), so the output does not depend on the
-    split.  The seed must lie in [0, 2^64) and the row count may not exceed
-    2^56, where the row index would reach the stream tag.
+    blocks, on RowWorkers that count counter blocks as work.  Every value is
+    a pure function of (seed, row, column), so the output does not depend on
+    the split, and the ranges need no alignment.  The seed must lie in
+    [0, 2^64) and the row count may not exceed 2^56, where the row index
+    would reach the stream tag.
     """
     if not 0 <= seed < _U64:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
@@ -193,22 +271,15 @@ def substream_normals(seed: int, n_trajectories: int, per_trajectory: int,
     seed = int(seed)
     out = np.empty((n_trajectories, per_trajectory))
     n_blocks = -(-per_trajectory // 4)
-    cores = _cores()
-    workers = max(1, min(len(cores), n_trajectories * n_blocks // _WORKER_MIN_BLOCKS))
+    workers = RowWorkers(n_trajectories, n_trajectories * n_blocks, align=1)
+    starts = workers.bounds[:-1]
     cols = max(1, min(n_blocks, _CHUNK_BLOCKS))
-    rows = max(1, min(-(-n_trajectories // workers), _CHUNK_BLOCKS // cols))
-    # all scratch is allocated here: the threads allocate nothing large
-    buffers = np.empty((workers, 8, rows * cols), dtype=np.uint64)
-    if workers == 1:
-        _fill_rows(out, seed, stream, 0, n_trajectories, buffers[0])
-        return out
-    bounds = [n_trajectories * k // workers for k in range(workers + 1)]
-    with ThreadPoolExecutor(workers) as pool:
-        jobs = [pool.submit(_fill_rows_on, cores[k], out, seed, stream,
-                            bounds[k], bounds[k + 1], buffers[k])
-                for k in range(workers)]
-    for job in jobs:
-        job.result()
+    rows = max(1, min(-(-n_trajectories // len(starts)), _CHUNK_BLOCKS // cols))
+    # all scratch is allocated here, one set per range: the threads allocate
+    # nothing large
+    scratch = dict(zip(starts, np.empty((len(starts), 8, rows * cols), dtype=np.uint64)))
+    with workers:
+        workers.run(lambda r0, r1: _fill_rows(out, seed, stream, r0, r1, scratch[r0]))
     return out
 
 
@@ -274,21 +345,38 @@ def euler_states(problem, times: np.ndarray, h: float, dW: np.ndarray,
                  start) -> np.ndarray:
     """Forward Euler X_{i+1} = X_i + h b(t_i, X_i) + sigma(t_i, X_i) dW_i from
     the start state(s) at times[0]: (M, n, d) increments -> (M, n+1, d) states,
-    stored level-major."""
+    stored level-major.  Each of RowWorkers' row ranges runs every step on its
+    own rows; a non-finite state is reported at its first step, and at that
+    step its first trajectory, as one pass over all rows would find it."""
     M, n, d = dW.shape
     X = _level_major(M, n + 1, d)
     X[:, 0, :] = start
-    for i in range(n):
-        xi = X[:, i, :]
-        drift = require_shape(np.asarray(problem.b(times[i], xi), dtype=float), "b", (M, d), ())
-        diffusion = require_shape(np.asarray(problem.sigma(times[i], xi), dtype=float), "sigma",
-                                  (d, d), (M, d, d))
-        nxt = xi + h * drift + _apply_sigma(diffusion, dW[:, i, :])
-        if not np.all(np.isfinite(nxt)):
-            bad = np.argwhere(~np.isfinite(nxt))[0]
-            raise NumericalError(
-                f"non-finite state at trajectory {bad[0]}, step {i + 1}")
-        X[:, i + 1, :] = nxt
+
+    def steps(r0: int, r1: int):
+        """Every step on rows r0..r1-1; (step, trajectory) of the first
+        non-finite state, or None."""
+        rows = (r1 - r0, M)
+        for i in range(n):
+            # the step is summed in place in the next level's rows, each term
+            # dropped once added, so a worker holds two temporaries at a time
+            xi, nxt = X[r0:r1, i, :], X[r0:r1, i + 1, :]
+            drift = require_shape(np.asarray(problem.b(times[i], xi), dtype=float), "b",
+                                  (M, d), (), rows=rows)
+            np.add(xi, h * drift, out=nxt)
+            del drift
+            diffusion = require_shape(np.asarray(problem.sigma(times[i], xi), dtype=float),
+                                      "sigma", (d, d), (M, d, d), rows=rows)
+            nxt += _apply_sigma(diffusion, dW[r0:r1, i, :])
+            del diffusion
+            if not np.all(np.isfinite(nxt)):
+                return i + 1, r0 + int(np.argwhere(~np.isfinite(nxt))[0, 0])
+        return None
+
+    with RowWorkers(M) as workers:
+        failures = [found for found in workers.run(steps) if found is not None]
+    if failures:
+        step, trajectory = min(failures)
+        raise NumericalError(f"non-finite state at trajectory {trajectory}, step {step}")
     return X
 
 

@@ -33,7 +33,14 @@ from .regression import (
     truncate,
 )
 from .schemes import MultistepScheme, milne_factor, scheme_to_dict, stable_preset
-from .simulation import GridSpec, PathEnsemble, euler_paths, euler_states, refine_increments
+from .simulation import (
+    GridSpec,
+    PathEnsemble,
+    RowWorkers,
+    euler_paths,
+    euler_states,
+    refine_increments,
+)
 from .stability import scheme_verdict
 
 BOOTSTRAP_SUBSTEP_CAP = 64
@@ -157,6 +164,14 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
     the starting models, and every lower slot is filled in place.  perturb_y
     is added to every corrector response.  Returns the Milne indicator of
     each step i = 0..n-m.
+
+    Each level's design, its DesignSolver, both solves, the point-mass means
+    and the Milne mean run in the calling thread over all M rows.  The work
+    between them is row by row, in three phases run on RowWorkers: the
+    responses, then the fitted z and predicted y with the corrector
+    responses, then the fitted y, the Milne gap and the live driver values.
+    Each phase writes its rows of arrays allocated here, so every value is
+    the same for any split.
     """
     scheme = config.scheme
     m, n = scheme.m, len(times) - 1
@@ -170,8 +185,13 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
     # z_j(X_j) . dW_j (None at the last node), stored as each level is fitted
     live: dict[int, tuple] = {}
 
-    def driver(t: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return require_shape(np.asarray(problem.f(t, x, y, z), dtype=float), "f", (M,), ())
+    def driver(t: float, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+               r0: int = 0, r1: int = M) -> np.ndarray:
+        """f at rows r0..r1-1, one value per row (a 0-d value stands for each)."""
+        rows = slice(r0, r1)
+        value = require_shape(np.asarray(problem.f(t, x[rows], y[rows], z[rows]), dtype=float),
+                              "f", (M,), (), rows=(r1 - r0, M))
+        return value if value.ndim else np.broadcast_to(value, (r1 - r0,))
 
     def zdw_at(j: int, z: np.ndarray):
         return None if j == n else np.einsum("md,md->m", z, dW[:, j, :])
@@ -186,7 +206,7 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
     factor = _milne_scale(scheme)
     milne = np.zeros(n - m + 1)
 
-    def level(i: int) -> None:
+    def level(i: int, workers: RowWorkers) -> None:
         # one level in a call of its own, so that every array it builds but
         # the live ones is freed before the next level builds its design.
         # Within the level each M-vector is dropped once its last reader is
@@ -199,69 +219,82 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
         # bulk of the y spread.  Every RegressionModel here was fitted on basis,
         # so its prediction reuses this level's design.
         ahead = y_models[i + 1]
-        if design is not None and isinstance(ahead, RegressionModel):
-            proxy = truncate(design @ ahead.coefficients, ahead.truncation_bound)
-        else:
+        proxy = None
+        if design is None or not isinstance(ahead, RegressionModel):
             proxy = np.asarray(ahead.predict(xi))
         # the z and predictor responses are summed straight into one
         # Fortran-ordered right-hand side, which BLAS reads without a copy
-        rhs = np.zeros((M, d + 1), order="F")
-        s_z, s_pred = rhs[:, :d], rhs[:, d]
-        dw = dW[:, i, :]  # W_{i+j} - W_i, as a running sum over j
-        for j in range(1, m + 1):
-            yj, fj, _ = live[i + j]
-            s_z += lam[j - 1] * (yj - proxy)[:, None] * dw
-            s_pred += alpha_t[j - 1] * yj + h * gamma_t[j - 1] * fj
-            if j < m:
-                dw = dw + dW[:, i + j, :]
-        del proxy, dw
-        s_z /= h
-        _check_finite(s_pred, "predictor response", i)
+        rhs = np.empty((M, d + 1), order="F")
+
+        def responses(r0: int, r1: int) -> None:
+            rows = slice(r0, r1)
+            rhs[rows] = 0.0
+            if proxy is None:
+                ahead_y = truncate(design[rows] @ ahead.coefficients, ahead.truncation_bound)
+            else:
+                ahead_y = proxy[rows]
+            s_z, s_pred = rhs[rows, :d], rhs[rows, d]
+            dw = dW[rows, i, :]  # W_{i+j} - W_i, as a running sum over j
+            for j in range(1, m + 1):
+                yj, fj, _ = live[i + j]
+                s_z += lam[j - 1] * (yj[rows] - ahead_y)[:, None] * dw
+                s_pred += alpha_t[j - 1] * yj[rows] + h * gamma_t[j - 1] * fj[rows]
+                if j < m:
+                    dw = dw + dW[rows, i + j, :]
+            s_z /= h
+            _check_finite(s_pred, "predictor response", i)
+
+        workers.run(responses)
+        del proxy
 
         if point_mass:
             # the mean of a C-ordered copy adds the rows one after another;
             # a Fortran-ordered column is summed pairwise, which rounds z0
             # differently
-            z_model = constant_model(np.ascontiguousarray(s_z).mean(axis=0), basis, z_bound)
+            z_model = constant_model(np.ascontiguousarray(rhs[:, :d]).mean(axis=0), basis,
+                                     z_bound)
             z_here = z_model.predict(xi)
-            y_pred_here = constant_model(s_pred.mean(), basis, y_bound).predict(xi)
-            del rhs, s_z, s_pred
+            y_pred_here = constant_model(rhs[:, d].mean(), basis, y_bound).predict(xi)
+            solver = None
+            del rhs
         else:
             solver = DesignSolver(design)
             # the solver's centered copy gives the fitted values from here on,
             # so the level keeps one M x K array
             del design
             coef = solver.solve(rhs)
-            del rhs, s_z, s_pred
+            del rhs
             z_model = RegressionModel(coef[:, :d], basis, z_bound)
-            z_here = truncate(solver.fitted(coef[:, :d]), z_bound)
-            y_pred_here = truncate(solver.fitted(coef[:, d]), y_bound)
+            z_here, y_pred_here = np.empty((M, d)), np.empty(M)
+        # z_k(X_k) . dW_k is kept for the levels below only when m > 1
+        zdw = np.empty(M) if m > 1 else None
+        s_corr = np.empty(M)
 
-        # the corrector response is built in place on the driver's new
-        # float array
-        f_pred = driver(times[i], xi, y_pred_here, z_here)
-        s_corr = f_pred if f_pred.ndim else np.full(M, f_pred)
-        del f_pred
-        s_corr *= h * gamma0
-        # subtract the martingale increments sum_k z_k(X_k) dW_k from the
-        # corrector responses: zero conditional mean, so every fitted
-        # conditional expectation is unchanged while the terminal noise no
-        # longer telescopes into Y_0 (without it the Y_0 standard error is
-        # std(phi(X_T))/sqrt(M))
-        zdw = zdw_at(i, z_here)
-        control = zdw
-        for j in range(1, m + 1):
-            yj, fj, zdw_j = live[i + j]
-            s_corr += alpha[j - 1] * (yj - control)
-            s_corr += h * gamma[j - 1] * fj
-            if j < m:
-                control = control + zdw_j
-        del control
-        if m == 1:
-            zdw = None  # no later level reads it
-        if perturb_y:
-            s_corr += perturb_y
-        _check_finite(s_corr, "corrector response", i)
+        def corrector(r0: int, r1: int) -> None:
+            rows = slice(r0, r1)
+            if solver is not None:
+                z_here[rows] = truncate(solver.fitted(coef[:, :d], rows), z_bound)
+                y_pred_here[rows] = truncate(solver.fitted(coef[:, d], rows), y_bound)
+            s = s_corr[rows]
+            np.multiply(driver(times[i], xi, y_pred_here, z_here, r0, r1), h * gamma0, out=s)
+            # subtract the martingale increments sum_k z_k(X_k) dW_k from the
+            # corrector responses: zero conditional mean, so every fitted
+            # conditional expectation is unchanged while the terminal noise no
+            # longer telescopes into Y_0 (without it the Y_0 standard error is
+            # std(phi(X_T))/sqrt(M))
+            control = np.einsum("md,md->m", z_here[rows], dW[rows, i, :],
+                                out=None if zdw is None else zdw[rows])
+            for j in range(1, m + 1):
+                yj, fj, zdw_j = live[i + j]
+                s += alpha[j - 1] * (yj[rows] - control)
+                s += h * gamma[j - 1] * fj[rows]
+                if j < m:
+                    control = control + zdw_j[rows]
+            if perturb_y:
+                s += perturb_y
+            _check_finite(s, "corrector response", i)
+
+        workers.run(corrector)
 
         if point_mass:
             y_model = constant_model(s_corr.mean(), basis, y_bound)
@@ -271,21 +304,32 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
             y_coef = solver.solve(s_corr)
             del s_corr
             y_model = RegressionModel(y_coef, basis, y_bound)
-            y_here = truncate(solver.fitted(y_coef), y_bound)
-            del solver
+            y_here = np.empty(M)
+        f_here = np.empty(M) if i > 0 else None
 
-        gap = y_pred_here - y_here
+        def fit(r0: int, r1: int) -> None:
+            rows = slice(r0, r1)
+            if solver is not None:
+                y_here[rows] = truncate(solver.fitted(y_coef, rows), y_bound)
+            # |gap| is written over the predicted y, which nothing reads after
+            gap = y_pred_here[rows]
+            np.abs(np.subtract(gap, y_here[rows], out=gap), out=gap)
+            if f_here is not None:
+                f_here[rows] = driver(times[i], xi, y_here, z_here, r0, r1)
+
+        workers.run(fit)
+        del solver
+        milne[i] = factor * float(np.mean(y_pred_here))
         del y_pred_here
-        milne[i] = factor * float(np.mean(np.abs(gap, out=gap)))
-        del gap
         y_models[i] = y_model
         z_models[i] = z_model
         del live[i + m]
         if i > 0:
-            live[i] = (y_here, driver(times[i], xi, y_here, z_here), zdw)
+            live[i] = (y_here, f_here, zdw)
 
-    for i in range(n - m, -1, -1):
-        level(i)
+    with RowWorkers(M) as workers:
+        for i in range(n - m, -1, -1):
+            level(i, workers)
     return milne
 
 

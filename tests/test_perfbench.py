@@ -12,7 +12,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # ladder-bootstrap runs stable_preset(3) with its stable_preset(1) trapezoid
 # start-up on the bridge-refined grid, which solve-regression does not reach;
-# solve-paths runs example2 on 1e5 paths, whose normals are drawn by threads
+# solve-paths runs example2 on 1e5 paths, where the normals, the Euler steps
+# and the row-wise phases of every backward level run on worker threads (on a
+# machine with two cores or more), so the tracer sees problem callables and
+# truncate called from several threads at once
 @pytest.mark.parametrize("workload", ["solve-regression", "solve-paths", "ladder-bootstrap"])
 def test_short_traced_run_is_correct(workload):
     # a one-second traced run passes the reference.json gate, the tracer's

@@ -265,3 +265,31 @@ def test_callables_leave_their_arguments_alone(name):
         for a, kept in zip(args, before):
             assert np.asarray(a).tobytes() == np.asarray(kept).tobytes(), label
             assert not np.shares_memory(out, a), label
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_REGISTRY))
+def test_callables_are_row_separable(name):
+    # the solver and the Euler steps call b, sigma, f, phi and grad_phi on
+    # row ranges, at the same time on disjoint ones: each row's value must
+    # not depend on the other rows passed with it.  A per-row output over two
+    # halves is the output over all rows; any other output (a 0-d drift, a
+    # constant sigma) is the same for each half
+    problem = PROBLEM_REGISTRY[name]()
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((257, problem.d))
+    y = rng.standard_normal(257)
+    z = rng.standard_normal((257, problem.d))
+    calls = {
+        "b": lambda r: problem.b(0.3, x[r]),
+        "sigma": lambda r: problem.sigma(0.3, x[r]),
+        "f": lambda r: problem.f(0.3, x[r], y[r], z[r]),
+        "phi": lambda r: problem.phi(x[r]),
+        "grad_phi": lambda r: problem.grad_phi(x[r]),
+    }
+    for label, call in calls.items():
+        whole = np.asarray(call(slice(None)))
+        halves = [np.asarray(call(slice(0, 128))), np.asarray(call(slice(128, None)))]
+        if whole.ndim and whole.shape[0] == len(x):
+            assert np.array_equal(np.concatenate(halves), whole), label
+        else:
+            assert all(np.array_equal(half, whole) for half in halves), label

@@ -3,6 +3,7 @@ Euler paths, bridge refinement and the level-major storage order."""
 
 import dataclasses
 import os
+import sys
 import threading
 
 import numpy as np
@@ -25,7 +26,7 @@ from fbsde_pc import simulation
 from fbsde_pc.problems import FbsdeProblem, constant_problem, example2
 from fbsde_pc.simulation import (
     _CHUNK_BLOCKS,
-    _WORKER_MIN_BLOCKS,
+    _WORKER_MIN_WORK,
     BRIDGE_STREAM,
     MAIN_STREAM,
     refine_increments,
@@ -354,7 +355,7 @@ def _record_ranges(monkeypatch, cores, fail_from=None):
 
 # rows of 11 draws (3 counter blocks) enough for three workers; the count is
 # odd and not a multiple of 3, so neither split is even
-_PARALLEL_ROWS = _WORKER_MIN_BLOCKS + 9
+_PARALLEL_ROWS = _WORKER_MIN_WORK + 9
 
 
 class TestParallelSubstreams:
@@ -363,7 +364,7 @@ class TestParallelSubstreams:
     @pytest.mark.parametrize("n, per", [(_PARALLEL_ROWS, 11), (5, 4 * _CHUNK_BLOCKS + 5)],
                              ids=["many-rows", "row-longer-than-chunk"])
     def test_row_ranges_match_one_worker(self, monkeypatch, cores, stream, n, per):
-        assert n % cores and n * -(-per // 4) >= cores * _WORKER_MIN_BLOCKS
+        assert n % cores and n * -(-per // 4) >= cores * _WORKER_MIN_WORK
         monkeypatch.setattr(simulation, "_cores", lambda: _REAL_CORES[:1])
         serial = substream_normals(9, n, per, stream)
         threads, affinity = threading.active_count(), _affinity()
@@ -385,7 +386,7 @@ class TestParallelSubstreams:
         want = np.stack([_normals(_substream(9, m, stream), per) for m in edges])
         assert np.array_equal(got[edges], want)
 
-    @pytest.mark.parametrize("cores, n", [(1, _PARALLEL_ROWS), (3, 2 * _WORKER_MIN_BLOCKS // 3)],
+    @pytest.mark.parametrize("cores, n", [(1, _PARALLEL_ROWS), (3, 2 * _WORKER_MIN_WORK // 3)],
                              ids=["one-core", "below-two-workers"])
     def test_one_worker_starts_no_thread(self, monkeypatch, cores, n):
         calls = _record_ranges(monkeypatch, cores)
@@ -402,3 +403,82 @@ class TestParallelSubstreams:
             substream_normals(9, n, 11)
         assert threading.active_count() == threads
         assert sorted(c[:2] for c in calls) == [(0, n // 2), (n // 2, n)]
+
+
+def _force_workers(monkeypatch, count):
+    """Pretend the affinity holds count cores and that 64 rows pay for a
+    worker, so that a few hundred paths split into count row ranges."""
+    monkeypatch.setattr(simulation, "_cores", lambda: (_REAL_CORES * count)[:count])
+    monkeypatch.setattr(simulation, "_WORKER_MIN_WORK", 64)
+
+
+class TestParallelEuler:
+    """euler_states runs every step of a row range on that range's worker."""
+
+    M = 600  # three workers split the rows at 192 and 384, two at 256
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_ranges_bit_identical_to_one_worker(self, monkeypatch, cores):
+        problem, grid = example2(), GridSpec(T=1.0, N=12)
+        dw = brownian_increments(grid, 1, self.M, seed=4)
+        _force_workers(monkeypatch, 1)
+        serial = euler_paths(problem, grid, dw, seed=4).X
+        _force_workers(monkeypatch, cores)
+        threads, affinity = threading.active_count(), _affinity()
+        assert simulation.RowWorkers(self.M).bounds == (
+            [0, 256, 600] if cores == 2 else [0, 192, 384, 600])
+        got = euler_paths(problem, grid, dw, seed=4).X
+        assert threading.active_count() == threads and _affinity() == affinity
+        assert np.array_equal(got, serial)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_first_step_then_first_trajectory_reported(self, monkeypatch, cores):
+        # infinite increments planted in every range; the earliest failing
+        # step is 2, where trajectories 250, 300 and 400 fail (250 lies in the
+        # second of three ranges), while trajectory 100 fails at step 4
+        problem, grid = constant_problem(d=1), GridSpec(T=1.0, N=5)
+        dw = brownian_increments(grid, 1, self.M, seed=4)
+        for row, level in ((100, 3), (400, 1), (300, 1), (250, 1), (500, 2)):
+            dw[row, level, 0] = np.inf
+        _force_workers(monkeypatch, cores)
+        threads, affinity = threading.active_count(), _affinity()
+        with pytest.raises(NumericalError) as err:
+            euler_paths(problem, grid, dw, seed=4)
+        assert threading.active_count() == threads and _affinity() == affinity
+        assert str(err.value) == "non-finite state at trajectory 250, step 2"
+
+
+def test_many_workers_under_fast_thread_switching(monkeypatch):
+    # eight pinned workers on the real cores, switching threads every
+    # microsecond: 200 phases each add one to every row of their range, and
+    # return their range.  A row touched by two workers, or a phase whose
+    # result came back to the wrong range, breaks the count or the order
+    monkeypatch.setattr(simulation, "_cores", lambda: (_REAL_CORES * 8)[:8])
+    monkeypatch.setattr(simulation, "_WORKER_MIN_WORK", 64)
+    n = 8 * 64 + 37
+    hits = np.zeros(n, dtype=np.int64)
+    ranges = []
+
+    def phase(r0, r1):
+        hits[r0:r1] += 1
+        return r0, r1
+
+    def body():
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with simulation.RowWorkers(n) as workers:
+                ranges.extend(workers.run(phase) for _ in range(200))
+        finally:
+            sys.setswitchinterval(switch)
+
+    threads = threading.active_count()
+    caller = threading.Thread(target=body)
+    caller.start()
+    caller.join(timeout=120)
+    assert not caller.is_alive()
+    assert threading.active_count() == threads
+    bounds = simulation.RowWorkers(n).bounds
+    assert len(bounds) == 9 and all(b % 64 == 0 for b in bounds[:-1])
+    assert ranges == [list(zip(bounds[:-1], bounds[1:]))] * 200
+    assert np.all(hits == 200)

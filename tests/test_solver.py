@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from fbsde_pc import (
     stable_preset,
     unstable_two_step,
 )
-from fbsde_pc import solver
+from fbsde_pc import simulation, solver
 from fbsde_pc.problems import (
     constant_problem,
     example1,
@@ -548,6 +549,17 @@ class TestStochasticSolver:
         assert len(doc["milne"]) == 10 - 2 + 1
 
 
+# (callable, a wrong version of it, the shapes its error expects) on
+# example2 with M = 2000 paths
+WRONG_SHAPES = [
+    ("b", lambda b: lambda t, x: b(t, x)[:, 0], "(2000, 1) or ()"),
+    ("sigma", lambda s: lambda t, x: s(t, x)[:, :, 0], "(1, 1) or (2000, 1, 1)"),
+    ("f", lambda f: lambda t, x, y, z: f(t, x, y, z)[:, None], "(2000,) or ()"),
+    ("phi", lambda phi: lambda x: phi(x)[:, None], "(2000,)"),
+    ("grad_phi", lambda g: lambda x: g(x)[:, 0], "(2000, 1)"),
+]
+
+
 class TestCallableShapes:
     """A problem callable that returns a wrong shape is named before numpy
     broadcasts it: a driver of shape (M, 1) used to build an M x M array."""
@@ -569,13 +581,8 @@ class TestCallableShapes:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("name, wrong, expected", [
-        ("b", lambda b: lambda t, x: b(t, x)[:, 0], "(2000, 1) or ()"),
-        ("sigma", lambda s: lambda t, x: s(t, x)[:, :, 0], "(1, 1) or (2000, 1, 1)"),
-        ("f", lambda f: lambda t, x, y, z: f(t, x, y, z)[:, None], "(2000,) or ()"),
-        ("phi", lambda phi: lambda x: phi(x)[:, None], "(2000,)"),
-        ("grad_phi", lambda g: lambda x: g(x)[:, 0], "(2000, 1)"),
-    ], ids=["b", "sigma", "f", "phi", "grad_phi"])
+    @pytest.mark.parametrize("name, wrong, expected", WRONG_SHAPES,
+                             ids=[case[0] for case in WRONG_SHAPES])
     def test_wrong_shape_named_before_it_broadcasts(self, name, wrong, expected):
         problem = example2()
         good_peak, err = self.traced_solve(problem)
@@ -621,3 +628,172 @@ def test_results_independent_of_blas_threads():
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+_REAL_CORES = simulation._cores()
+
+
+def force_workers(monkeypatch, count):
+    """Pretend the affinity holds count cores (the real ones, repeated) and
+    that 64 rows pay for a worker, so that a few hundred paths split into
+    count row ranges."""
+    cores = (_REAL_CORES * count)[:count]
+    monkeypatch.setattr(simulation, "_cores", lambda: cores)
+    monkeypatch.setattr(simulation, "_WORKER_MIN_WORK", 64)
+
+
+def _affinity():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def recording_threads(problem, seen):
+    """problem whose b and f add (name, thread) of each call to seen."""
+    def spy(name, fn):
+        def call(*args):
+            seen.add((name, threading.get_ident()))
+            return fn(*args)
+        return call
+    return dataclasses.replace(problem, b=spy("b", problem.b), f=spy("f", problem.f))
+
+
+# (problem, m, basis degree): example1 on its K = 28 basis for each step
+# count, and example2 on its K = 3 basis; every m >= 2 solve runs the start-up
+ROW_CASES = [(example1(d=2), m, 6) for m in (1, 2, 3, 4)] + [(example2(), 2, 2)]
+
+
+class TestRowWorkers:
+    """Simulation and solver split their row-wise work over forced workers:
+    every value and every error is the one-worker run's, and no thread
+    outlives a call."""
+
+    # three workers split the rows at 192 and 384, two at 256
+    M = 600
+
+    def run(self, problem, m, degree):
+        grid = GridSpec(T=problem.T, N=8)
+        ensemble = sample_ensemble(problem, grid, self.M, seed=3)
+        config = config_for(stable_preset(m), 8, basis_degree=degree)
+        return ensemble.X, solve(problem, config, ensemble)
+
+    def outcome(self, monkeypatch, workers, call):
+        """What call() returns or raises with the given worker count, once
+        the thread count and this thread's affinity are checked unchanged."""
+        force_workers(monkeypatch, workers)
+        threads, affinity = threading.active_count(), _affinity()
+        try:
+            return call()
+        except Exception as err:
+            return err
+        finally:
+            assert threading.active_count() == threads
+            assert _affinity() == affinity
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("problem, m, degree", ROW_CASES,
+                             ids=["example1-m1", "example1-m2", "example1-m3", "example1-m4",
+                                  "example2-m2"])
+    def test_solve_bit_identical_to_one_worker(self, monkeypatch, workers, problem, m, degree):
+        X1, one = self.outcome(monkeypatch, 1, lambda: self.run(problem, m, degree))
+        seen = set()
+        X, many = self.outcome(monkeypatch, workers,
+                               lambda: self.run(recording_threads(problem, seen), m, degree))
+        # every Euler step ran on the workers, and so did the levels' driver
+        # calls (the calling thread evaluates f only at the top levels)
+        here = threading.get_ident()
+        euler = {thread for name, thread in seen if name == "b"}
+        levels = {thread for name, thread in seen if name == "f"} - {here}
+        assert here not in euler and len(euler) >= workers and len(levels) >= workers
+        assert np.array_equal(X, X1)
+        assert repr(many.y0) == repr(one.y0)
+        assert np.array_equal(many.z0, one.z0)
+        assert np.array_equal(many.milne, one.milne, equal_nan=True)
+        models = zip(many.y_models[:-1] + many.z_models[:-1], one.y_models[:-1] + one.z_models[:-1])
+        assert all(np.array_equal(a.coefficients, b.coefficients) for a, b in models)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("name, wrong, expected",
+                             WRONG_SHAPES + [("f", lambda f: lambda t, x, y, z: (
+                                 f(t, x, y, z)[:, None] if t < 0.5 else f(t, x, y, z)),
+                                 "(2000,) or ()")],
+                             ids=[case[0] for case in WRONG_SHAPES] + ["f-below-start-up"])
+    def test_wrong_shape_error_as_one_worker(self, monkeypatch, workers, name, wrong, expected):
+        # b and sigma fail in the Euler workers and the late f in a level's
+        # corrector phase; phi, grad_phi and the first f fail in the calling
+        # thread.  The error names the shapes of a call on all rows
+        problem = example2()
+        planted = dataclasses.replace(problem, **{name: wrong(getattr(problem, name))})
+        grid = GridSpec(T=problem.T, N=8)
+        config = SolverConfig(scheme=stable_preset(2), grid=grid)
+
+        def call():
+            solve(planted, config, sample_ensemble(planted, grid, 2000, seed=7))
+
+        one = self.outcome(monkeypatch, 1, call)
+        many = self.outcome(monkeypatch, workers, call)
+        assert isinstance(one, ValidationError) and type(many) is type(one)
+        assert str(many) == str(one)
+        assert str(one).endswith(f"expected {expected}")
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_non_finite_corrector_error_as_one_worker(self, monkeypatch, workers):
+        # the driver is infinite at t_2 on the paths above 1.4, which lie in
+        # several row ranges
+        problem = example2()
+        grid = GridSpec(T=problem.T, N=8)
+        t2 = grid.times[2]
+
+        def f(t, x, y, z):
+            out = problem.f(t, x, y, z)
+            if t == t2:
+                out[x[:, 0] > 1.4] = np.inf
+            return out
+
+        planted = dataclasses.replace(problem, f=f)
+
+        def call():
+            solve(planted, SolverConfig(scheme=stable_preset(2), grid=grid),
+                  sample_ensemble(planted, grid, self.M, seed=7))
+
+        one = self.outcome(monkeypatch, 1, call)
+        many = self.outcome(monkeypatch, workers, call)
+        assert isinstance(one, NumericalError) and type(many) is type(one)
+        assert str(many) == str(one) == "non-finite corrector response at step 2"
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_caller_errstate_applies_in_workers(self, monkeypatch, workers):
+        # b and f overflow an exponential on every path and clamp it away;
+        # the caller's errstate silences that in every worker (pytest turns
+        # any warning into an error)
+        base = constant_problem(value=1.0, d=1)
+
+        def b(t, x):
+            return np.minimum(np.exp(x + 800.0), 0.0)
+
+        def f(t, x, y, z):
+            return np.minimum(np.exp(x[:, 0] + 800.0), 1.0) - 1.0
+
+        problem = dataclasses.replace(base, b=b, f=f)
+
+        def call():
+            with np.errstate(over="ignore"):
+                return self.run(problem, 2, 2)
+
+        X1, one = self.outcome(monkeypatch, 1, call)
+        X, many = self.outcome(monkeypatch, workers, call)
+        assert np.array_equal(X, X1)
+        assert repr(many.y0) == repr(one.y0)
+        assert one.y0 == pytest.approx(1.0)
+
+
+def test_large_ensemble_values_of_the_one_worker_kernel():
+    """Above the real threshold (70000 paths make two workers of 2^15 rows on
+    any machine with two cores) y0, z0 and the Milne indicators are the
+    values the single-thread kernel gave."""
+    problem = example2()
+    grid = GridSpec(T=problem.T, N=4)
+    sol = solve(problem, SolverConfig(scheme=stable_preset(2), grid=grid),
+                sample_ensemble(problem, grid, 70000, seed=11))
+    assert repr(sol.y0) == "0.7313316950602711"
+    assert repr(sol.z0.tolist()) == "[0.1413441892098003]"
+    assert repr(sol.milne.tolist()) == (
+        "[0.0006284314750858305, 0.000557858841133928, 0.00021669898784396147]")
