@@ -131,10 +131,14 @@ class DesignSolver:
     the constant 1 and carries the intercept; any other first column is
     refused.  Every other column is shifted to zero mean and scaled to unit
     RMS, and the transform is folded back into the returned coefficients.
-    Only the shift is applied to the M x K design, in the one copy C kept of
-    it: the Gram matrix C^T C gives each column's RMS on its diagonal, and
-    the scaling D is applied to that K x K matrix, giving the Gram matrix
-    A^T A of the standardized design A = C D^-1, Cholesky-factored once.
+    Only the shift is applied to the M x K design, which becomes the
+    centered matrix C the solver keeps: a writable float64 Fortran-ordered
+    design is centered in place, so the caller's array holds C afterwards
+    (column 0 stays 1), and any other design is first converted into a new
+    Fortran-ordered array.  The Gram matrix C^T C gives each column's RMS on
+    its diagonal, and the scaling D is applied to that K x K matrix, giving
+    the Gram matrix A^T A of the standardized design A = C D^-1,
+    Cholesky-factored once.
     When A has at least as many rows as columns, the factorization succeeds
     and its condition estimate clears CHOLESKY_RCOND_MIN, each solve is
     A^T b = D^-1 C^T b and two triangular solves with the factor.  Any other
@@ -144,8 +148,8 @@ class DesignSolver:
     coordinates.  rank is known from construction on the Cholesky path;
     on the gelsy path it is None until the first solve sets it, since gelsy
     reads it off the factorization of A alone.  fitted gives
-    features @ coef from C alone, so a caller may drop its design once the
-    solver exists.
+    features @ coef from C alone, so a caller need not keep its design; one
+    that reads the design again hands the solver a copy.
     """
 
     def __init__(self, features: np.ndarray):
@@ -157,14 +161,14 @@ class DesignSolver:
         if a.shape[1] == 0 or not np.all(a[:, 0] == 1.0):
             raise ValueError("column 0 of the design must be the constant 1")
         m, k = a.shape
-        # the one centered copy C, Fortran-ordered so that BLAS reads it
-        # untransposed; np.subtract always makes a new array, so the caller's
-        # design is never overwritten.  The mean is taken down contiguous
-        # columns whatever the caller's layout
-        columns = np.asfortranarray(a)
-        self.shift = columns.mean(axis=0)
+        # C, Fortran-ordered so that BLAS reads it untransposed, is the
+        # design centered in place, so a level holds one M x K array; any
+        # other layout, dtype or a read-only design is converted first.  The
+        # mean is taken down contiguous columns, and column 0 has shift 0
+        centered = np.require(a, requirements=("F", "W"))
+        self.shift = centered.mean(axis=0)
         self.shift[0] = 0.0
-        centered = np.subtract(columns, self.shift, order="F")
+        np.subtract(centered, self.shift, out=centered)
         # upper triangle of C^T C, then of A^T A = D^-1 C^T C D^-1.  A
         # constant column centers to its mean's rounding error, a few ulps of
         # its value; scaled by 1, not by that RMS, it stays below gelsy's rank
@@ -223,7 +227,7 @@ class DesignSolver:
 
     def fitted(self, coef: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         """features @ coef at the given rows, for coefficients of shape (K,)
-        or (K, r), from the centered copy C: features = C + 1 shift^T."""
+        or (K, r), from the centered design C: features = C + 1 shift^T."""
         out = self._centered[rows] @ coef
         out += self.shift @ coef
         return out

@@ -258,9 +258,9 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
             solver = None
             del rhs
         else:
+            # the solver centers the design in place and gives the fitted
+            # values from it from here on, so the level keeps one M x K array
             solver = DesignSolver(design)
-            # the solver's centered copy gives the fitted values from here on,
-            # so the level keeps one M x K array
             del design
             coef = solver.solve(rhs)
             del rhs

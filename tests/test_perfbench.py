@@ -1,5 +1,6 @@
 """The benchmark harness runs end to end on the package in this checkout."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -27,3 +28,16 @@ def test_short_traced_run_is_correct(workload):
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_tracer_seams_present(monkeypatch):
+    # the tracer lists a seam it cannot find in the report's missing_seams,
+    # and that layer's metrics read 0 while the run still reads correct; a
+    # renamed package function or method fails here instead.  The lookup is
+    # Tracer.installed's
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    missing = [f"{owner.__name__}.{attr}"
+               for owner, attr, _ in tracer.FUNCTION_SEAMS + tracer.METHOD_SEAMS
+               if owner.__dict__.get(attr) is None]
+    assert missing == []

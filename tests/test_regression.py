@@ -100,7 +100,7 @@ class TestOlsFit:
         design = basis.design_matrix(x)
         coef_true = np.array([0.5, -1.0, 2.0, 0.25, 1.5, -0.75])
         y = design @ coef_true
-        coef = DesignSolver(design).solve(y)
+        coef = DesignSolver(design.copy()).solve(y)
         rss = float(np.sum((design @ coef - y) ** 2))
         assert rss <= 1e-10 * float(np.sum(y**2))
 
@@ -132,9 +132,9 @@ class TestOlsFit:
         x = rng.standard_normal((200, 2))
         design = basis.design_matrix(x)
         y = rng.standard_normal((200, 3))
-        joint = DesignSolver(design).solve(y)
+        joint = DesignSolver(design.copy()).solve(y)
         for k in range(3):
-            single = DesignSolver(design).solve(y[:, k])
+            single = DesignSolver(design.copy()).solve(y[:, k])
             assert joint[:, k] == pytest.approx(single)
 
     def test_residual_orthogonality(self):
@@ -143,7 +143,7 @@ class TestOlsFit:
         x = rng.standard_normal((500, 3))
         design = basis.design_matrix(x)
         y = rng.standard_normal(500)
-        residual = y - design @ DesignSolver(design).solve(y)
+        residual = y - design @ DesignSolver(design.copy()).solve(y)
         for k in range(design.shape[1]):
             dot = abs(float(residual @ design[:, k]))
             assert dot <= 1e-8 * np.linalg.norm(residual) * np.linalg.norm(design[:, k]) + 1e-12
@@ -154,8 +154,8 @@ class TestOlsFit:
         x = rng.standard_normal((150, 2))
         design = basis.design_matrix(x)
         y = rng.standard_normal(150)
-        base = DesignSolver(design).solve(y)
-        scaled = DesignSolver(design).solve(7.5 * y)
+        base = DesignSolver(design.copy()).solve(y)
+        scaled = DesignSolver(design.copy()).solve(7.5 * y)
         assert scaled == pytest.approx(7.5 * base, rel=1e-10)
 
     def test_consistency_as_samples_grow(self):
@@ -259,7 +259,7 @@ class TestDesignSolver:
         basis = build_basis(2, 2)
         x = np.zeros((50, 2))
         design = basis.design_matrix(x)
-        coef = DesignSolver(design).solve(np.full(50, 2.5))
+        coef = DesignSolver(design.copy()).solve(np.full(50, 2.5))
         assert (design @ coef)[0] == pytest.approx(2.5)
 
     def test_constant_model(self):
@@ -320,22 +320,36 @@ class TestDesignSolver:
             DesignSolver(design)
 
     @pytest.mark.parametrize("shape", [(300, 6), (20, 28)], ids=["cholesky", "gelsy"])
-    def test_caller_design_never_overwritten(self, shape):
-        # the centered copy is a new array; a Fortran-ordered design must
-        # not be aliased by it
+    def test_fortran_design_centered_in_place(self, shape):
+        # a writable float64 Fortran-ordered design becomes the solver's
+        # centered matrix C, so no second M x K array is made; a design of
+        # any other layout is converted into a new array first and left as it
+        # was.  The centering is the same subtraction either way, so both
+        # solvers give the same bits
         rng = np.random.default_rng(17)
         m, k = shape
-        c_design = build_basis(2, 6).design_matrix(rng.standard_normal((m, 2)))[:, :k]
-        f_design = np.asfortranarray(c_design)
+        f_design = build_basis(2, 6).design_matrix(rng.standard_normal((m, 2)))[:, :k]
+        assert f_design.flags.f_contiguous and not f_design.flags.c_contiguous
+        c_design = np.ascontiguousarray(f_design)
+        read_only = f_design.copy(order="F")
+        read_only.flags.writeable = False
+        kept = c_design.tobytes()
         b = rng.standard_normal((m, 2))
-        coefs = []
-        for design in (c_design, f_design):
-            before = design.tobytes(order="A")
-            solver = DesignSolver(design)
-            assert design.tobytes(order="A") == before
+        f_solver = DesignSolver(f_design)
+        assert np.shares_memory(f_design, f_solver._centered)
+        assert np.all(f_design[:, 0] == 1.0)
+        assert np.array_equal(f_design, c_design - f_solver.shift)
+        centered = f_design.tobytes(order="A")
+        coefs, fits = [], []
+        for solver, design in ((f_solver, f_design), (DesignSolver(c_design), c_design),
+                               (DesignSolver(read_only), read_only)):
             coefs.append(solver.solve(b))
-            assert design.tobytes(order="A") == before
-        assert np.array_equal(coefs[0], coefs[1])
+            fits.append(solver.fitted(coefs[-1]))
+        assert f_design.tobytes(order="A") == centered
+        assert c_design.tobytes() == kept and read_only.tobytes() == kept
+        for coef, fit in zip(coefs[1:], fits[1:]):
+            assert np.array_equal(coef, coefs[0])
+            assert np.array_equal(fit, fits[0])
 
     # -- factored once: the Cholesky path and the gelsy fallback ------------------
 
@@ -345,7 +359,7 @@ class TestDesignSolver:
         by DesignSolver's shift and scale, the transform folded back: what
         DesignSolver returned before it factored each design once.  b holds
         one response per column."""
-        solver = DesignSolver(design)
+        solver = DesignSolver(design.copy())
         std = (design - solver.shift) / solver.scale
         std_coef, _, rank, _ = scipy.linalg.lstsq(
             std, b, cond=RANK_TOL, lapack_driver="gelsy", check_finite=False)
@@ -392,7 +406,7 @@ class TestDesignSolver:
             design[:, 0] = 1.0
         m, k = design.shape
         b = rng.standard_normal((m, 3))
-        solver = DesignSolver(design)
+        solver = DesignSolver(design.copy())
         assert solver.rank == k
         coef = solver.solve(b)
         assert gelsy_calls == []
@@ -412,7 +426,7 @@ class TestDesignSolver:
         design = build_basis(2, 6).design_matrix(self.example1_states() + shift)
         m, k = design.shape
         b = np.random.default_rng(47).standard_normal((m, 3))
-        solver = DesignSolver(design)
+        solver = DesignSolver(design.copy())
         coef = solver.solve(b)
         assert gelsy_calls == ([] if cholesky else ["gelsy"])
         assert solver.rank == k
@@ -464,7 +478,7 @@ class TestDesignSolver:
         else:
             design = self.near_collinear_design()
         m, k = design.shape
-        solver = DesignSolver(design)
+        solver = DesignSolver(design.copy())
         # gelsy's rank depends on the design alone: no solve is spent on it
         # before the first response arrives
         assert gelsy_calls == []

@@ -451,22 +451,24 @@ class TestStochasticSolver:
             tracemalloc.stop()
 
     def test_one_design_array_per_level(self):
-        # a level drops its design once its solver exists and frees all its
-        # arrays before the next level: the traced peak of this solve (the
-        # start-up's fine states included) is about 2.95 M K 8 bytes, against
-        # 4.17 when a level held its design, its solver's centered copy and
-        # the previous level's copy at once
+        # the solver centers a level's design in place, the level drops its
+        # name for it once the solver exists, and all its arrays are freed
+        # before the next level: the traced peak of this solve (the
+        # start-up's fine states included) is about 1.95 M K 8 bytes, against
+        # 2.77 when the solver centered a copy of the design and 4.17 when a
+        # level also kept the previous level's copy
         M, K = 4000, 28
-        assert self.traced_peak(example1(d=2), M, 6) < 3.5 * M * K * 8
+        assert self.traced_peak(example1(d=2), M, 6) < 2.4 * M * K * 8
 
     def test_one_design_array_per_gelsy_level(self):
-        # with M < K every level is solved by gelsy from the centered copy C:
-        # a level holds its design, C and the K x K Gram matrix (here 1.16
-        # M K) at once, and each solve forms the standardized design A, which
-        # gelsy overwrites in place.  The traced peak is about 3.7 M K 8
-        # bytes, against 4.5 when scipy.linalg.lstsq copied A for gelsy
+        # with M < K every level is solved by gelsy from C, the design
+        # centered in place: a level holds C and the K x K Gram matrix (here
+        # 1.16 M K) at once, and each solve forms the standardized design A,
+        # which gelsy overwrites in place.  The traced peak is about 2.6-2.7
+        # M K 8 bytes, against 3.6-3.7 when the solver centered a copy of the
+        # design and 4.5 when scipy.linalg.lstsq also copied A for gelsy
         M, K = 200, 231
-        assert self.traced_peak(example1(d=2), M, 20) < 4.0 * M * K * 8
+        assert self.traced_peak(example1(d=2), M, 20) < 3.2 * M * K * 8
 
     def test_two_gelsy_calls_per_gelsy_level(self, monkeypatch):
         # gelsy's rank depends on the design alone, so a gelsy level reads it
