@@ -323,9 +323,9 @@ class TestDesignSolver:
     def test_fortran_design_centered_in_place(self, shape):
         # a writable float64 Fortran-ordered design becomes the solver's
         # centered matrix C, so no second M x K array is made; a design of
-        # any other layout is converted into a new array first and left as it
-        # was.  The centering is the same subtraction either way, so both
-        # solvers give the same bits
+        # any other layout, or a read-only one, is converted into a new array
+        # first and left as it was.  The centering is the same subtraction
+        # either way, so every solver gives the same bits
         rng = np.random.default_rng(17)
         m, k = shape
         f_design = build_basis(2, 6).design_matrix(rng.standard_normal((m, 2)))[:, :k]
