@@ -4,13 +4,13 @@ BENCH_<tag>.json file.
     python3 bench/bench.py --tag abc1234 --side parent=../parent --side change=.
 
 Each --side NAME=DIR names a source checkout whose DIR/src holds fbsde_pc
-(default: change=the checkout this script is in).  Every round runs each side
-once in a fresh interpreter, and the order of the sides alternates from one
-round to the next, so that drift over the run falls on both sides alike.  A
-side's run times each case 5 times (the best of the first 3 and the median of
-all 5 are kept) and then, untimed, takes the tracemalloc peak of one solve
-above its ensemble.  The machine facts come from perfbench/machine.py, and
-the file goes to bench/BENCH_<tag>.json.
+(default: change=the checkout this script is in).  Each of the 4 rounds
+(ROUNDS) runs each side once in a fresh interpreter, and the order of the
+sides alternates from one round to the next, so that drift over the run falls
+on both sides alike.  A side's run times each case 5 times (the best of the
+first 3 and the median of all 5 are kept) and then, untimed, takes the
+tracemalloc peak of one solve above its ensemble.  The machine facts come
+from perfbench/machine.py, and the file goes to bench/BENCH_<tag>.json.
 
 Only public names of fbsde_pc are read, and nothing is patched.
 """
@@ -31,6 +31,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+ROUNDS = 4
 REPEATS = 5
 BEST_OF = 3
 SUMMARY_KEYS = ("best_of_3_s", "median_of_5_s", "traced_peak_mb")
@@ -129,7 +130,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tag", default="local")
     parser.add_argument("--side", action="append", default=[], metavar="NAME=DIR")
-    parser.add_argument("--rounds", type=int, default=3)
     # one side's run, in an interpreter whose PYTHONPATH holds its src/
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -138,12 +138,12 @@ def main(argv=None) -> int:
         return 0
     sides = dict(s.split("=", 1) for s in args.side) or {"change": str(ROOT)}
     order, runs = [], {side: [] for side in sides}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         this_round = list(sides) if r % 2 == 0 else list(sides)[::-1]
         order.append(this_round)
         for side in this_round:
             runs[side].append(_measure_side(Path(sides[side]).resolve()))
-            print(f"round {r + 1}/{args.rounds}: {side} done", file=sys.stderr)
+            print(f"round {r + 1}/{ROUNDS}: {side} done", file=sys.stderr)
     sys.path.insert(0, str(ROOT / "perfbench"))
     from machine import machine_facts
 

@@ -132,9 +132,11 @@ class DesignSolver:
     refused.  Every other column is shifted to zero mean and scaled to unit
     RMS, and the transform is folded back into the returned coefficients.
     Only the shift is applied to the M x K design, which becomes the
-    centered matrix C the solver keeps: a writable float64 Fortran-ordered
-    design is centered in place, so the caller's array holds C afterwards
-    (column 0 stays 1), and any other design is first converted into a new
+    centered matrix C the solver keeps: a writable float64 array that numpy
+    flags Fortran-contiguous is centered in place, so the caller's array
+    holds C afterwards (column 0 stays 1).  A single-row design is flagged
+    Fortran-contiguous in either order, so it is always overwritten, and
+    becomes [1, 0, ..., 0].  Any other design is first converted into a new
     Fortran-ordered array.  The Gram matrix C^T C gives each column's RMS on
     its diagonal, and the scaling D is applied to that K x K matrix, giving
     the Gram matrix A^T A of the standardized design A = C D^-1,

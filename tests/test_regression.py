@@ -351,6 +351,17 @@ class TestDesignSolver:
             assert np.array_equal(coef, coefs[0])
             assert np.array_equal(fit, fits[0])
 
+    def test_single_row_design_centered_in_place(self):
+        # numpy flags a 1 x K array Fortran-contiguous whatever its order, so
+        # even a C-ordered row is the solver's C: each column's mean is its
+        # one entry, and the row becomes [1, 0, ..., 0]
+        row = np.array([[1.0, 0.5, -2.0, 3.0]])
+        assert row.flags.c_contiguous and row.flags.f_contiguous
+        solver = DesignSolver(row)
+        assert np.shares_memory(row, solver._centered)
+        assert row.tobytes() == np.array([[1.0, 0.0, 0.0, 0.0]]).tobytes()
+        assert solver.shift.tolist() == [0.0, 0.5, -2.0, 3.0]
+
     # -- factored once: the Cholesky path and the gelsy fallback ------------------
 
     @staticmethod
