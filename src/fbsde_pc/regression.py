@@ -235,6 +235,23 @@ class DesignSolver:
         return out
 
 
+class _OnePointFit:
+    """DesignSolver's fit where every row sits at one point: the projection on
+    the basis is then the sample mean, carried by the constant column."""
+
+    def __init__(self, size: int):
+        self.size = size
+
+    def solve(self, responses: np.ndarray) -> np.ndarray:
+        """Coefficients (K, ...): each response column's mean, zeros below."""
+        coef = np.zeros((self.size,) + np.shape(responses)[1:])
+        coef[0] = np.mean(responses, axis=0)
+        return coef
+
+    def fitted(self, coef: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        return coef[0]
+
+
 @dataclass
 class RegressionModel:
     """A fitted (and truncated) basis expansion.

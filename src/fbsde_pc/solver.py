@@ -6,13 +6,14 @@ step produces, in order: the z model (derivative weights applied to future
 levels against Brownian increments), the explicit predictor model, and the
 corrector model whose driver term uses the predicted value.  solve runs the
 kernel on the coarse grid; its top levels N-1..N-m+1 come from the same kernel
-run with the one-step trapezoidal pair on a bridge-refined fine grid.  A first
-node at t = 0 is a point mass, so its regressions collapse to sample means.
+run with the one-step trapezoidal pair on a bridge-refined fine grid.  Where
+every path sits at one point (X_0 = x0 at t = 0, or the one sigma = 0 path),
+a level's least-squares fits are sample means, taken without a design.
 
 A sigma = 0 problem runs the same kernel, start-up included, on one path of
-zero increments with the constant basis: each regression then has one row
-and fits its response exactly, so the kernel runs the scheme's scalar
-recursion.  The Milne local-error check runs it one step at a time.
+zero increments with the constant basis: each mean is of one row, so the
+kernel runs the scheme's scalar recursion.  The Milne local-error check runs
+it one step at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .problems import FbsdeProblem, closed_form_reference, require_shape, termin
 from .regression import (
     DesignSolver,
     RegressionModel,
+    _OnePointFit,
     build_basis,
     constant_model,
     truncate,
@@ -37,6 +39,7 @@ from .simulation import (
     GridSpec,
     PathEnsemble,
     RowWorkers,
+    _check_budget,
     euler_paths,
     euler_states,
     refine_increments,
@@ -165,8 +168,10 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
     is added to every corrector response.  Returns the Milne indicator of
     each step i = 0..n-m.
 
-    Each level's design, its DesignSolver, both solves, the point-mass means
-    and the Milne mean run in the calling thread over all M rows.  The work
+    Each level picks one fit: the sample means of _OnePointFit where every
+    path sits at one point (M = 1, or a first node at t = 0), else a
+    DesignSolver of the level's design.  The design, the fit, both solves and
+    the Milne mean run in the calling thread over all M rows.  The work
     between them is row by row, in three phases run on RowWorkers: the
     responses, then the fitted z and predicted y with the corrector
     responses, then the fitted y, the Milne gap and the live driver values.
@@ -212,8 +217,7 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
         # Within the level each M-vector is dropped once its last reader is
         # done: on a small basis these vectors, not the design, set the peak
         xi = X[:, i, :]
-        point_mass = i == 0 and times[0] == 0.0
-        design = None if point_mass else basis.design_matrix(xi)
+        design = None if M == 1 or (i == 0 and times[0] == 0.0) else basis.design_matrix(xi)
         # centering the z responses by any fixed function of the current state
         # leaves E_i[. dW^T] unchanged; the one-level-ahead model removes the
         # bulk of the y spread.  Every RegressionModel here was fitted on basis,
@@ -247,34 +251,22 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
         workers.run(responses)
         del proxy
 
-        if point_mass:
-            # the mean of a C-ordered copy adds the rows one after another;
-            # a Fortran-ordered column is summed pairwise, which rounds z0
-            # differently
-            z_model = constant_model(np.ascontiguousarray(rhs[:, :d]).mean(axis=0), basis,
-                                     z_bound)
-            z_here = z_model.predict(xi)
-            y_pred_here = constant_model(rhs[:, d].mean(), basis, y_bound).predict(xi)
-            solver = None
-            del rhs
-        else:
-            # the solver centers the design in place and gives the fitted
-            # values from it from here on, so the level keeps one M x K array
-            solver = DesignSolver(design)
-            del design
-            coef = solver.solve(rhs)
-            del rhs
-            z_model = RegressionModel(coef[:, :d], basis, z_bound)
-            z_here, y_pred_here = np.empty((M, d)), np.empty(M)
+        # one point: sample means, no design.  A DesignSolver centers the
+        # design in place and fits from it, so a level keeps one M x K array
+        solver = _OnePointFit(basis.size) if design is None else DesignSolver(design)
+        del design
+        coef = solver.solve(rhs)
+        del rhs
+        z_model = RegressionModel(coef[:, :d], basis, z_bound)
+        z_here, y_pred_here = np.empty((M, d)), np.empty(M)
         # z_k(X_k) . dW_k is kept for the levels below only when m > 1
         zdw = np.empty(M) if m > 1 else None
         s_corr = np.empty(M)
 
         def corrector(r0: int, r1: int) -> None:
             rows = slice(r0, r1)
-            if solver is not None:
-                z_here[rows] = truncate(solver.fitted(coef[:, :d], rows), z_bound)
-                y_pred_here[rows] = truncate(solver.fitted(coef[:, d], rows), y_bound)
+            z_here[rows] = truncate(solver.fitted(coef[:, :d], rows), z_bound)
+            y_pred_here[rows] = truncate(solver.fitted(coef[:, d], rows), y_bound)
             s = s_corr[rows]
             np.multiply(driver(times[i], xi, y_pred_here, z_here, r0, r1), h * gamma0, out=s)
             # subtract the martingale increments sum_k z_k(X_k) dW_k from the
@@ -296,21 +288,15 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
 
         workers.run(corrector)
 
-        if point_mass:
-            y_model = constant_model(s_corr.mean(), basis, y_bound)
-            del s_corr
-            y_here = y_model.predict(xi)
-        else:
-            y_coef = solver.solve(s_corr)
-            del s_corr
-            y_model = RegressionModel(y_coef, basis, y_bound)
-            y_here = np.empty(M)
+        y_coef = solver.solve(s_corr)
+        del s_corr
+        y_model = RegressionModel(y_coef, basis, y_bound)
+        y_here = np.empty(M)
         f_here = np.empty(M) if i > 0 else None
 
         def fit(r0: int, r1: int) -> None:
             rows = slice(r0, r1)
-            if solver is not None:
-                y_here[rows] = truncate(solver.fitted(y_coef, rows), y_bound)
+            y_here[rows] = truncate(solver.fitted(y_coef, rows), y_bound)
             # |gap| is written over the predicted y, which nothing reads after
             gap = y_pred_here[rows]
             np.abs(np.subtract(gap, y_here[rows], out=gap), out=gap)
@@ -380,6 +366,8 @@ def solve(problem: FbsdeProblem, config: SolverConfig,
         raise ValidationError("ensemble dimension does not match problem")
     _require_steps(m, N)
     _require_stable(config.scheme, config.allow_unstable, config.stability_tol)
+    _check_budget(ensemble.M * build_basis(problem.d, config.basis_degree).size,
+                  "regression design")
 
     y_models, z_models = _terminal_slots(problem, N)
     if m >= 2:
@@ -417,6 +405,7 @@ def _probe_deterministic(problem: FbsdeProblem) -> None:
 def _one_path(problem: FbsdeProblem, grid: GridSpec) -> PathEnsemble:
     """The sigma = 0 path: Euler steps from x0 with zero increments.  Its seed
     keys no draw, because sigma = 0 never refines its increments."""
+    _check_budget(grid.N * problem.d, "sigma = 0 path")
     return euler_paths(problem, grid, np.zeros((1, grid.N, problem.d)), seed=0)
 
 

@@ -414,6 +414,17 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: bridge refinement: 8000 elements exceed the budget of 5000\n"
 
+    def test_design_over_budget_is_one_line_error(self, capsys, monkeypatch):
+        # the 500 * 4 * 2 = 4000 increments fit the budget, the 500 x 28
+        # design of a degree-6 basis in d = 2 does not
+        from fbsde_pc import simulation
+        monkeypatch.setattr(simulation, "DEFAULT_MAX_ELEMENTS", 5000)
+        code, out, err = run_cli(capsys, "solve", "--problem", "example1", "--steps", "1",
+                                 "--N", "4", "--M", "500", "--dim", "2", "--basis-degree", "6")
+        assert code == 2
+        assert out == ""
+        assert err == "error: regression design: 14000 elements exceed the budget of 5000\n"
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--N", "4"],
         ["convergence", "--N", "4,8", "--batches", "2", "--format", "json"],
@@ -484,6 +495,8 @@ class TestExitCodes:
         (["solve", "--problem", "exponential-ode", "--deterministic", "--family", "unstable",
           "--tol", "nan"], None, "--tol"),
         (["solve", "--problem", "constant", "--dim", "0"], None, "--dim"),
+        (["solve", "--problem", "exponential-ode", "--deterministic", "--N", "100000000000"],
+         None, "sigma = 0 path: 100000000000 elements exceed the budget"),
         (["stability-demo", "--N", "4", "--M", "50"], None, "--N"),
         (["convergence", "--N", "4,4", "--M", "50,50", "--batches", "2"], None, "--N"),
         (["stability-demo", "--N", "10,10", "--M", "50"], None, "--N"),
@@ -502,6 +515,7 @@ class TestExitCodes:
             "tau-nan", "tau-inf", "T-inf", "solve-N-list", "solve-M-list",
             "stability-demo-M-list", "seed-negative", "seed-2^64", "config-seed-negative",
             "tol-nan", "tol-negative", "tol-inf", "solve-unstable-tol-nan", "dim-0",
+            "sigma-0-N-over-budget",
             "stability-demo-single-N", "convergence-repeated-N", "stability-demo-repeated-N",
             "stability-demo-decreasing-N", "tau-rate-overflow", "scheme-exponent-1e5000"])
     def test_bad_flag_or_key_exits_2(self, tmp_path, capsys, monkeypatch,

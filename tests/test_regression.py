@@ -23,6 +23,7 @@ from fbsde_pc.regression import (
     RANK_TOL,
     DesignSolver,
     RegressionModel,
+    _OnePointFit,
     constant_model,
 )
 
@@ -261,6 +262,14 @@ class TestDesignSolver:
         design = basis.design_matrix(x)
         coef = DesignSolver(design.copy()).solve(np.full(50, 2.5))
         assert (design @ coef)[0] == pytest.approx(2.5)
+        # on 50 copies of one state the least-squares fit is the sample mean,
+        # as the one-point fit gives it
+        design = basis.design_matrix(np.tile([0.7, -1.3], (50, 1)))
+        y = np.random.default_rng(4).standard_normal((50, 3))
+        one_point = _OnePointFit(basis.size)
+        np.testing.assert_allclose(design @ DesignSolver(design.copy()).solve(y),
+                                   np.broadcast_to(one_point.fitted(one_point.solve(y)), (50, 3)),
+                                   rtol=1e-12)
 
     def test_constant_model(self):
         basis = build_basis(2, 2)

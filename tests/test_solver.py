@@ -35,7 +35,7 @@ from fbsde_pc.problems import (
     exponential_ode,
     terminal_z,
 )
-from fbsde_pc.regression import DesignSolver
+from fbsde_pc.regression import DesignSolver, RegressionModel
 from fbsde_pc.solver import (
     auto_substeps,
     deterministic_perturbation_deviation,
@@ -496,6 +496,32 @@ class TestStochasticSolver:
         assert len(solvers) == 9
         assert all(s.rank is not None and s.rank <= M < K for s in solvers)
         assert calls == [(M, K)] * (2 * len(solvers))
+
+    def test_one_point_levels_build_no_design_solver(self, monkeypatch):
+        # where every path sits at one point (X_0 = x0, or the one sigma = 0
+        # path) a level's fits are sample means: no DesignSolver, and models
+        # on the basis whose coefficients past the constant are 0
+        built = []
+
+        class Counted(DesignSolver):
+            def __init__(self, features):
+                super().__init__(features)
+                built.append(features.shape)
+
+        monkeypatch.setattr(solver, "DesignSolver", Counted)
+        problem, N = example1(d=2), 4
+        result = solve(problem, config_for(stable_preset(1), N, basis_degree=2),
+                       sample_ensemble(problem, GridSpec(T=problem.T, N=N), 200, seed=5))
+        assert built == [(200, 6)] * (N - 1)
+        for model in (result.y_models[0], result.z_models[0]):
+            assert isinstance(model, RegressionModel)
+            assert model.coefficients.shape[0] == 6
+            assert np.all(model.coefficients[1:] == 0.0)
+        built.clear()
+        # the start-up runs too, on the same one path
+        deterministic_solve(without_closed_form(exponential_ode()),
+                            config_for(stable_preset(3), 8))
+        assert built == []
 
     def test_path_vectors_freed_after_last_read(self):
         # on a small basis the M-vectors of a level, not its design, set the
