@@ -191,11 +191,14 @@ def cmd_solve(args) -> int:
     problem = _build_problem(args)
     config = SolverConfig(
         scheme=scheme, grid=GridSpec(T=problem.T, N=N),
-        basis_degree=args.basis_degree, deterministic=args.deterministic,
-        allow_unstable=args.allow_unstable, stability_tol=args.tol,
+        basis_degree=args.basis_degree, allow_unstable=args.allow_unstable,
+        stability_tol=args.tol,
     )
     start = time.perf_counter()
-    ensemble = None if args.deterministic else sample_ensemble(problem, config.grid, M, args.seed)
+    ensemble = None
+    if not args.deterministic:
+        config.check_design_budget(problem.d, M)
+        ensemble = sample_ensemble(problem, config.grid, M, args.seed)
     solution = solve(problem, config, ensemble)
     runtime = time.perf_counter() - start
     _emit_json(result_to_dict(solution, runtime), args.out)

@@ -106,9 +106,12 @@ def run_trial(problem: FbsdeProblem, scheme: MultistepScheme, N: int, M: int,
         raise ValidationError("run_trial needs a problem with a closed form")
     grid = GridSpec(T=problem.T, N=N)
     config = SolverConfig(scheme=scheme, grid=grid, basis_degree=basis_degree,
-                          deterministic=deterministic, allow_unstable=allow_unstable)
+                          allow_unstable=allow_unstable)
     start = time.perf_counter()
-    ensemble = None if deterministic else sample_ensemble(problem, grid, M, seed)
+    ensemble = None
+    if not deterministic:
+        config.check_design_budget(problem.d, M)
+        ensemble = sample_ensemble(problem, grid, M, seed)
     solution = solve(problem, config, ensemble)
     runtime = time.perf_counter() - start
     y_ref, z_ref = closed_form_reference(problem, 0.0, problem.x0)

@@ -10,10 +10,11 @@ run with the one-step trapezoidal pair on a bridge-refined fine grid.  Where
 every path sits at one point (X_0 = x0 at t = 0, or the one sigma = 0 path),
 a level's least-squares fits are sample means, taken without a design.
 
-A sigma = 0 problem runs the same kernel, start-up included, on one path of
-zero increments with the constant basis: each mean is of one row, so the
-kernel runs the scheme's scalar recursion.  The Milne local-error check runs
-it one step at a time.
+solve without an ensemble is the sigma = 0 reduction: the same kernel,
+start-up included, on one path of zero increments with the constant basis;
+each mean is of one row, so the kernel runs the scheme's scalar recursion.
+Both kinds of solve run through one sequence, _run.  The Milne local-error
+check runs the kernel one step at a time.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ def auto_substeps(m: int, h: float) -> int:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """How to solve; whether to sample is set by the ensemble passed to solve."""
+
     scheme: MultistepScheme
     grid: GridSpec
     basis_degree: int = 2
     y_bound: Optional[float] = None   # None -> problem-supplied bound
     allow_unstable: bool = False
-    deterministic: bool = False
     stability_tol: float = 1e-8
 
     def to_dict(self) -> dict:
@@ -73,6 +75,10 @@ class SolverConfig:
         out.update(scheme=scheme_to_dict(self.scheme),
                    grid={"T": self.grid.T, "N": self.grid.N})
         return out
+
+    def check_design_budget(self, d: int, M: int) -> None:
+        """Refuse an M-row regression design of this basis above the budget."""
+        _check_budget(M * build_basis(d, self.basis_degree).size, "regression design")
 
 
 @dataclass
@@ -131,18 +137,6 @@ def _value(model, x: np.ndarray) -> float:
 def _require_steps(m: int, N: int) -> None:
     if N < m:
         raise ValidationError(f"a scheme of m = {m} steps needs N >= {m} time steps, got N = {N}")
-
-
-def _require_stable(scheme: MultistepScheme, allow_unstable: bool, tol: float) -> None:
-    if allow_unstable:
-        return
-    verdict = scheme_verdict(scheme, tol=tol)
-    if not verdict.is_stable:
-        raise ValidationError(
-            f"root condition: scheme {scheme.name or scheme.m}-step has verdict "
-            f"{verdict.status!r} (offending roots {verdict.offending}); "
-            "pass allow_unstable to override"
-        )
 
 
 def _check_finite(arr: np.ndarray, what: str, step: int) -> None:
@@ -221,11 +215,12 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
         # centering the z responses by any fixed function of the current state
         # leaves E_i[. dW^T] unchanged; the one-level-ahead model removes the
         # bulk of the y spread.  Every RegressionModel here was fitted on basis,
-        # so its prediction reuses this level's design.
+        # so its prediction reuses this level's design; at one point it is the
+        # one value at the first row.
         ahead = y_models[i + 1]
         proxy = None
         if design is None or not isinstance(ahead, RegressionModel):
-            proxy = np.asarray(ahead.predict(xi))
+            proxy = np.broadcast_to(ahead.predict(xi if design is not None else xi[:1]), (M,))
         # the z and predictor responses are summed straight into one
         # Fortran-ordered right-hand side, which BLAS reads without a copy
         rhs = np.empty((M, d + 1), order="F")
@@ -320,13 +315,13 @@ def _backward(problem: FbsdeProblem, config: SolverConfig, times: np.ndarray, h:
 
 
 def _bootstrap(problem: FbsdeProblem, config: SolverConfig, ensemble: PathEnsemble,
-               y_models: list, z_models: list) -> None:
+               y_models: list, z_models: list, refine: bool) -> None:
     """Fill the top coarse levels N-1..N-m+1 of y_models and z_models.
 
     Runs the one-step trapezoidal pair on a Brownian-bridge refined grid
     (auto_substeps pieces per coarse step) from T down to t_{N-m+1} and keeps
-    the models at the coarse nodes.  A deterministic solve has no noise to
-    refine: its fine increments are zero.
+    the models at the coarse nodes.  The fine increments are bridge draws when
+    refine is set; the sigma = 0 path has no noise to refine, and passes zeros.
     """
     grid = config.grid
     N = grid.N
@@ -337,10 +332,8 @@ def _bootstrap(problem: FbsdeProblem, config: SolverConfig, ensemble: PathEnsemb
     n_fine, h_f = (N - start) * r, grid.h / r
     times = grid.times[start] + h_f * np.arange(n_fine + 1)
     times[-1] = grid.T
-    if config.deterministic:
-        fine_dw = np.zeros((ensemble.M, n_fine, ensemble.d))
-    else:
-        fine_dw = refine_increments(ensemble, start, r)
+    fine_dw = (refine_increments(ensemble, start, r) if refine
+               else np.zeros((ensemble.M, n_fine, ensemble.d)))
     fine_x = euler_states(problem, times, h_f, fine_dw, ensemble.X[:, start, :])
     fine_y = [None] * n_fine + [y_models[N]]
     fine_z = [None] * n_fine + [z_models[N]]
@@ -350,31 +343,59 @@ def _bootstrap(problem: FbsdeProblem, config: SolverConfig, ensemble: PathEnsemb
     z_models[start:N] = fine_z[:-1:r]
 
 
+def _run(problem: FbsdeProblem, config: SolverConfig, ensemble: Optional[PathEnsemble],
+         perturb_y: float = 0.0):
+    """The sequence of both kinds of solve: checks, terminal slots, the top
+    m - 1 slots, then the main pass with perturb_y added to its correctors.
+    Returns the ensemble, the y and z models and the Milne indicators.
+    ensemble None is the sigma = 0 reduction: its one path is built here, its
+    top slots come from the closed form when there is one, its start-up
+    refines no noise, and an overflow is reported once, as a non-finite y0.
+    """
+    scheme, grid = config.scheme, config.grid
+    m, N = scheme.m, grid.N
+    _require_steps(m, N)
+    if not config.allow_unstable:
+        verdict = scheme_verdict(scheme, tol=config.stability_tol)
+        if not verdict.is_stable:
+            raise ValidationError(
+                f"root condition: scheme {scheme.name or m}-step has verdict "
+                f"{verdict.status!r} (offending roots {verdict.offending}); "
+                "pass allow_unstable to override")
+    sigma0 = ensemble is None
+    if sigma0:
+        ensemble = _one_path(problem, grid)
+    config.check_design_budget(problem.d, ensemble.M)
+    y_models, z_models = _terminal_slots(problem, N)
+    start = N - m + 1
+    try:
+        with np.errstate(over="ignore", invalid="ignore") if sigma0 else np.errstate():
+            if sigma0 and problem.has_closed_form:
+                y_models[start:N], z_models[start:N] = _exact_models(
+                    problem, grid.times[start:N], ensemble.X[0, start:N])
+            elif m >= 2:
+                _bootstrap(problem, config, ensemble, y_models, z_models, refine=not sigma0)
+            milne = _backward(problem, config, grid.times, grid.h, ensemble.X, ensemble.dW,
+                              y_models, z_models, perturb_y)
+    except NumericalError as err:
+        if not sigma0:
+            raise
+        raise NumericalError(f"non-finite y0 from the sigma = 0 recursion: {err}") from None
+    return ensemble, y_models, z_models, milne
+
+
 def solve(problem: FbsdeProblem, config: SolverConfig,
           ensemble: Optional[PathEnsemble] = None) -> "BackwardSolution | DeterministicSolution":
-    """Full backward pass; returns estimates of (Y_0, Z_0) plus all fitted
-    per-step models and the Milne local-error indicators."""
-    if config.deterministic:
-        return deterministic_solve(problem, config)
+    """Full backward pass over ensemble; returns estimates of (Y_0, Z_0) plus
+    all fitted per-step models and the Milne local-error indicators.  Without
+    an ensemble it is the sigma = 0 reduction, deterministic_solve."""
     if ensemble is None:
-        raise ValidationError("stochastic solve needs a path ensemble")
-    m, grid = config.scheme.m, config.grid
-    N = grid.N
-    if (ensemble.grid.N, ensemble.grid.T) != (grid.N, grid.T):
+        return deterministic_solve(problem, config)
+    if (ensemble.grid.N, ensemble.grid.T) != (config.grid.N, config.grid.T):
         raise ValidationError("ensemble grid does not match solver grid")
     if ensemble.d != problem.d:
         raise ValidationError("ensemble dimension does not match problem")
-    _require_steps(m, N)
-    _require_stable(config.scheme, config.allow_unstable, config.stability_tol)
-    _check_budget(ensemble.M * build_basis(problem.d, config.basis_degree).size,
-                  "regression design")
-
-    y_models, z_models = _terminal_slots(problem, N)
-    if m >= 2:
-        _bootstrap(problem, config, ensemble, y_models, z_models)
-    milne = _backward(problem, config, grid.times, grid.h, ensemble.X, ensemble.dW,
-                      y_models, z_models)
-
+    _, y_models, z_models, milne = _run(problem, config, ensemble)
     x0 = ensemble.X[0, 0]
     y0 = _value(y_models[0], x0)
     z0 = np.asarray(z_models[0].predict(x0[None, :]), dtype=float).reshape(problem.d)
@@ -427,30 +448,9 @@ def deterministic_solve(problem: FbsdeProblem, config: SolverConfig, *,
     deterministic_perturbation_deviation.
     """
     _probe_deterministic(problem)
-    scheme = config.scheme
-    m, grid = scheme.m, config.grid
-    N = grid.N
-    _require_steps(m, N)
-    _require_stable(scheme, config.allow_unstable, config.stability_tol)
-
-    path = _one_path(problem, grid)
-    kernel = replace(config, basis_degree=0, deterministic=True)
-    y_models, z_models = _terminal_slots(problem, N)
-    start = N - m + 1
-    if problem.has_closed_form:
-        y_models[start:N], z_models[start:N] = _exact_models(
-            problem, grid.times[start:N], path.X[0, start:N])
-    try:
-        # an unstable scheme or a long horizon may overflow; that is reported
-        # once, as a non-finite result
-        with np.errstate(over="ignore", invalid="ignore"):
-            if m >= 2 and not problem.has_closed_form:
-                _bootstrap(problem, kernel, path, y_models, z_models)
-            milne = _backward(problem, kernel, grid.times, grid.h, path.X, path.dW,
-                              y_models, z_models, _perturb_y)
-    except NumericalError as err:
-        raise NumericalError(f"non-finite y0 from the sigma = 0 recursion: {err}") from None
-    y = np.array([_value(y_models[i], path.X[0, i]) for i in range(N + 1)])
+    kernel = replace(config, basis_degree=0)
+    path, y_models, _, milne = _run(problem, kernel, None, _perturb_y)
+    y = np.array([_value(model, x) for model, x in zip(y_models, path.X[0])])
     return DeterministicSolution(y=y, milne=milne, y0=float(y[0]), z0=np.zeros(problem.d),
                                  config=kernel)
 
@@ -505,6 +505,7 @@ def result_to_dict(solution, runtime_sec: float) -> dict:
         "y0": solution.y0,
         "z0": np.asarray(solution.z0, dtype=float).tolist(),
         "milne": None if undefined else np.asarray(solution.milne, dtype=float).tolist(),
-        "config": solution.config.to_dict(),
+        "config": {**solution.config.to_dict(),
+                   "deterministic": isinstance(solution, DeterministicSolution)},
         "runtime_sec": runtime_sec,
     }

@@ -226,7 +226,9 @@ class TestSolve:
                                "--deterministic", "--N", "8", "--tol", "1e-6")
         assert code == 0
         config = json.loads(out)["config"]
-        assert set(config) == {f.name for f in dataclasses.fields(SolverConfig)}
+        assert set(config) == {f.name for f in dataclasses.fields(SolverConfig)} | {
+            "deterministic"}
+        assert config["deterministic"] is True
         assert config["stability_tol"] == 1e-6
 
     def test_undefined_milne_indicator_is_null(self, tmp_path, capsys):
@@ -414,13 +416,25 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: bridge refinement: 8000 elements exceed the budget of 5000\n"
 
-    def test_design_over_budget_is_one_line_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [["solve"], ["convergence", "--batches", "2"]],
+                             ids=["solve", "convergence"])
+    def test_design_over_budget_is_one_line_error(self, capsys, monkeypatch, argv):
         # the 500 * 4 * 2 = 4000 increments fit the budget, the 500 x 28
-        # design of a degree-6 basis in d = 2 does not
+        # design of a degree-6 basis in d = 2 does not, and is refused before
+        # any draw
         from fbsde_pc import simulation
         monkeypatch.setattr(simulation, "DEFAULT_MAX_ELEMENTS", 5000)
-        code, out, err = run_cli(capsys, "solve", "--problem", "example1", "--steps", "1",
+        streams = []
+        draw = simulation.substream_normals
+
+        def recording(*args):
+            streams.append(args[3])
+            return draw(*args)
+
+        monkeypatch.setattr(simulation, "substream_normals", recording)
+        code, out, err = run_cli(capsys, *argv, "--problem", "example1", "--steps", "1",
                                  "--N", "4", "--M", "500", "--dim", "2", "--basis-degree", "6")
+        assert streams == []
         assert code == 2
         assert out == ""
         assert err == "error: regression design: 14000 elements exceed the budget of 5000\n"

@@ -37,6 +37,8 @@ from fbsde_pc.problems import (
 )
 from fbsde_pc.regression import DesignSolver, RegressionModel
 from fbsde_pc.solver import (
+    BackwardSolution,
+    DeterministicSolution,
     auto_substeps,
     deterministic_perturbation_deviation,
     result_to_dict,
@@ -168,12 +170,29 @@ class TestDeterministicSolve:
                                     sigma=lambda t, x: np.zeros((1, 1))),
                 config_for(stable_preset(1), 8))
 
-    def test_solve_dispatches_on_flag(self):
-        problem = exponential_ode()
-        cfg = config_for(stable_preset(2), 12, deterministic=True)
+    @pytest.mark.parametrize("problem", [exponential_ode(), without_closed_form(exponential_ode())],
+                             ids=["closed-form", "start-up"])
+    def test_solve_without_ensemble_is_the_sigma0_reduction(self, problem):
+        cfg = config_for(stable_preset(3), 12)
         a = solve(problem, cfg)
-        b = deterministic_solve(problem, config_for(stable_preset(2), 12))
-        assert a.y0 == b.y0
+        b = deterministic_solve(problem, cfg)
+        assert isinstance(a, DeterministicSolution)
+        assert repr(a.y0) == repr(b.y0)
+        assert repr(a.milne.tolist()) == repr(b.milne.tolist())
+
+    def test_solve_with_ensemble_runs_monte_carlo(self):
+        # an ensemble selects the Monte Carlo solve, on a sigma = 0 problem too
+        problem = exponential_ode()
+        grid = GridSpec(T=1.0, N=12)
+        sol = solve(problem, config_for(stable_preset(2), 12),
+                    sample_ensemble(problem, grid, 50, seed=1))
+        assert isinstance(sol, BackwardSolution)
+        assert sol.config.basis_degree == 2
+        assert sol.y0 == pytest.approx(math.exp(-1.0), rel=1e-2)
+
+    def test_config_fields(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "scheme", "grid", "basis_degree", "y_bound", "allow_unstable", "stability_tol"]
 
     def test_bootstrap_seeding_close_to_closed_form(self):
         problem = exponential_ode()
@@ -563,8 +582,28 @@ class TestStochasticSolver:
         with pytest.raises(ValidationError, match="ensemble dimension does not match problem"):
             solve(example1(d=3), config_for(stable_preset(1), 5), ens)
 
+    def test_one_point_level_builds_no_design(self, monkeypatch):
+        # every path sits at x0 at t = 0: the level fits sample means, and the
+        # one-level-ahead model is evaluated on one row, not on M copies of x0
+        from fbsde_pc.regression import PolynomialBasis
+        repeated = []
+        design_matrix = PolynomialBasis.design_matrix
+
+        def recording(self, x):
+            x = np.asarray(x)
+            if len(x) > 1 and np.all(x == x[0]):
+                repeated.append(x.shape)
+            return design_matrix(self, x)
+
+        monkeypatch.setattr(PolynomialBasis, "design_matrix", recording)
+        problem = example2()
+        grid = GridSpec(T=problem.T, N=6)
+        solve(problem, config_for(stable_preset(2), 6), sample_ensemble(problem, grid, 300, seed=2))
+        assert repeated == []
+
     def test_missing_ensemble_rejected(self):
-        with pytest.raises(ValidationError):
+        # without an ensemble, solve is the sigma = 0 reduction, which refuses noise
+        with pytest.raises(ValidationError, match="sigma is not identically zero"):
             solve(example1(), config_for(stable_preset(1), 5))
 
     def test_result_document(self):
@@ -572,7 +611,9 @@ class TestStochasticSolver:
         sol = deterministic_solve(problem, config_for(stable_preset(2), 10))
         doc = result_to_dict(sol, runtime_sec=0.25)
         assert set(doc) == {"y0", "z0", "milne", "config", "runtime_sec"}
-        assert set(doc["config"]) == {f.name for f in dataclasses.fields(SolverConfig)}
+        assert set(doc["config"]) == {f.name for f in dataclasses.fields(SolverConfig)} | {
+            "deterministic"}
+        assert doc["config"]["deterministic"] is True
         assert doc["config"]["grid"] == {"T": 1.0, "N": 10}
         assert len(doc["milne"]) == 10 - 2 + 1
 
@@ -635,17 +676,18 @@ class TestCallableShapes:
 
 def test_results_independent_of_blas_threads():
     """A solve leaves BLAS threading to the process: at the acceptance size,
-    where dsyrk, dgemm and the start-up all run, one and two OpenBLAS threads
-    give repr-identical y0 and z0."""
+    where dsyrk, dgemm and the start-up all run, and on example2's K = 3
+    basis at 65600 paths, which split into two row ranges on two cores, one
+    and two OpenBLAS threads give repr-identical y0 and z0."""
     script = (
         "from fbsde_pc import GridSpec, SolverConfig, sample_ensemble, solve, stable_preset\n"
-        "from fbsde_pc.problems import example1\n"
-        "problem = example1(d=2)\n"
-        "grid = GridSpec(T=1.0, N=20)\n"
-        "ensemble = sample_ensemble(problem, grid, 12018, seed=20210210)\n"
-        "config = SolverConfig(scheme=stable_preset(2), grid=grid, basis_degree=6)\n"
-        "sol = solve(problem, config, ensemble)\n"
-        "print(repr(sol.y0), repr(sol.z0.tolist()))\n"
+        "from fbsde_pc.problems import example1, example2\n"
+        "for problem, N, M, degree in ((example1(d=2), 20, 12018, 6), (example2(), 10, 65600, 2)):\n"
+        "    grid = GridSpec(T=problem.T, N=N)\n"
+        "    ensemble = sample_ensemble(problem, grid, M, seed=20210210)\n"
+        "    config = SolverConfig(scheme=stable_preset(2), grid=grid, basis_degree=degree)\n"
+        "    sol = solve(problem, config, ensemble)\n"
+        "    print(repr(sol.y0), repr(sol.z0.tolist()))\n"
     )
     src = str(Path(solver.__file__).resolve().parents[1])
     outputs = []
