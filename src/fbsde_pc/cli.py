@@ -27,13 +27,14 @@ from .experiments import (
     emit_report,
     report_csv,
     run_ladder,
+    sample_and_solve,
     stability_demo,
 )
 from .problems import PROBLEM_REGISTRY
 from .regression import build_basis
 from .schemes import load_scheme, preset_scheme, scheme_to_json
-from .simulation import DEFAULT_MAX_ELEMENTS, GridSpec, sample_ensemble
-from .solver import SolverConfig, result_to_dict, solve
+from .simulation import DEFAULT_MAX_ELEMENTS, GridSpec
+from .solver import SolverConfig, result_to_dict
 from .stability import scheme_verdict, verdict_to_dict
 
 EXIT_OK = 0
@@ -90,6 +91,11 @@ def _bool(text):
     if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
         raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
     return word in ("1", "true", "yes", "on")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line and exit 2, as for any bad input
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 def read_config(path) -> dict:
@@ -195,11 +201,7 @@ def cmd_solve(args) -> int:
         stability_tol=args.tol,
     )
     start = time.perf_counter()
-    ensemble = None
-    if not args.deterministic:
-        config.check_design_budget(problem.d, M)
-        ensemble = sample_ensemble(problem, config.grid, M, args.seed)
-    solution = solve(problem, config, ensemble)
+    solution = sample_and_solve(problem, config, M, args.seed)
     runtime = time.perf_counter() - start
     _emit_json(result_to_dict(solution, runtime), args.out)
     return EXIT_OK
@@ -220,10 +222,8 @@ def cmd_convergence(args) -> int:
     scheme = _build_scheme(args)
     problem = _build_problem(args)
     ladder = TrialLadder(
-        problem=problem, scheme=scheme, pairs=_ladder_pairs(args),
-        batches=args.batches, base_seed=args.seed, basis_degree=args.basis_degree,
-        deterministic=args.deterministic, allow_unstable=args.allow_unstable,
-    )
+        problem=problem, scheme=scheme, pairs=_ladder_pairs(args), batches=args.batches,
+        base_seed=args.seed, basis_degree=args.basis_degree, allow_unstable=args.allow_unstable)
     report = run_ladder(ladder)
     if args.out:
         formats = ("csv", "json") if args.format is None else (args.format,)
@@ -240,9 +240,7 @@ def cmd_stability_demo(args) -> int:
     M = _single(args, "M")
     scheme = _build_scheme(args)
     problem = _build_problem(args)
-    result = stability_demo(problem, scheme, args.N, M, args.seed,
-                            deterministic=args.deterministic,
-                            basis_degree=args.basis_degree)
+    result = stability_demo(problem, scheme, args.N, M, args.seed, basis_degree=args.basis_degree)
     doc = {
         "scheme": scheme.name or f"{scheme.m}-step",
         "rows": [{"N": n, "err_y": e} for n, e in zip(result.Ns, result.errors)],
@@ -273,15 +271,11 @@ def _run_flags(n_default: list) -> argparse.ArgumentParser:
                      help="trajectories (a comma list for convergence)")
     run.add_argument("--seed", type=_seed, default=0)
     run.add_argument("--basis-degree", type=int, default=2, dest="basis_degree")
-    # a bare boolean flag means true; with a value (as from a config file) it
-    # takes true or false
-    run.add_argument("--deterministic", type=_bool, nargs="?", const=True, default=False,
-                     help="sigma = 0 recursion, no simulation")
     return run
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fbsde-pc",
         description="Multi-step predictor-corrector solver for decoupled FBSDEs",
     )
@@ -297,6 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON scheme file; overrides --steps/--family")
     scheme.add_argument("--out", help="output path (default stdout)")
 
+    # a bare boolean flag means true; with a value (as from a config file) it
+    # takes true or false
     unstable.add_argument("--allow-unstable", type=_bool, nargs="?", const=True,
                           default=False, help="run a scheme that fails the root condition")
     tol.add_argument("--tol", type=_tol, default=1e-8, help="stability tolerance")
@@ -328,7 +324,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    except (NumericalError, ValueError) as exc:  # ValueError: NaN or inf bound for JSON
+    # ValueError: NaN or inf bound for JSON; OverflowError: a scheme weight
+    # beyond the float range
+    except (NumericalError, ValueError, OverflowError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except OSError as exc:

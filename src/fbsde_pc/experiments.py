@@ -97,22 +97,25 @@ def batch_seed(base_seed: int, batch_index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
+def sample_and_solve(problem: FbsdeProblem, config: SolverConfig, M: int, seed: int):
+    """solve on M paths sampled from seed; for a problem that declares
+    sigma = 0, the sigma = 0 reduction, which reads neither M nor seed."""
+    if problem.sigma_zero:
+        return solve(problem, config)
+    config.check_design_budget(problem.d, M)
+    return solve(problem, config, sample_ensemble(problem, config.grid, M, seed))
+
+
 def run_trial(problem: FbsdeProblem, scheme: MultistepScheme, N: int, M: int,
-              seed: int, basis_degree: int = 2, deterministic: bool = False,
-              allow_unstable: bool = False) -> TrialResult:
+              seed: int, basis_degree: int = 2, allow_unstable: bool = False) -> TrialResult:
     """One simulate+solve, reporting absolute errors at (0, x0) against the
     closed form; the z error is the Euclidean norm over components."""
     if not problem.has_closed_form:
         raise ValidationError("run_trial needs a problem with a closed form")
-    grid = GridSpec(T=problem.T, N=N)
-    config = SolverConfig(scheme=scheme, grid=grid, basis_degree=basis_degree,
-                          allow_unstable=allow_unstable)
+    config = SolverConfig(scheme=scheme, grid=GridSpec(T=problem.T, N=N),
+                          basis_degree=basis_degree, allow_unstable=allow_unstable)
     start = time.perf_counter()
-    ensemble = None
-    if not deterministic:
-        config.check_design_budget(problem.d, M)
-        ensemble = sample_ensemble(problem, grid, M, seed)
-    solution = solve(problem, config, ensemble)
+    solution = sample_and_solve(problem, config, M, seed)
     runtime = time.perf_counter() - start
     y_ref, z_ref = closed_form_reference(problem, 0.0, problem.x0)
     err_y = abs(solution.y0 - y_ref)
@@ -131,7 +134,6 @@ class TrialLadder:
     batches: int = 21
     base_seed: int = 0
     basis_degree: int = 2
-    deterministic: bool = False
     allow_unstable: bool = False
 
     def __post_init__(self):
@@ -185,36 +187,25 @@ def run_ladder(ladder: TrialLadder) -> ConvergenceReport:
     sibling ladders with the same base seed see paired randomness.
     """
     rows = []
-    errs_y, errs_z = [], []
     for N, M in ladder.pairs:
-        batch_y, batch_z = [], []
-        runtime = 0.0
-        for j in range(ladder.batches):
-            trial = run_trial(
-                ladder.problem, ladder.scheme, N, M, batch_seed(ladder.base_seed, j),
-                basis_degree=ladder.basis_degree,
-                deterministic=ladder.deterministic,
-                allow_unstable=ladder.allow_unstable,
-            )
-            batch_y.append(trial.err_y)
-            batch_z.append(trial.err_z)
-            runtime += trial.runtime_sec
-        mean_y, lo_y, hi_y = batch_ci(batch_y)
-        mean_z, lo_z, hi_z = batch_ci(batch_z)
+        trials = [run_trial(ladder.problem, ladder.scheme, N, M, batch_seed(ladder.base_seed, j),
+                            basis_degree=ladder.basis_degree, allow_unstable=ladder.allow_unstable)
+                  for j in range(ladder.batches)]
+        mean_y, lo_y, hi_y = batch_ci([trial.err_y for trial in trials])
+        mean_z, lo_z, hi_z = batch_ci([trial.err_z for trial in trials])
         rows.append(LadderRow(N=int(N), M=int(M), err_y=mean_y, ci_y=(lo_y, hi_y),
-                              err_z=mean_z, ci_z=(lo_z, hi_z), runtime_sec=runtime))
-        errs_y.append(mean_y)
-        errs_z.append(mean_z)
+                              err_z=mean_z, ci_z=(lo_z, hi_z),
+                              runtime_sec=sum(trial.runtime_sec for trial in trials)))
     Ns = [r.N for r in rows]
-    rate_y = rate_z = None
-    pw_y: list[float] = []
-    pw_z: list[float] = []
-    if len(rows) >= 2 and all(e > 0 for e in errs_y):
-        rate_y = convergence_rate(Ns, errs_y)
-        pw_y = pairwise_rates(Ns, errs_y)
-    if len(rows) >= 2 and all(e > 0 for e in errs_z):
-        rate_z = convergence_rate(Ns, errs_z)
-        pw_z = pairwise_rates(Ns, errs_z)
+
+    def rates(errors: list[float]):
+        """(fitted rate, pairwise rates), or (None, []) unless every error is positive."""
+        if len(errors) >= 2 and all(e > 0 for e in errors):
+            return convergence_rate(Ns, errors), pairwise_rates(Ns, errors)
+        return None, []
+
+    rate_y, pw_y = rates([r.err_y for r in rows])
+    rate_z, pw_z = rates([r.err_z for r in rows])
     metadata = {
         "problem": ladder.problem.name,
         "scheme": ladder.scheme.name or f"{ladder.scheme.m}-step",
@@ -223,7 +214,7 @@ def run_ladder(ladder: TrialLadder) -> ConvergenceReport:
         "base_seed": ladder.base_seed,
         "basis_degree": ladder.basis_degree,
         "level": CI_LEVEL,
-        "deterministic": ladder.deterministic,
+        "deterministic": ladder.problem.sigma_zero,
     }
     return ConvergenceReport(rows=rows, rate_y=rate_y, rate_z=rate_z,
                              pairwise_y=pw_y, pairwise_z=pw_z, metadata=metadata)
@@ -240,7 +231,7 @@ class StabilityDemoResult:
 
 def stability_demo(problem: FbsdeProblem, scheme: MultistepScheme,
                    Ns: Sequence[int], M: int, seed: int,
-                   deterministic: bool = False, basis_degree: int = 2) -> StabilityDemoResult:
+                   basis_degree: int = 2) -> StabilityDemoResult:
     """Errors against N for one scheme, classified as "decreasing" when each
     error stays within 1.5x of its predecessor scaled by the expected
     order-driven ratio, "irregular" otherwise.  Unstable schemes run under an
@@ -257,7 +248,7 @@ def stability_demo(problem: FbsdeProblem, scheme: MultistepScheme,
     for N in Ns:
         try:
             trial = run_trial(problem, scheme, N, M, seed, basis_degree=basis_degree,
-                              deterministic=deterministic, allow_unstable=True)
+                              allow_unstable=True)
         except NumericalError:
             errors.append(None)
         else:

@@ -27,6 +27,8 @@ class FbsdeProblem:
     grad_phi is the gradient of phi at the rows of x, (M, d) -> (M, d); it
     gives the terminal Z.  closed_form_y/z, when present, give the exact
     (Y, Z) as functions of (t, x) and are used purely as test oracles.
+    sigma_zero declares sigma = 0, so that a solve of the problem is the
+    sigma = 0 reduction, with no paths to sample.
 
     b, sigma and f run on all M paths: f twice per backward level, b and
     sigma once per Euler step.  Every callable returns a new array and never
@@ -57,6 +59,7 @@ class FbsdeProblem:
     z_bound: float = math.inf
     closed_form_y: Optional[Callable] = None
     closed_form_z: Optional[Callable] = None
+    sigma_zero: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(self.d))
@@ -281,7 +284,7 @@ def exponential_ode(T: float = 1.0) -> FbsdeProblem:
         name="exponential-ode", d=1, T=T, x0=np.zeros(1),
         b=b, sigma=sigma, f=f, phi=phi,
         grad_phi=lambda x: np.zeros_like(x),
-        closed_form_y=u, closed_form_z=zeta,
+        closed_form_y=u, closed_form_z=zeta, sigma_zero=True,
     )
 
 

@@ -55,8 +55,10 @@ def auto_substeps(m: int, h: float) -> int:
     local order: r = ceil(h^{-(m-1)/2}), capped."""
     if m <= 1:
         return 1
-    r = math.ceil(h ** (-(m - 1) / 2.0))
-    return max(1, min(r, BOOTSTRAP_SUBSTEP_CAP))
+    # h^{-(m-1)/2} reaches the cap where h <= cap^{-2/(m-1)}, a test no tiny h overflows
+    if h <= BOOTSTRAP_SUBSTEP_CAP ** (-2.0 / (m - 1)):
+        return BOOTSTRAP_SUBSTEP_CAP
+    return max(1, min(math.ceil(h ** (-(m - 1) / 2.0)), BOOTSTRAP_SUBSTEP_CAP))
 
 
 @dataclass(frozen=True)
@@ -145,9 +147,10 @@ def _check_finite(arr: np.ndarray, what: str, step: int) -> None:
 
 
 def _milne_scale(scheme: MultistepScheme) -> float:
+    """The Milne factor as a float; nan where it is undefined or beyond the float range."""
     try:
         return float(milne_factor(scheme))
-    except DegenerateIndicator:
+    except (DegenerateIndicator, OverflowError):
         return float("nan")
 
 
@@ -350,7 +353,8 @@ def _run(problem: FbsdeProblem, config: SolverConfig, ensemble: Optional[PathEns
     Returns the ensemble, the y and z models and the Milne indicators.
     ensemble None is the sigma = 0 reduction: its one path is built here, its
     top slots come from the closed form when there is one, its start-up
-    refines no noise, and an overflow is reported once, as a non-finite y0.
+    refines no noise, and an overflow is reported as a non-finite y0.  Both
+    kinds run with overflow silenced: a non-finite response fails _check_finite.
     """
     scheme, grid = config.scheme, config.grid
     m, N = scheme.m, grid.N
@@ -369,7 +373,7 @@ def _run(problem: FbsdeProblem, config: SolverConfig, ensemble: Optional[PathEns
     y_models, z_models = _terminal_slots(problem, N)
     start = N - m + 1
     try:
-        with np.errstate(over="ignore", invalid="ignore") if sigma0 else np.errstate():
+        with np.errstate(over="ignore", invalid="ignore"):
             if sigma0 and problem.has_closed_form:
                 y_models[start:N], z_models[start:N] = _exact_models(
                     problem, grid.times[start:N], ensemble.X[0, start:N])

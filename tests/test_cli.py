@@ -154,15 +154,37 @@ class TestStability:
 class TestSolve:
     def test_deterministic_solve(self, capsys):
         code, out, _ = run_cli(
-            capsys, "solve", "--problem", "exponential-ode", "--deterministic",
+            capsys, "solve", "--problem", "exponential-ode",
             "--steps", "2", "--family", "adams", "--N", "16")
         assert code == 0
         doc = json.loads(out)
         assert doc["y0"] == pytest.approx(0.36788, abs=1e-3)
+        # the y0 of this command with the former --deterministic
+        assert repr(doc["y0"]) == "0.36774468697932833"
         assert doc["config"]["grid"]["N"] == 16
         # the config that ran: the sigma = 0 kernel uses the constant basis
         assert doc["config"]["basis_degree"] == 0
         assert "runtime_sec" in doc
+
+    @pytest.mark.parametrize("argv, y0", [
+        (["--steps", "3", "--N", "80"], "0.36787961170310535"),
+        (["--steps", "2", "--family", "unstable", "--N", "12", "--allow-unstable"],
+         "-0.34711829177793585"),
+    ], ids=["readme-stable3", "unstable2"])
+    def test_sigma_zero_problem_runs_the_reduction(self, capsys, monkeypatch, argv, y0):
+        # exponential-ode declares sigma = 0, so it needs no flag: y0 is the
+        # one these commands gave with the former --deterministic, and no
+        # path is sampled
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a sigma = 0 problem sampled paths")
+
+        monkeypatch.setattr(experiments, "sample_ensemble", no_simulation)
+        code, out, _ = run_cli(capsys, "solve", "--problem", "exponential-ode", *argv)
+        assert code == 0
+        doc = strict_json(out)
+        assert repr(doc["y0"]) == y0
+        assert doc["z0"] == [0.0]
+        assert doc["config"]["deterministic"] is True
 
     def test_small_monte_carlo_solve(self, capsys):
         code, out, _ = run_cli(
@@ -183,9 +205,9 @@ class TestSolve:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         cases = [
             (["solve", "--problem", "example2", "--T", "800", "--N", "4", "--M", "200"], 0),
-            (["stability-demo", "--problem", "exponential-ode", "--deterministic",
+            (["stability-demo", "--problem", "exponential-ode",
               "--steps", "2", "--family", "unstable", "--N", "10,2000", "--M", "1"], 0),
-            (["solve", "--problem", "exponential-ode", "--deterministic", "--T", "1e308"], 3),
+            (["solve", "--problem", "exponential-ode", "--T", "1e308"], 3),
         ]
         for argv, code in cases:
             done = subprocess.run([sys.executable, "-m", "fbsde_pc.cli", *argv],
@@ -201,7 +223,7 @@ class TestSolve:
                 assert done.stderr.count("\n") == 1
 
     def test_unstable_scheme_needs_override(self, capsys):
-        args = ["solve", "--problem", "exponential-ode", "--deterministic",
+        args = ["solve", "--problem", "exponential-ode",
                 "--steps", "2", "--family", "unstable", "--N", "12"]
         code, _, err = run_cli(capsys, *args)
         assert code == 2
@@ -223,7 +245,7 @@ class TestSolve:
 
     def test_config_document_lists_every_field(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--problem", "exponential-ode",
-                               "--deterministic", "--N", "8", "--tol", "1e-6")
+                               "--N", "8", "--tol", "1e-6")
         assert code == 0
         config = json.loads(out)["config"]
         assert set(config) == {f.name for f in dataclasses.fields(SolverConfig)} | {
@@ -252,7 +274,7 @@ class TestConvergence:
         out_base = tmp_path / "report"
         code, out, _ = run_cli(
             capsys, "convergence", "--problem", "exponential-ode",
-            "--deterministic", "--steps", "2", "--family", "adams",
+            "--steps", "2", "--family", "adams",
             "--N", "10,20", "--M", "1", "--batches", "2", "--out", str(out_base))
         assert code == 0
         csv_text = (tmp_path / "report.csv").read_text()
@@ -265,7 +287,7 @@ class TestConvergence:
     def test_stdout_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "convergence", "--problem", "exponential-ode",
-            "--deterministic", "--steps", "1", "--N", "8,16", "--M", "1",
+            "--steps", "1", "--N", "8,16", "--M", "1",
             "--batches", "2", "--format", "json")
         assert code == 0
         assert "rows" in json.loads(out)
@@ -273,7 +295,7 @@ class TestConvergence:
     def test_stdout_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "convergence", "--problem", "exponential-ode",
-            "--deterministic", "--steps", "1", "--N", "8,16", "--M", "1",
+            "--steps", "1", "--N", "8,16", "--M", "1",
             "--batches", "2")
         assert code == 0
         assert out.startswith("N,M,err_y")
@@ -286,7 +308,7 @@ class TestConvergence:
 
     def test_unpaired_N_and_M_lists(self, capsys):
         code, out, err = run_cli(
-            capsys, "convergence", "--problem", "exponential-ode", "--deterministic",
+            capsys, "convergence", "--problem", "exponential-ode",
             "--N", "8,16,32", "--M", "1,2", "--batches", "2")
         assert code == 2
         assert out == ""
@@ -297,7 +319,7 @@ class TestStabilityDemo:
     def test_unstable_classification(self, capsys):
         code, out, _ = run_cli(
             capsys, "stability-demo", "--problem", "exponential-ode",
-            "--deterministic", "--steps", "2", "--family", "unstable",
+            "--steps", "2", "--family", "unstable",
             "--N", "10,20,40", "--M", "1")
         assert code == 0
         doc = json.loads(out)
@@ -308,7 +330,7 @@ class TestStabilityDemo:
         # the unstable scheme overflows at N = 2000: that row has no error
         code, out, _ = run_cli(
             capsys, "stability-demo", "--problem", "exponential-ode",
-            "--deterministic", "--steps", "2", "--family", "unstable",
+            "--steps", "2", "--family", "unstable",
             "--N", "10,2000", "--M", "1")
         assert code == 0
         doc = strict_json(out)
@@ -319,7 +341,7 @@ class TestStabilityDemo:
 
     def test_default_N_list_runs(self, capsys):
         code, out, _ = run_cli(
-            capsys, "stability-demo", "--problem", "exponential-ode", "--deterministic")
+            capsys, "stability-demo", "--problem", "exponential-ode")
         assert code == 0
         assert [row["N"] for row in json.loads(out)["rows"]] == [10, 20, 40]
 
@@ -335,7 +357,6 @@ class TestConfigFile:
         cfg.write_text(
             "# ladder setup\n"
             "problem = exponential-ode\n"
-            "deterministic = true\n"
             "family = adams\n"
             "steps = 2\n"
             "N = 16\n"
@@ -348,14 +369,21 @@ class TestConfigFile:
         assert json.loads(out)["config"]["grid"]["N"] == 8
 
     def test_config_false_switch_runs_monte_carlo(self, tmp_path, capsys):
+        # the problem, not a switch, chooses the sigma = 0 reduction: example2
+        # runs the Monte Carlo solve, and the old switch is no key in either
+        # setting
         cfg = tmp_path / "mc.cfg"
-        cfg.write_text("problem = example2\ndeterministic = false\nsteps = 1\n"
-                       "N = 4\nM = 500\n")
+        cfg.write_text("problem = example2\nsteps = 1\nN = 4\nM = 500\n")
         code, out, _ = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == 0
         doc = json.loads(out)
         assert doc["config"]["deterministic"] is False
         assert doc["z0"][0] != 0.0
+        for value in ("false", "true"):
+            cfg.write_text(f"problem = example2\ndeterministic = {value}\n")
+            code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+            assert (code, out) == (2, "")
+            assert err == f"error: {cfg}: solve has no flag for key 'deterministic'\n"
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -378,7 +406,7 @@ class TestExitCodes:
     def test_validation_error_is_2(self, capsys):
         # N < m is a precondition violation
         code, _, err = run_cli(capsys, "solve", "--problem", "exponential-ode",
-                               "--deterministic", "--steps", "3", "--N", "2")
+                               "--steps", "3", "--N", "2")
         assert code == 2
         assert "a scheme of m = 3 steps needs N >= 3 time steps, got N = 2" in err
 
@@ -446,7 +474,7 @@ class TestExitCodes:
     def test_non_finite_result_is_numerical_failure(self, capsys, argv):
         # the sigma = 0 recursion overflows on this horizon
         code, out, err = run_cli(capsys, *argv, "--problem", "exponential-ode",
-                                 "--deterministic", "--T", "1e308")
+                                 "--T", "1e308")
         assert code == 3
         assert out == ""
         assert err.startswith("numerical failure: ")
@@ -506,10 +534,11 @@ class TestExitCodes:
         (["stability", "--family", "unstable", "--steps", "2", "--tol", "nan"], None, "--tol"),
         (["stability", "--family", "unstable", "--steps", "2", "--tol", "-1"], None, "--tol"),
         (["stability", "--family", "unstable", "--steps", "2", "--tol", "inf"], None, "--tol"),
-        (["solve", "--problem", "exponential-ode", "--deterministic", "--family", "unstable",
+        (["solve", "--problem", "exponential-ode", "--family", "unstable",
           "--tol", "nan"], None, "--tol"),
         (["solve", "--problem", "constant", "--dim", "0"], None, "--dim"),
-        (["solve", "--problem", "exponential-ode", "--deterministic", "--N", "100000000000"],
+        (["solve", "--problem", "exponential-ode", "--deterministic"], None, "--deterministic"),
+        (["solve", "--problem", "exponential-ode", "--N", "100000000000"],
          None, "sigma = 0 path: 100000000000 elements exceed the budget"),
         (["stability-demo", "--N", "4", "--M", "50"], None, "--N"),
         (["convergence", "--N", "4,4", "--M", "50,50", "--batches", "2"], None, "--N"),
@@ -529,7 +558,7 @@ class TestExitCodes:
             "tau-nan", "tau-inf", "T-inf", "solve-N-list", "solve-M-list",
             "stability-demo-M-list", "seed-negative", "seed-2^64", "config-seed-negative",
             "tol-nan", "tol-negative", "tol-inf", "solve-unstable-tol-nan", "dim-0",
-            "sigma-0-N-over-budget",
+            "deterministic-flag", "sigma-0-N-over-budget",
             "stability-demo-single-N", "convergence-repeated-N", "stability-demo-repeated-N",
             "stability-demo-decreasing-N", "tau-rate-overflow", "scheme-exponent-1e5000"])
     def test_bad_flag_or_key_exits_2(self, tmp_path, capsys, monkeypatch,
@@ -537,7 +566,6 @@ class TestExitCodes:
         def no_simulation(*args, **kwargs):
             raise AssertionError("input was validated only after simulating")
 
-        monkeypatch.setattr(cli, "sample_ensemble", no_simulation)
         monkeypatch.setattr(experiments, "sample_ensemble", no_simulation)
         path = tmp_path / "input"
         if file is not None:
@@ -554,8 +582,8 @@ class TestExitCodes:
 
 # -- generative contract ---------------------------------------------------------
 
-EDGE_TOKENS = ("0", "-1", "1", "nan", "inf", "-inf", "1e308", "", "abc", "4,8", "1,2,3",
-               str(2**64), "9" * 30)
+EDGE_TOKENS = ("0", "-1", "1", "nan", "inf", "-inf", "1e308", "1e-300", "5e-324", "", "abc",
+               "4,8", "1,2,3", str(2**64), "9" * 30)
 # --N, --M and --batches come from small pools and always from the command
 # line, which overrides a config file, so that no draw runs a large solve
 CAPPED = {
@@ -593,10 +621,30 @@ def _flag_pools() -> dict:
 POOLS = _flag_pools()
 
 
+# scheme-file weights: rational, subnormal, huge, beyond a float, and malformed
+WEIGHTS = ("1", "0", "1/2", "-1/3", "5/12", 2.5, "1e-320", "5e-324", "1e300", "1e308",
+           "1e400", "", "abc", True, None)
+
+
+@st.composite
+def scheme_files(draw):
+    """Scheme-file text: stable_preset(m)'s weights with up to three fields
+    redrawn from WEIGHTS, a list field at m - 1 to m + 1 entries."""
+    m = draw(st.sampled_from([1, 2]))
+    doc = {k: v for k, v in scheme_to_dict(stable_preset(m)).items()
+           if k not in ("lambda_h", "C_pred", "C_corr")}
+    fields = st.sampled_from(["alpha", "gamma0", "gamma", "alpha_tilde", "gamma_tilde"])
+    for key in draw(st.lists(fields, unique=True, min_size=1, max_size=3)):
+        weights = st.sampled_from(WEIGHTS)
+        doc[key] = draw(weights if key == "gamma0"
+                        else st.lists(weights, min_size=m - 1, max_size=m + 1))
+    return json.dumps(doc)
+
+
 @st.composite
 def cli_cases(draw):
-    """(argv, config lines): a subcommand with drawn flag values, plus drawn
-    config entries (or none)."""
+    """(argv, config lines, scheme file): a subcommand with drawn flag values,
+    plus drawn config entries (or none) and a drawn scheme file (or None)."""
     name = draw(st.sampled_from(sorted(POOLS)))
     flags = POOLS[name]
     argv = [name] + [f"{flag}={draw(st.sampled_from(flags[flag][1]))}"
@@ -607,22 +655,37 @@ def cli_cases(draw):
     keys = st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=2)
     config = [f"{flags[flag][0]} = {draw(st.sampled_from(flags[flag][1]))}"
               for flag in draw(st.one_of(st.just([]), keys))]
-    return argv, config
+    return argv, config, draw(st.one_of(st.none(), scheme_files()))
+
+
+# a scheme whose error constants nearly coincide: its Milne factor is a finite
+# fraction too large for a float
+HUGE_MILNE = json.dumps({"m": 1, "alpha": ["1"], "gamma0": 2.5, "gamma": ["0"],
+                         "alpha_tilde": ["1"], "gamma_tilde": ["1e-320"]})
+
+
+# a weight that no float holds: the root check and the solve cannot convert it
+BEYOND_FLOAT = json.dumps({"m": 1, "alpha": ["1e400"], "gamma0": "1/2", "gamma": ["1/2"],
+                           "alpha_tilde": ["1"], "gamma_tilde": ["1"]})
 
 
 class TestContract:
-    # edge values such as 1e308 overflow on the way to a numerical failure
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # any warning is an error (pyproject.toml), so an overflow that reaches
+    # numpy's warning machinery fails here instead of writing to stderr
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(cli_cases())
-    @example((["convergence", "--N=4,4", "--M=50,50", "--batches=2"], []))
-    @example((["stability-demo", "--N=10,10", "--M=50"], []))
-    @example((["stability-demo", "--N=20,10", "--M=50"], []))
-    @example((["solve", "--N=4", "--M=20"], [f"dim = {2**64}"]))
-    @example((["solve", "--N=4", "--M=20", "--T=1e308", "--deterministic",
-               "--problem=exponential-ode"], []))
+    @example((["convergence", "--N=4,4", "--M=50,50", "--batches=2"], [], None))
+    @example((["stability-demo", "--N=10,10", "--M=50"], [], None))
+    @example((["stability-demo", "--N=20,10", "--M=50"], [], None))
+    @example((["solve", "--N=4", "--M=20"], [f"dim = {2**64}"], None))
+    @example((["solve", "--N=4", "--M=20", "--T=1e308", "--problem=exponential-ode"], [], None))
+    @example((["solve", "--T=1e-300", "--steps=4", "--M=40"], [], None))
+    @example((["stability-demo", "--T=1e-300", "--steps=4", "--M=40"], [], None))
+    @example((["solve", "--problem=example2", "--T=1e300", "--M=40", "--N=5"], [], None))
+    @example((["solve"], [], HUGE_MILNE))
+    @example((["solve", "--N=4", "--M=20", "--allow-unstable"], [], BEYOND_FLOAT))
     def test_exit_code_and_output(self, case):
-        argv, config = case
+        argv, config, scheme = case
         out, err = io.StringIO(), io.StringIO()
         cwd = os.getcwd()
         with tempfile.TemporaryDirectory() as tmp:
@@ -632,6 +695,9 @@ class TestContract:
                 if config:
                     Path("run.cfg").write_text("\n".join(config) + "\n", encoding="utf-8")
                     argv = [*argv, "--config=run.cfg"]
+                if scheme is not None:
+                    Path("scheme.json").write_text(scheme, encoding="utf-8")
+                    argv = [*argv, "--scheme-file=scheme.json"]
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     try:
                         code = main(argv)
@@ -642,11 +708,13 @@ class TestContract:
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 2, 3), (argv, config, err)
         assert "Traceback" not in out + err
+        if code != 0:
+            # one line: the error alone, with no warning or usage block
+            assert out == ""
+            assert err.count("\n") == 1 and err.endswith("\n"), err
         if code == 2:
-            assert out == ""
-            assert err.count("error:") == 1, err
+            assert err.startswith(("error:", "io error:")), err
         if code == 3:
-            assert out == ""
-            assert err.count("numerical failure:") == 1, err
+            assert err.startswith("numerical failure:"), err
         if code == 0 and out.startswith("{"):
             strict_json(out)

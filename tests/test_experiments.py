@@ -1,5 +1,6 @@
 """Statistical infrastructure and the experiment harness."""
 
+import hashlib
 import json
 import math
 import re
@@ -13,6 +14,8 @@ from fbsde_pc import (
     batch_ci,
     convergence_rate,
     emit_report,
+    example1,
+    experiments,
     run_trial,
     stability_demo,
     t_quantile,
@@ -155,10 +158,24 @@ class TestRunTrial:
 
     def test_deterministic_identical_runs(self):
         problem = exponential_ode()
-        a = run_trial(problem, adams_pair(2), N=10, M=1, seed=3, deterministic=True)
-        b = run_trial(problem, adams_pair(2), N=10, M=1, seed=3, deterministic=True)
+        a = run_trial(problem, adams_pair(2), N=10, M=1, seed=3)
+        b = run_trial(problem, adams_pair(2), N=10, M=1, seed=3)
         assert a.err_y == b.err_y
         assert a.y0 == b.y0
+
+    def test_sigma_zero_problem_runs_the_reduction(self, monkeypatch):
+        # exponential_ode declares sigma = 0: run_trial runs the reduction (the
+        # pinned values are the ones it gave when a switch chose it), samples
+        # nothing and reads neither M nor seed
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a sigma = 0 problem sampled paths")
+
+        monkeypatch.setattr(experiments, "sample_ensemble", no_simulation)
+        for M, seed in ((1, 3), (10000, 0)):
+            trial = run_trial(exponential_ode(), adams_pair(2), N=10, M=M, seed=seed)
+            assert repr(trial.y0) == "0.3675114292085898"
+            assert repr(trial.err_y) == "0.00036801196285252136"
+            assert trial.z0.tolist() == [0.0]
 
     def test_requires_closed_form(self):
         import dataclasses
@@ -231,8 +248,7 @@ class TestLadder:
     def make_ladder(self, **kw):
         problem = exponential_ode()
         defaults = dict(problem=problem, scheme=adams_pair(2),
-                        pairs=((10, 1), (20, 1)), batches=3, base_seed=1,
-                        deterministic=True)
+                        pairs=((10, 1), (20, 1)), batches=3, base_seed=1)
         defaults.update(kw)
         return TrialLadder(**defaults)
 
@@ -241,11 +257,19 @@ class TestLadder:
         assert report.rate_y == pytest.approx(2.0, abs=0.2)
 
     def test_regenerated_report_byte_identical(self, tmp_path):
-        ladder = self.make_ladder()
+        # a Monte Carlo ladder: two runs write the same files, and those are
+        # the bytes recorded when the deterministic switches still existed
+        ladder = self.make_ladder(problem=example1(d=1), pairs=((4, 60), (8, 60)))
         a = emit_report(run_ladder(ladder), tmp_path / "a")
         b = emit_report(run_ladder(ladder), tmp_path / "b")
         for pa, pb in zip(a, b):
             assert without_runtime(pa) == without_runtime(pb)
+        assert {p.name: hashlib.sha256(without_runtime(p)).hexdigest() for p in a} == {
+            "a.csv": "4728597d3ddff6aa284c5b3bed29c5bdf865f53771edbd783a5f398fe465ea64",
+            "a.json": "8ef5eff6061fc31162a8dd7b094fa841f78acc77e659a48dc5755e99b53ffbf5",
+            "a_y.dat": "7226abd0f925761cc96d7ab1d5d1df827316e95d3bd74229fe349f937317a505",
+            "a_z.dat": "479f6cc3294d5f076bdca36e80d46e08940ddd0d2cebe926c01836cf0a55c94d",
+        }
 
     def test_batch_count_guard(self):
         with pytest.raises(ValidationError, match="at least two batches"):
@@ -264,23 +288,25 @@ class TestLadder:
 class TestStabilityDemo:
     def test_stable_scheme_decreasing(self):
         result = stability_demo(exponential_ode(), adams_pair(2),
-                                Ns=(10, 20, 40), M=1, seed=0, deterministic=True)
+                                Ns=(10, 20, 40), M=1, seed=0)
         assert result.classification == "decreasing"
 
     def test_unstable_scheme_irregular(self):
         result = stability_demo(exponential_ode(), unstable_two_step(),
-                                Ns=(10, 20, 40), M=1, seed=0, deterministic=True)
+                                Ns=(10, 20, 40), M=1, seed=0)
         assert result.classification == "irregular"
         assert result.errors[-1] > result.errors[0]
 
     def test_numerical_breakdown_recorded_as_none(self):
         result = stability_demo(exponential_ode(), unstable_two_step(),
-                                Ns=(10, 2000), M=1, seed=0, deterministic=True)
+                                Ns=(10, 2000), M=1, seed=0)
         assert math.isfinite(result.errors[0])
         assert result.errors[1] is None
         assert result.classification == "irregular"
 
     def test_validation_error_propagates(self):
+        # a Monte Carlo problem: the sigma = 0 reduction of exponential_ode
+        # runs the constant basis and reads no basis_degree
         with pytest.raises(ValidationError, match="degree must be >= 0"):
-            stability_demo(exponential_ode(), adams_pair(2), Ns=(10, 20), M=50,
+            stability_demo(constant_problem(), adams_pair(2), Ns=(10, 20), M=50,
                            seed=0, basis_degree=-1)
