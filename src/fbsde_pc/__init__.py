@@ -56,7 +56,6 @@ from .simulation import (
 from .solver import (
     BackwardSolution,
     SolverConfig,
-    deterministic_solve,
     milne_local_ratios,
     solve,
 )

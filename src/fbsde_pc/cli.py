@@ -203,7 +203,7 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     solution = sample_and_solve(problem, config, M, args.seed)
     runtime = time.perf_counter() - start
-    _emit_json(result_to_dict(solution, runtime), args.out)
+    _emit_json(result_to_dict(solution, runtime, deterministic=problem.sigma_zero), args.out)
     return EXIT_OK
 
 

@@ -79,6 +79,8 @@ class GridSpec:
             raise ValidationError(f"horizon T must be finite and positive, got {self.T}")
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
             raise ValidationError("step count N must be a positive integer")
+        if self.T / self.N == 0.0:
+            raise ValidationError(f"step h = T/N = {self.T}/{self.N} underflows to 0")
 
     @property
     def h(self) -> float:

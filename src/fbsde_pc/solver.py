@@ -13,8 +13,9 @@ a level's least-squares fits are sample means, taken without a design.
 solve without an ensemble is the sigma = 0 reduction: the same kernel,
 start-up included, on one path of zero increments with the constant basis;
 each mean is of one row, so the kernel runs the scheme's scalar recursion.
-Both kinds of solve run through one sequence, _run.  The Milne local-error
-check runs the kernel one step at a time.
+Both kinds of solve run through one sequence, _run, and return one
+BackwardSolution.  The Milne local-error check runs the kernel one step at a
+time.
 """
 
 from __future__ import annotations
@@ -90,15 +91,6 @@ class BackwardSolution:
     y_models: list
     z_models: list
     milne: np.ndarray  # indicator per step i = 0..N-m
-    config: SolverConfig
-
-
-@dataclass
-class DeterministicSolution:
-    y: np.ndarray
-    milne: np.ndarray
-    y0: float
-    z0: np.ndarray
     config: SolverConfig
 
 
@@ -349,8 +341,9 @@ def _bootstrap(problem: FbsdeProblem, config: SolverConfig, ensemble: PathEnsemb
 def _run(problem: FbsdeProblem, config: SolverConfig, ensemble: Optional[PathEnsemble],
          perturb_y: float = 0.0):
     """The sequence of both kinds of solve: checks, terminal slots, the top
-    m - 1 slots, then the main pass with perturb_y added to its correctors.
-    Returns the ensemble, the y and z models and the Milne indicators.
+    m - 1 slots, then the main pass with perturb_y added to its correctors
+    (nonzero only for deterministic_perturbation_deviation).  Returns the
+    ensemble, the y and z models and the Milne indicators.
     ensemble None is the sigma = 0 reduction: its one path is built here, its
     top slots come from the closed form when there is one, its start-up
     refines no noise, and an overflow is reported as a non-finite y0.  Both
@@ -389,17 +382,23 @@ def _run(problem: FbsdeProblem, config: SolverConfig, ensemble: Optional[PathEns
 
 
 def solve(problem: FbsdeProblem, config: SolverConfig,
-          ensemble: Optional[PathEnsemble] = None) -> "BackwardSolution | DeterministicSolution":
+          ensemble: Optional[PathEnsemble] = None) -> BackwardSolution:
     """Full backward pass over ensemble; returns estimates of (Y_0, Z_0) plus
-    all fitted per-step models and the Milne local-error indicators.  Without
-    an ensemble it is the sigma = 0 reduction, deterministic_solve."""
+    all fitted per-step models and the Milne local-error indicators.
+
+    Without an ensemble it is the sigma = 0 reduction: the declaration is
+    spot-checked, then the kernel runs on the one sigma = 0 path with the
+    constant basis, which the result's config records.  Its top levels come
+    from the closed form when the problem has one, else from the start-up.
+    """
     if ensemble is None:
-        return deterministic_solve(problem, config)
-    if (ensemble.grid.N, ensemble.grid.T) != (config.grid.N, config.grid.T):
+        _probe_deterministic(problem)
+        config = replace(config, basis_degree=0)
+    elif (ensemble.grid.N, ensemble.grid.T) != (config.grid.N, config.grid.T):
         raise ValidationError("ensemble grid does not match solver grid")
-    if ensemble.d != problem.d:
+    elif ensemble.d != problem.d:
         raise ValidationError("ensemble dimension does not match problem")
-    _, y_models, z_models, milne = _run(problem, config, ensemble)
+    ensemble, y_models, z_models, milne = _run(problem, config, ensemble)
     x0 = ensemble.X[0, 0]
     y0 = _value(y_models[0], x0)
     z0 = np.asarray(z_models[0].predict(x0[None, :]), dtype=float).reshape(problem.d)
@@ -442,23 +441,6 @@ def _exact_models(problem: FbsdeProblem, times: np.ndarray, x: np.ndarray):
             [constant_model(z, basis) for _, z in exact])
 
 
-def deterministic_solve(problem: FbsdeProblem, config: SolverConfig, *,
-                        _perturb_y: float = 0.0) -> DeterministicSolution:
-    """The backward kernel on the one sigma = 0 path, with the constant basis.
-
-    Y_{N-1}..Y_{N-m+1} come from the problem's closed form when it has one,
-    and otherwise from the stochastic solve's start-up, run on the same path.
-    _perturb_y is added to every corrector of the main pass, for
-    deterministic_perturbation_deviation.
-    """
-    _probe_deterministic(problem)
-    kernel = replace(config, basis_degree=0)
-    path, y_models, _, milne = _run(problem, kernel, None, _perturb_y)
-    y = np.array([_value(model, x) for model, x in zip(y_models, path.X[0])])
-    return DeterministicSolution(y=y, milne=milne, y0=float(y[0]), z0=np.zeros(problem.d),
-                                 config=kernel)
-
-
 def milne_local_ratios(problem: FbsdeProblem, scheme: MultistepScheme,
                        grid: GridSpec) -> np.ndarray:
     """Local-error check of the Milne device on a sigma = 0 problem.
@@ -473,6 +455,8 @@ def milne_local_ratios(problem: FbsdeProblem, scheme: MultistepScheme,
     m, N = scheme.m, grid.N
     _require_steps(m, N)
     milne_factor(scheme)  # raises DegenerateIndicator when the factor is undefined
+    if math.isnan(_milne_scale(scheme)):
+        raise DegenerateIndicator("the Milne factor is beyond the float range")
     path, times = _one_path(problem, grid), grid.times
     x = path.X[0]
     config = SolverConfig(scheme=scheme, grid=grid, basis_degree=0)
@@ -494,22 +478,22 @@ def deterministic_perturbation_deviation(problem: FbsdeProblem, scheme: Multiste
                                          allow_unstable: bool = False) -> float:
     """|Y_0 shift| caused by injecting a constant perturbation of size delta
     into every corrector step of the deterministic recursion."""
-    base = SolverConfig(scheme=scheme, grid=grid, allow_unstable=allow_unstable)
-    clean = deterministic_solve(problem, base)
-    noisy = deterministic_solve(problem, base, _perturb_y=delta)
-    return abs(noisy.y0 - clean.y0)
+    _probe_deterministic(problem)
+    config = SolverConfig(scheme=scheme, grid=grid, basis_degree=0, allow_unstable=allow_unstable)
+    clean, noisy = (_value(_run(problem, config, None, perturb)[1][0], problem.x0)
+                    for perturb in (0.0, delta))
+    return abs(noisy - clean)
 
 
-def result_to_dict(solution, runtime_sec: float) -> dict:
-    """Result document for the CLI: estimates, indicators, the config and the
-    runtime.  The Milne indicators are null when the scheme leaves them
-    undefined."""
+def result_to_dict(solution: BackwardSolution, runtime_sec: float, deterministic: bool) -> dict:
+    """Result document for the CLI: estimates, indicators, the config (with
+    deterministic, whether the problem declared sigma = 0) and the runtime.
+    The Milne indicators are null when the scheme leaves them undefined."""
     undefined = math.isnan(_milne_scale(solution.config.scheme))
     return {
         "y0": solution.y0,
         "z0": np.asarray(solution.z0, dtype=float).tolist(),
         "milne": None if undefined else np.asarray(solution.milne, dtype=float).tolist(),
-        "config": {**solution.config.to_dict(),
-                   "deterministic": isinstance(solution, DeterministicSolution)},
+        "config": {**solution.config.to_dict(), "deterministic": deterministic},
         "runtime_sec": runtime_sec,
     }

@@ -22,7 +22,6 @@ from fbsde_pc import (
     check_root_condition,
     convergence_rate,
     derivative_weights,
-    deterministic_solve,
     milne_factor,
     milne_local_ratios,
     polynomial_roots,
@@ -132,9 +131,8 @@ def test_deterministic_order_check():
             for m in (1, 2, 3, 4):
                 errors = []
                 for N in (40, 80, 160):
-                    sol = deterministic_solve(
-                        problem, SolverConfig(scheme=adams_pair(m),
-                                              grid=GridSpec(T=1.0, N=N)))
+                    sol = solve(problem, SolverConfig(scheme=adams_pair(m),
+                                                      grid=GridSpec(T=1.0, N=N)))
                     errors.append(abs(sol.y0 - exact))
                 for k in (0, 1):
                     observed = math.log2(errors[k] / errors[k + 1])
@@ -161,10 +159,11 @@ def test_instability_demonstration():
             u_exact = np.exp(np.linspace(0.0, 1.0, 101) - 1.0)
 
             def max_error(scheme):
-                sol = deterministic_solve(
-                    problem, SolverConfig(scheme=scheme, grid=GridSpec(T=1.0, N=100),
-                                          allow_unstable=True))
-                return float(np.nanmax(np.abs(sol.y - u_exact)))
+                sol = solve(problem, SolverConfig(scheme=scheme, grid=GridSpec(T=1.0, N=100),
+                                                  allow_unstable=True))
+                x0 = problem.x0[None, :]
+                y = np.concatenate([model.predict(x0) for model in sol.y_models])
+                return float(np.nanmax(np.abs(y - u_exact)))
 
             assert max_error(unstable_two_step()) > 1e6
             assert max_error(unstable_three_step()) > 1e6

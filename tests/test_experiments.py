@@ -271,6 +271,29 @@ class TestLadder:
             "a_z.dat": "479f6cc3294d5f076bdca36e80d46e08940ddd0d2cebe926c01836cf0a55c94d",
         }
 
+    def test_sigma_zero_ladder_solves_each_row_once(self, tmp_path, monkeypatch):
+        # the sigma = 0 reduction reads no seed: one trial per row stands for
+        # all 21 batches, the row's runtime is that trial's, and the files are
+        # the bytes recorded when every batch ran the reduction again
+        trials = []
+        original = experiments.run_trial
+
+        def recording(*args, **kwargs):
+            trials.append(original(*args, **kwargs))
+            return trials[-1]
+
+        monkeypatch.setattr(experiments, "run_trial", recording)
+        report = run_ladder(self.make_ladder(pairs=((10, 1), (20, 1), (40, 1)), batches=21))
+        assert len(trials) == 3
+        assert [row.runtime_sec for row in report.rows] == [t.runtime_sec for t in trials]
+        written = emit_report(report, tmp_path / "a")
+        assert {p.name: hashlib.sha256(without_runtime(p)).hexdigest() for p in written} == {
+            "a.csv": "05c3be055a893e88d5fac272bd7e92ed37e5bdc905a2efbb6781cf04309e1c06",
+            "a.json": "ddb9c5a18ad0c2e2121bfb66fca46a5ef86267f4f2954d241786ad81caae6632",
+            "a_y.dat": "6c00aafd4aa51388c3d05a6cf4a0b1dd8a5ce08f4e3a9a9322d24bee729993a2",
+            "a_z.dat": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }
+
     def test_batch_count_guard(self):
         with pytest.raises(ValidationError, match="at least two batches"):
             self.make_ladder(batches=1)

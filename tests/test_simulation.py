@@ -51,6 +51,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(T=1.0, N=0)
 
+    def test_step_underflowing_to_zero_rejected(self):
+        # the smallest subnormal T takes a step of its own on one step only
+        assert GridSpec(T=5e-324, N=1).h == 5e-324
+        with pytest.raises(ValidationError, match=r"T/N = 5e-324/2 underflows to 0"):
+            GridSpec(T=5e-324, N=2)
+
 
 class TestBrownianIncrements:
     def test_bit_identical_given_seed(self):

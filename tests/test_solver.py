@@ -2,6 +2,7 @@
 order behaviour and perturbation stability."""
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -15,14 +16,15 @@ import pytest
 from scipy.linalg import lapack
 
 from fbsde_pc import (
+    DegenerateIndicator,
     GridSpec,
     NumericalError,
     SolverConfig,
     ValidationError,
     adams_pair,
-    deterministic_solve,
     milne_local_ratios,
     sample_ensemble,
+    scheme_from_json,
     solve,
     stable_preset,
     unstable_two_step,
@@ -38,14 +40,13 @@ from fbsde_pc.problems import (
 from fbsde_pc.regression import DesignSolver, RegressionModel
 from fbsde_pc.solver import (
     BackwardSolution,
-    DeterministicSolution,
     auto_substeps,
     deterministic_perturbation_deviation,
     result_to_dict,
 )
 
 
-# y0 of deterministic_solve(exponential_ode(), ...) at N = 8, 40 and 200, by
+# y0 of solve(exponential_ode(), ...) at N = 8, 40 and 200, by
 # (family, m, seeding), recorded from the scalar recursion that the one-path
 # kernel replaced.  "auto" rows take the top levels from the closed form, and
 # "bootstrap" rows from the start-up (see seeded)
@@ -74,7 +75,7 @@ def config_for(scheme, N, T=1.0, **kw):
 
 
 def without_closed_form(problem):
-    """problem without its closed form, so that deterministic_solve seeds its
+    """problem without its closed form, so that a sigma = 0 solve seeds its
     top levels from the start-up."""
     return dataclasses.replace(problem, closed_form_y=None, closed_form_z=None)
 
@@ -144,41 +145,59 @@ class TestDeterministicSolve:
         # so Y_0 = (1 - h + h^2/2)^N exactly
         problem = exponential_ode(T=1.0)
         N = 16
-        sol = deterministic_solve(problem, config_for(stable_preset(1), N))
+        sol = solve(problem, config_for(stable_preset(1), N))
         h = 1.0 / N
         assert sol.y0 == pytest.approx((1.0 - h + h * h / 2.0) ** N, rel=1e-14)
 
     def test_z_identically_zero(self):
         problem = exponential_ode()
-        sol = deterministic_solve(problem, config_for(stable_preset(2), 12))
+        sol = solve(problem, config_for(stable_preset(2), 12))
         assert np.all(sol.z0 == 0.0)
 
     def test_non_finite_y0_is_numerical_error(self):
         # the recursion overflows on this horizon
         problem = exponential_ode(T=1e308)
         with pytest.raises(NumericalError, match="non-finite y0"):
-            deterministic_solve(problem, config_for(stable_preset(2), 4, T=1e308))
+            solve(problem, config_for(stable_preset(2), 4, T=1e308))
 
     def test_rejects_noisy_problem(self):
         with pytest.raises(ValidationError, match="sigma is not identically zero"):
-            deterministic_solve(example1(), config_for(stable_preset(1), 8))
+            solve(example1(), config_for(stable_preset(1), 8))
 
     def test_rejects_z_dependent_driver(self):
         with pytest.raises(ValidationError, match="driver depends on z"):
-            deterministic_solve(
+            solve(
                 dataclasses.replace(example2(),
                                     sigma=lambda t, x: np.zeros((1, 1))),
                 config_for(stable_preset(1), 8))
 
-    @pytest.mark.parametrize("problem", [exponential_ode(), without_closed_form(exponential_ode())],
-                             ids=["closed-form", "start-up"])
-    def test_solve_without_ensemble_is_the_sigma0_reduction(self, problem):
+    @pytest.mark.parametrize("seeding, y0, milne", [
+        ("closed-form", 0.3679314516693683,
+         (1.0188363358563471e-05, 1.1074752802551583e-05, 1.2137152709573716e-05,
+          1.3034791313774422e-05, 1.4138436994500421e-05, 1.5835080917732855e-05,
+          1.6569379593145416e-05, 1.7731799205485584e-05, 2.1430664736236487e-05,
+          2.0723359097167086e-05)),
+        ("bootstrap", 0.3679317659704264,
+         (1.0189320997281795e-05, 1.1075736150802558e-05, 1.2133104616041113e-05,
+          1.303841323678223e-05, 1.4143852960938711e-05, 1.5817040476177417e-05,
+          1.65825631976646e-05, 1.7760300452351884e-05, 2.135134201366462e-05,
+          2.076846262117904e-05)),
+    ], ids=["closed-form", "start-up"])
+    def test_solve_without_ensemble_is_the_sigma0_reduction(self, seeding, y0, milne):
+        # the values and the document are those the sigma = 0 reduction gave
+        # when it had a result type of its own
         cfg = config_for(stable_preset(3), 12)
-        a = solve(problem, cfg)
-        b = deterministic_solve(problem, cfg)
-        assert isinstance(a, DeterministicSolution)
-        assert repr(a.y0) == repr(b.y0)
-        assert repr(a.milne.tolist()) == repr(b.milne.tolist())
+        sol = solve(seeded(exponential_ode(), seeding), cfg)
+        assert isinstance(sol, BackwardSolution)
+        assert len(sol.y_models) == len(sol.z_models) == 12 + 1
+        assert repr(sol.y0) == repr(y0)
+        assert repr(sol.milne.tolist()) == repr(list(milne))
+        expected = {"y0": y0, "z0": [0.0], "milne": list(milne),
+                    "config": {**dataclasses.replace(cfg, basis_degree=0).to_dict(),
+                               "deterministic": True},
+                    "runtime_sec": 0.25}
+        doc = result_to_dict(sol, 0.25, deterministic=True)
+        assert json.dumps(doc) == json.dumps(expected)
 
     def test_solve_with_ensemble_runs_monte_carlo(self):
         # an ensemble selects the Monte Carlo solve, on a sigma = 0 problem too
@@ -197,8 +216,8 @@ class TestDeterministicSolve:
     def test_bootstrap_seeding_close_to_closed_form(self):
         problem = exponential_ode()
         cfg = config_for(adams_pair(3), 32)
-        cf = deterministic_solve(problem, cfg)
-        bs = deterministic_solve(without_closed_form(problem), cfg)
+        cf = solve(problem, cfg)
+        bs = solve(without_closed_form(problem), cfg)
         exact = math.exp(-1.0)
         assert abs(bs.y0 - cf.y0) < 1e-5
         assert abs(bs.y0 - exact) < 2 * abs(cf.y0 - exact) + 1e-6
@@ -218,7 +237,7 @@ class TestDeterministicSolve:
         problem = dataclasses.replace(
             exponential_ode(), b=lambda t, x: np.ones_like(x), phi=lambda x: 1.0 + x[:, 0],
             closed_form_y=lambda t, x: np.exp(t - 1.0) * (2.0 + x[:, 0] - t))
-        sol = deterministic_solve(seeded(problem, seeding), config_for(stable_preset(m), 10))
+        sol = solve(seeded(problem, seeding), config_for(stable_preset(m), 10))
         assert sol.y0 == pytest.approx(y0, rel=1e-14)
 
     def test_bootstrap_seeding_is_one_step_scheme(self, monkeypatch):
@@ -227,9 +246,11 @@ class TestDeterministicSolve:
         monkeypatch.setattr(solver, "auto_substeps", lambda m, h: 1)
         problem = exponential_ode()
         N = 12
-        one = deterministic_solve(problem, config_for(stable_preset(1), N))
-        two = deterministic_solve(without_closed_form(problem), config_for(stable_preset(2), N))
-        assert two.y[N - 1] == pytest.approx(one.y[N - 1], rel=1e-12, abs=0.0)
+        one = solve(problem, config_for(stable_preset(1), N))
+        two = solve(without_closed_form(problem), config_for(stable_preset(2), N))
+        x0 = problem.x0[None, :]
+        assert two.y_models[N - 1].predict(x0) == pytest.approx(
+            one.y_models[N - 1].predict(x0), rel=1e-12, abs=0.0)
 
 
 class TestObservedOrder:
@@ -245,7 +266,7 @@ class TestObservedOrder:
         exact = math.exp(-1.0)
         errors = []
         for N in (20, 40, 80):
-            sol = deterministic_solve(problem, config_for(adams_pair(m), N))
+            sol = solve(problem, config_for(adams_pair(m), N))
             errors.append(abs(sol.y0 - exact))
         observed = math.log2(errors[0] / errors[1])
         assert observed == pytest.approx(m, abs=0.35)
@@ -259,7 +280,7 @@ class TestObservedOrder:
         exact = math.exp(-1.0)
         errors = []
         for N in (20, 40):
-            sol = deterministic_solve(problem, config_for(stable_preset(1), N))
+            sol = solve(problem, config_for(stable_preset(1), N))
             errors.append(abs(sol.y0 - exact))
         assert math.log2(errors[0] / errors[1]) == pytest.approx(2.0, abs=0.2)
 
@@ -282,17 +303,25 @@ class TestMilneLocalRatios:
             milne_local_ratios(without_closed_form(exponential_ode()), adams_pair(2),
                                GridSpec(T=1.0, N=8))
 
+    def test_factor_beyond_float_range_is_degenerate(self):
+        # error constants so close that |C / (C - Ctilde)| is a finite
+        # fraction no float holds: the check is as undefined as at C = Ctilde
+        scheme = scheme_from_json(json.dumps({
+            "m": 1, "alpha": ["1"], "gamma0": 2.5, "gamma": ["0"],
+            "alpha_tilde": ["1"], "gamma_tilde": ["1e-320"]}))
+        with pytest.raises(DegenerateIndicator, match="beyond the float range"):
+            milne_local_ratios(exponential_ode(), scheme, GridSpec(T=1.0, N=8))
+
 
 class TestStabilityGuard:
     def test_unstable_scheme_rejected(self):
         problem = exponential_ode()
         with pytest.raises(ValidationError, match="root condition"):
-            deterministic_solve(problem, config_for(unstable_two_step(), 10))
+            solve(problem, config_for(unstable_two_step(), 10))
 
     def test_override_allows_unstable(self):
         problem = exponential_ode()
-        sol = deterministic_solve(problem, config_for(unstable_two_step(), 10,
-                                                      allow_unstable=True))
+        sol = solve(problem, config_for(unstable_two_step(), 10, allow_unstable=True))
         assert np.isfinite(sol.y0)
 
     def test_grid_too_short(self):
@@ -303,7 +332,7 @@ class TestStabilityGuard:
         with pytest.raises(ValidationError, match=message):
             solve(problem, config_for(stable_preset(3), 2), ensemble)
         with pytest.raises(ValidationError, match=message):
-            deterministic_solve(exponential_ode(), config_for(adams_pair(3), 2))
+            solve(exponential_ode(), config_for(adams_pair(3), 2))
         with pytest.raises(ValidationError, match=message):
             milne_local_ratios(exponential_ode(), adams_pair(3), grid)
 
@@ -380,7 +409,7 @@ class TestStochasticSolver:
         scheme = {"adams": adams_pair, "stable": stable_preset}[family](m)
         problem = seeded(exponential_ode(), seeding)
         for N, y0 in zip((8, 40, 200), DETERMINISTIC_Y0[family, m, seeding]):
-            sol = deterministic_solve(problem, config_for(scheme, N))
+            sol = solve(problem, config_for(scheme, N))
             assert sol.y0 == pytest.approx(y0, rel=1e-14), N
 
     @pytest.mark.parametrize("scheme, N, y0, rel", [
@@ -394,8 +423,7 @@ class TestStochasticSolver:
     def test_pinned_deterministic_cli_estimates(self, scheme, N, y0, rel):
         # the exponential-ode --deterministic solves of README.md and
         # test_cli.py that DETERMINISTIC_Y0 does not already hold
-        sol = deterministic_solve(exponential_ode(),
-                                  config_for(scheme, N, allow_unstable=True))
+        sol = solve(exponential_ode(), config_for(scheme, N, allow_unstable=True))
         assert sol.y0 == pytest.approx(y0, rel=rel)
 
     def test_pinned_milne_local_ratios(self):
@@ -538,8 +566,7 @@ class TestStochasticSolver:
             assert np.all(model.coefficients[1:] == 0.0)
         built.clear()
         # the start-up runs too, on the same one path
-        deterministic_solve(without_closed_form(exponential_ode()),
-                            config_for(stable_preset(3), 8))
+        solve(without_closed_form(exponential_ode()), config_for(stable_preset(3), 8))
         assert built == []
 
     def test_path_vectors_freed_after_last_read(self):
@@ -608,8 +635,8 @@ class TestStochasticSolver:
 
     def test_result_document(self):
         problem = exponential_ode()
-        sol = deterministic_solve(problem, config_for(stable_preset(2), 10))
-        doc = result_to_dict(sol, runtime_sec=0.25)
+        sol = solve(problem, config_for(stable_preset(2), 10))
+        doc = result_to_dict(sol, runtime_sec=0.25, deterministic=True)
         assert set(doc) == {"y0", "z0", "milne", "config", "runtime_sec"}
         assert set(doc["config"]) == {f.name for f in dataclasses.fields(SolverConfig)} | {
             "deterministic"}
