@@ -99,7 +99,10 @@ def batch_seed(base_seed: int, batch_index: int) -> int:
 
 def sample_and_solve(problem: FbsdeProblem, config: SolverConfig, M: int, seed: int):
     """solve on M paths sampled from seed; for a problem that declares
-    sigma = 0, the sigma = 0 reduction, which reads neither M nor seed."""
+    sigma = 0, the sigma = 0 reduction, which reads neither M nor seed but
+    refuses an M below 1 all the same."""
+    if M < 1:
+        raise ValidationError(f"M must be at least 1, got M = {M}")
     if problem.sigma_zero:
         return solve(problem, config)
     config.check_design_budget(problem.d, M)

@@ -268,14 +268,3 @@ class RegressionModel:
         design = self.basis.design_matrix(x)
         return truncate(design @ self.coefficients, self.truncation_bound)
 
-
-def constant_model(value, basis: PolynomialBasis, bound: float = math.inf) -> RegressionModel:
-    """Model predicting a constant scalar or vector, already truncated."""
-    value = truncate(np.asarray(value, dtype=float), bound)
-    if value.ndim == 0:
-        coef = np.zeros(basis.size)
-        coef[0] = float(value)
-    else:
-        coef = np.zeros((basis.size, value.shape[-1]))
-        coef[0, :] = value
-    return RegressionModel(coefficients=coef, basis=basis, truncation_bound=bound)

@@ -13,9 +13,11 @@ a level's least-squares fits are sample means, taken without a design.
 solve without an ensemble is the sigma = 0 reduction: the same kernel,
 start-up included, on one path of zero increments with the constant basis;
 each mean is of one row, so the kernel runs the scheme's scalar recursion.
-Both kinds of solve run through one sequence, _run, and return one
-BackwardSolution.  The Milne local-error check runs the kernel one step at a
-time.
+Both kinds of solve run through one sequence, _run, which alone sets up the
+reduction and returns one BackwardSolution.  Every slot the kernel does not
+fit holds a rule of x: the terminal phi and Z, and the closed-form Y and Z
+at their time, which hold at any state.  The Milne local-error check runs
+the kernel one step at a time from the closed-form rules.
 """
 
 from __future__ import annotations
@@ -27,15 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DegenerateIndicator, NumericalError, ValidationError
-from .problems import FbsdeProblem, closed_form_reference, require_shape, terminal_z
-from .regression import (
-    DesignSolver,
-    RegressionModel,
-    _OnePointFit,
-    build_basis,
-    constant_model,
-    truncate,
-)
+from .problems import FbsdeProblem, require_shape, terminal_z
+from .regression import DesignSolver, RegressionModel, _OnePointFit, build_basis, truncate
 from .schemes import MultistepScheme, milne_factor, scheme_to_dict, stable_preset
 from .simulation import (
     GridSpec,
@@ -94,8 +89,10 @@ class BackwardSolution:
     config: SolverConfig
 
 
-class _Terminal:
-    """A terminal rule in a model slot: predict evaluates it at the rows of x."""
+class _Rule:
+    """A rule of x in a model slot that the kernel does not fit (the terminal
+    phi and Z, or the closed form at one time): predict evaluates it at the
+    rows of x."""
 
     def __init__(self, rule):
         self._rule = rule
@@ -118,8 +115,8 @@ def _float_arrays(scheme: MultistepScheme):
 
 def _terminal_slots(problem: FbsdeProblem, N: int) -> tuple[list, list]:
     """y and z model lists with one slot per node, the terminal rules in slot N."""
-    y_rule = _Terminal(lambda x: require_shape(np.asarray(problem.phi(x)), "phi", (len(x),)))
-    z_rule = _Terminal(lambda x: terminal_z(problem, x))
+    y_rule = _Rule(lambda x: require_shape(np.asarray(problem.phi(x)), "phi", (len(x),)))
+    z_rule = _Rule(lambda x: terminal_z(problem, x))
     return [None] * N + [y_rule], [None] * N + [z_rule]
 
 
@@ -325,6 +322,8 @@ def _bootstrap(problem: FbsdeProblem, config: SolverConfig, ensemble: PathEnsemb
     # fine nodes t_start, t_start + h/r, ..., T; the last is T exactly,
     # because the terminal driver is evaluated there
     n_fine, h_f = (N - start) * r, grid.h / r
+    if h_f == 0.0:
+        raise ValidationError(f"start-up step h/r = {grid.h}/{r} underflows to 0")
     times = grid.times[start] + h_f * np.arange(n_fine + 1)
     times[-1] = grid.T
     fine_dw = (refine_increments(ensemble, start, r) if refine
@@ -339,16 +338,22 @@ def _bootstrap(problem: FbsdeProblem, config: SolverConfig, ensemble: PathEnsemb
 
 
 def _run(problem: FbsdeProblem, config: SolverConfig, ensemble: Optional[PathEnsemble],
-         perturb_y: float = 0.0):
+         perturb_y: float = 0.0) -> BackwardSolution:
     """The sequence of both kinds of solve: checks, terminal slots, the top
     m - 1 slots, then the main pass with perturb_y added to its correctors
-    (nonzero only for deterministic_perturbation_deviation).  Returns the
-    ensemble, the y and z models and the Milne indicators.
-    ensemble None is the sigma = 0 reduction: its one path is built here, its
-    top slots come from the closed form when there is one, its start-up
-    refines no noise, and an overflow is reported as a non-finite y0.  Both
-    kinds run with overflow silenced: a non-finite response fails _check_finite.
+    (nonzero only for deterministic_perturbation_deviation).  y0 and z0 are
+    read once, off the models at the ensemble's first state.
+    ensemble None is the sigma = 0 reduction, set up here alone: the
+    declaration is spot-checked, the config takes the constant basis, the one
+    path is built, the top slots are the closed-form rules when there are
+    some, the start-up refines no noise, and an overflow is reported as a
+    non-finite y0.  Both kinds run with overflow silenced: a non-finite
+    response fails _check_finite.
     """
+    sigma0 = ensemble is None
+    if sigma0:
+        _probe_deterministic(problem)
+        config = replace(config, basis_degree=0)
     scheme, grid = config.scheme, config.grid
     m, N = scheme.m, grid.N
     _require_steps(m, N)
@@ -359,7 +364,6 @@ def _run(problem: FbsdeProblem, config: SolverConfig, ensemble: Optional[PathEns
                 f"root condition: scheme {scheme.name or m}-step has verdict "
                 f"{verdict.status!r} (offending roots {verdict.offending}); "
                 "pass allow_unstable to override")
-    sigma0 = ensemble is None
     if sigma0:
         ensemble = _one_path(problem, grid)
     config.check_design_budget(problem.d, ensemble.M)
@@ -368,8 +372,7 @@ def _run(problem: FbsdeProblem, config: SolverConfig, ensemble: Optional[PathEns
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             if sigma0 and problem.has_closed_form:
-                y_models[start:N], z_models[start:N] = _exact_models(
-                    problem, grid.times[start:N], ensemble.X[0, start:N])
+                y_models[start:N], z_models[start:N] = _exact_models(problem, grid.times[start:N])
             elif m >= 2:
                 _bootstrap(problem, config, ensemble, y_models, z_models, refine=not sigma0)
             milne = _backward(problem, config, grid.times, grid.h, ensemble.X, ensemble.dW,
@@ -378,7 +381,10 @@ def _run(problem: FbsdeProblem, config: SolverConfig, ensemble: Optional[PathEns
         if not sigma0:
             raise
         raise NumericalError(f"non-finite y0 from the sigma = 0 recursion: {err}") from None
-    return ensemble, y_models, z_models, milne
+    x0 = ensemble.X[0, 0]
+    z0 = np.asarray(z_models[0].predict(x0[None, :]), dtype=float).reshape(problem.d)
+    return BackwardSolution(y0=_value(y_models[0], x0), z0=z0, y_models=y_models,
+                            z_models=z_models, milne=milne, config=config)
 
 
 def solve(problem: FbsdeProblem, config: SolverConfig,
@@ -386,24 +392,16 @@ def solve(problem: FbsdeProblem, config: SolverConfig,
     """Full backward pass over ensemble; returns estimates of (Y_0, Z_0) plus
     all fitted per-step models and the Milne local-error indicators.
 
-    Without an ensemble it is the sigma = 0 reduction: the declaration is
-    spot-checked, then the kernel runs on the one sigma = 0 path with the
-    constant basis, which the result's config records.  Its top levels come
-    from the closed form when the problem has one, else from the start-up.
+    Without an ensemble it is the sigma = 0 reduction, which _run sets up; the
+    result's config then records the constant basis.  A given ensemble must
+    match the config's grid and the problem's dimension.
     """
-    if ensemble is None:
-        _probe_deterministic(problem)
-        config = replace(config, basis_degree=0)
-    elif (ensemble.grid.N, ensemble.grid.T) != (config.grid.N, config.grid.T):
-        raise ValidationError("ensemble grid does not match solver grid")
-    elif ensemble.d != problem.d:
-        raise ValidationError("ensemble dimension does not match problem")
-    ensemble, y_models, z_models, milne = _run(problem, config, ensemble)
-    x0 = ensemble.X[0, 0]
-    y0 = _value(y_models[0], x0)
-    z0 = np.asarray(z_models[0].predict(x0[None, :]), dtype=float).reshape(problem.d)
-    return BackwardSolution(y0=y0, z0=z0, y_models=y_models, z_models=z_models,
-                            milne=milne, config=config)
+    if ensemble is not None:
+        if (ensemble.grid.N, ensemble.grid.T) != (config.grid.N, config.grid.T):
+            raise ValidationError("ensemble grid does not match solver grid")
+        if ensemble.d != problem.d:
+            raise ValidationError("ensemble dimension does not match problem")
+    return _run(problem, config, ensemble)
 
 
 # -- deterministic (sigma = 0) reduction ---------------------------------------
@@ -433,12 +431,18 @@ def _one_path(problem: FbsdeProblem, grid: GridSpec) -> PathEnsemble:
     return euler_paths(problem, grid, np.zeros((1, grid.N, problem.d)), seed=0)
 
 
-def _exact_models(problem: FbsdeProblem, times: np.ndarray, x: np.ndarray):
-    """Constant models of the closed-form Y and Z at each node (times[i], x[i])."""
-    basis = build_basis(problem.d, 0)
-    exact = [closed_form_reference(problem, t, xi) for t, xi in zip(times, x)]
-    return ([constant_model(y, basis) for y, _ in exact],
-            [constant_model(z, basis) for _, z in exact])
+def _exact_models(problem: FbsdeProblem, times: np.ndarray):
+    """Rules of the closed-form Y and Z at each time of times, exact at any
+    state; each is shape-checked the way phi is, (M,) for Y and (M, d) for Z."""
+    def rules(t: float):
+        y = _Rule(lambda x: require_shape(np.asarray(problem.closed_form_y(t, x), dtype=float),
+                                          "closed_form_y", (len(x),)))
+        z = _Rule(lambda x: require_shape(np.asarray(problem.closed_form_z(t, x), dtype=float),
+                                          "closed_form_z", (len(x), problem.d)))
+        return y, z
+
+    exact = [rules(t) for t in times]
+    return [y for y, _ in exact], [z for _, z in exact]
 
 
 def milne_local_ratios(problem: FbsdeProblem, scheme: MultistepScheme,
@@ -460,7 +464,7 @@ def milne_local_ratios(problem: FbsdeProblem, scheme: MultistepScheme,
     path, times = _one_path(problem, grid), grid.times
     x = path.X[0]
     config = SolverConfig(scheme=scheme, grid=grid, basis_degree=0)
-    exact_y, exact_z = _exact_models(problem, times, x)
+    exact_y, exact_z = _exact_models(problem, times)
     ratios = np.empty(N - m + 1)
     for i in range(N - m + 1):
         nodes = slice(i, i + m + 1)
@@ -478,10 +482,8 @@ def deterministic_perturbation_deviation(problem: FbsdeProblem, scheme: Multiste
                                          allow_unstable: bool = False) -> float:
     """|Y_0 shift| caused by injecting a constant perturbation of size delta
     into every corrector step of the deterministic recursion."""
-    _probe_deterministic(problem)
-    config = SolverConfig(scheme=scheme, grid=grid, basis_degree=0, allow_unstable=allow_unstable)
-    clean, noisy = (_value(_run(problem, config, None, perturb)[1][0], problem.x0)
-                    for perturb in (0.0, delta))
+    config = SolverConfig(scheme=scheme, grid=grid, allow_unstable=allow_unstable)
+    clean, noisy = (_run(problem, config, None, perturb).y0 for perturb in (0.0, delta))
     return abs(noisy - clean)
 
 

@@ -549,6 +549,11 @@ class TestExitCodes:
          "tau = 1e+200 makes the decay rate"),
         (["coeffs"], ("--scheme-file", weights_json("gamma0", "1e5000")),
          "{file}: scheme field 'gamma0': decimal exponent beyond"),
+        (["convergence", "--problem", "exponential-ode", "--M", "-3", "--N", "5,10"], None,
+         "M = -3"),
+        (["solve", "--problem", "exponential-ode", "--M", "-5"], None, "M = -5"),
+        (["stability-demo", "--problem", "exponential-ode", "--N", "10,20", "--M", "-1"], None,
+         "M = -1"),
     ], ids=["config-N", "config-unknown-key", "config-choice", "N", "M", "tau", "eta-example2",
             "coeffs-M", "convergence-tol", "solve-basis", "convergence-basis",
             "stability-demo-basis", "scheme-lengths", "scheme-missing-field",
@@ -561,7 +566,9 @@ class TestExitCodes:
             "tol-nan", "tol-negative", "tol-inf", "solve-unstable-tol-nan", "dim-0",
             "deterministic-flag", "sigma-0-N-over-budget",
             "stability-demo-single-N", "convergence-repeated-N", "stability-demo-repeated-N",
-            "stability-demo-decreasing-N", "tau-rate-overflow", "scheme-exponent-1e5000"])
+            "stability-demo-decreasing-N", "tau-rate-overflow", "scheme-exponent-1e5000",
+            "sigma-0-convergence-M-negative", "sigma-0-solve-M-negative",
+            "sigma-0-stability-demo-M-negative"])
     def test_bad_flag_or_key_exits_2(self, tmp_path, capsys, monkeypatch,
                                      argv, file, named):
         def no_simulation(*args, **kwargs):
@@ -682,6 +689,9 @@ class TestContract:
     @example((["solve", "--N=4", "--M=20", "--T=1e308", "--problem=exponential-ode"], [], None))
     @example((["solve", "--T=1e-300", "--steps=4", "--M=40"], [], None))
     @example((["solve", "--T=5e-324", "--steps=4", "--M=40"], [], None))
+    @example((["solve", "--T=1e-322", "--N=4", "--steps=4", "--M=40"], [], None))
+    @example((["solve", "--problem=exponential-ode", "--M=-1"], [], None))
+    @example((["convergence", "--problem=exponential-ode", "--M=-1", "--N=4,8"], [], None))
     @example((["stability-demo", "--T=1e-300", "--steps=4", "--M=40"], [], None))
     @example((["solve", "--problem=example2", "--T=1e300", "--M=40", "--N=5"], [], None))
     @example((["solve"], [], HUGE_MILNE))
@@ -709,6 +719,9 @@ class TestContract:
                 os.chdir(cwd)
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 2, 3), (argv, config, err)
+        if any(arg in ("--M=0", "--M=-1") for arg in argv):
+            # no problem reads an M below 1, sampled or not
+            assert code == 2, (argv, config, err)
         assert "Traceback" not in out + err
         if code != 0:
             # one line: the error alone, with no warning or usage block
@@ -727,3 +740,10 @@ class TestContract:
         code, out, err = run_cli(capsys, "solve", "--T=5e-324", "--steps=4", "--M=40")
         assert (code, out) == (2, "")
         assert err == "error: step h = T/N = 5e-324/20 underflows to 0\n"
+
+    def test_startup_step_underflowing_to_zero_is_refused(self, capsys):
+        # h = 1e-322/4 is a float, but the start-up's h/r with r = 64 rounds
+        # to 0: it is refused before the start-up builds its fine grid
+        code, out, err = run_cli(capsys, "solve", "--T=1e-322", "--N=4", "--steps=4", "--M=40")
+        assert (code, out) == (2, "")
+        assert err == "error: start-up step h/r = 2.5e-323/64 underflows to 0\n"

@@ -24,7 +24,6 @@ from fbsde_pc.regression import (
     DesignSolver,
     RegressionModel,
     _OnePointFit,
-    constant_model,
 )
 
 
@@ -270,12 +269,6 @@ class TestDesignSolver:
         np.testing.assert_allclose(design @ DesignSolver(design.copy()).solve(y),
                                    np.broadcast_to(one_point.fitted(one_point.solve(y)), (50, 3)),
                                    rtol=1e-12)
-
-    def test_constant_model(self):
-        basis = build_basis(2, 2)
-        model = constant_model(np.array([3.0, -9.0]), basis, bound=5.0)
-        out = model.predict(np.ones((4, 2)))
-        assert out[0].tolist() == [3.0, -5.0]
 
     @staticmethod
     def full_scan_standardization(design):

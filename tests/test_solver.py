@@ -40,6 +40,7 @@ from fbsde_pc.problems import (
 from fbsde_pc.regression import DesignSolver, RegressionModel
 from fbsde_pc.solver import (
     BackwardSolution,
+    _exact_models,
     auto_substeps,
     deterministic_perturbation_deviation,
     result_to_dict,
@@ -198,6 +199,30 @@ class TestDeterministicSolve:
                     "runtime_sec": 0.25}
         doc = result_to_dict(sol, 0.25, deterministic=True)
         assert json.dumps(doc) == json.dumps(expected)
+
+    def test_closed_form_rules_exact_at_any_state(self):
+        # the closed-form slots are rules of x at their time, so they hold on
+        # an ensemble of states, not only at the one sigma = 0 path
+        problem = example2()
+        times = np.array([0.0, 0.25, 0.5])
+        exact_y, exact_z = _exact_models(problem, times)
+        x = np.random.default_rng(3).standard_normal((50, 1))
+        for t, y_rule, z_rule in zip(times, exact_y, exact_z):
+            assert np.array_equal(y_rule.predict(x), problem.closed_form_y(t, x))
+            assert np.array_equal(z_rule.predict(x), problem.closed_form_z(t, x))
+
+    @pytest.mark.parametrize("name, wrong, shapes", [
+        ("closed_form_y", lambda g: lambda t, x: g(t, x)[:, None], "(1, 1), expected (1,)"),
+        ("closed_form_z", lambda g: lambda t, x: g(t, x)[:, 0], "(1,), expected (1, 1)"),
+    ], ids=["y", "z"])
+    def test_wrong_closed_form_shape_named(self, name, wrong, shapes):
+        # the top slots of a sigma = 0 solve check the closed form as phi is
+        # checked, instead of reshaping its value
+        problem = exponential_ode()
+        planted = dataclasses.replace(problem, **{name: wrong(getattr(problem, name))})
+        with pytest.raises(ValidationError) as err:
+            solve(planted, config_for(stable_preset(3), 12))
+        assert str(err.value) == f"problem callable {name} returned shape {shapes}"
 
     def test_solve_with_ensemble_runs_monte_carlo(self):
         # an ensemble selects the Monte Carlo solve, on a sigma = 0 problem too
